@@ -14,6 +14,16 @@ u index fastest (Fortran order over the first two axes), so that
     s(u, v) = A_flat^T (b(v) kron b(u)).
 
 Every module in the package relies on this ordering.
+
+All evaluation runs through one batched kernel: ``_basis_rows`` and
+``_basis_rows_derivs`` build basis rows for a vector of parameters, and
+``_values_only`` / ``_values_grads_hessians`` contract them with the control
+tensor into the half squared point-to-surface distance and its derivatives.
+``basis_vector``, ``surface_eval``, ``surface_jacobian``, ``g_value`` and
+``g_eval`` are one-row calls of the same code. Contractions use einsum,
+whose per-lane results do not depend on which other lanes share the batch,
+so evaluating a batch is bit-identical to evaluating its lanes one by one
+(this is asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -48,54 +58,6 @@ def _deriv_factors(n: int) -> tuple[np.ndarray, ...]:
     return factors
 
 
-def _power_tables(u: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (pu, qrev) with pu[k] = u**k and qrev[i] = (1-u)**(n-i)."""
-    pu = np.empty(n + 1)
-    qu = np.empty(n + 1)
-    pu[0] = 1.0
-    qu[0] = 1.0
-    w = 1.0 - u
-    for k in range(1, n + 1):
-        pu[k] = pu[k - 1] * u
-        qu[k] = qu[k - 1] * w
-    return pu, qu[::-1]
-
-
-def _b0(n: int, pu: np.ndarray, qrev: np.ndarray) -> np.ndarray:
-    return _pascal_row(n) * pu * qrev
-
-
-def _b1(n: int, pu: np.ndarray, qrev: np.ndarray) -> np.ndarray:
-    i, j, _, _, _ = _deriv_factors(n)
-    pum1 = np.empty(n + 1)
-    pum1[0] = 0.0
-    pum1[1:] = pu[:-1]
-    qrevm1 = np.empty(n + 1)
-    qrevm1[-1] = 0.0
-    qrevm1[:-1] = qrev[1:]
-    return _pascal_row(n) * (i * pum1 * qrev - j * pu * qrevm1)
-
-
-def _b2(n: int, pu: np.ndarray, qrev: np.ndarray) -> np.ndarray:
-    _, _, cii, cij, cjj = _deriv_factors(n)
-    pum1 = np.empty(n + 1)
-    pum1[0] = 0.0
-    pum1[1:] = pu[:-1]
-    pum2 = np.empty(n + 1)
-    pum2[:2] = 0.0
-    pum2[2:] = pu[:-2]
-    qrevm1 = np.empty(n + 1)
-    qrevm1[-1] = 0.0
-    qrevm1[:-1] = qrev[1:]
-    qrevm2 = np.empty(n + 1)
-    qrevm2[-2:] = 0.0
-    qrevm2[:-2] = qrev[2:]
-    return _pascal_row(n) * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
-
-
-_B_FUNCS = (_b0, _b1, _b2)
-
-
 def bernstein(u: float, i: int, n: int) -> float:
     """Evaluate the degree-n Bernstein polynomial C(n,i) u^i (1-u)^(n-i).
 
@@ -126,12 +88,11 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
         raise ValueError(f"order must be at least 1, got {n}")
     if deriv not in (0, 1, 2):
         raise ValueError(f"derivative level must be 0, 1 or 2, got {deriv}")
-    pu, qrev = _power_tables(float(u), n)
-    return _B_FUNCS[deriv](n, pu, qrev)
+    return _basis_rows_derivs(np.array([float(u)]), n)[deriv][0]
 
 
 def _batch_power_tables(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched power tables; row k matches the scalar path bitwise."""
+    """Rows pu[k] = values[k]**(0..n) and qrev[k] = (1-values[k])**(n..0)."""
     m = values.size
     pu = np.empty((m, n + 1))
     qu = np.empty((m, n + 1))
@@ -153,8 +114,8 @@ def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched basis rows with first and second derivative rows.
 
-    Row k of each output matches ``basis_vector(values[k], n, deriv)`` for
-    deriv 0, 1, 2; the same shifted-power expressions are used.
+    The value rows equal ``_basis_rows(values, n)`` bit for bit; the
+    derivatives use the same power tables shifted by one and two places.
     """
     pu, qrev = _batch_power_tables(values, n)
     m = values.size
@@ -178,6 +139,49 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
     b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
     return b0, b1, b2
+
+
+def _surface_points(u, v, control):
+    """Surface points for a batch of parameter pairs, shape (len, 3)."""
+    bu = _basis_rows(u, control.shape[0] - 1)
+    bv = _basis_rows(v, control.shape[1] - 1)
+    t0 = np.einsum("mi,ijk->mjk", bu, control)
+    return np.einsum("mj,mjk->mk", bv, t0)
+
+
+def _surface_derivs(u, v, control):
+    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, each of shape (len, 3)."""
+    bu0, bu1, bu2 = _basis_rows_derivs(u, control.shape[0] - 1)
+    bv0, bv1, bv2 = _basis_rows_derivs(v, control.shape[1] - 1)
+    t0 = np.einsum("mi,ijk->mjk", bu0, control)
+    t1 = np.einsum("mi,ijk->mjk", bu1, control)
+    t2 = np.einsum("mi,ijk->mjk", bu2, control)
+    s = np.einsum("mj,mjk->mk", bv0, t0)
+    su = np.einsum("mj,mjk->mk", bv0, t1)
+    sv = np.einsum("mj,mjk->mk", bv1, t0)
+    suu = np.einsum("mj,mjk->mk", bv0, t2)
+    svv = np.einsum("mj,mjk->mk", bv2, t0)
+    suv = np.einsum("mj,mjk->mk", bv1, t1)
+    return s, su, sv, suu, svv, suv
+
+
+def _values_only(points, u, v, control):
+    """Batched half squared distances; same einsum path as the full variant."""
+    r = points - _surface_points(u, v, control)
+    return 0.5 * (r * r).sum(axis=1)
+
+
+def _values_grads_hessians(points, u, v, control):
+    """Batched objective values with gradients and Hessian entries."""
+    s, su, sv, suu, svv, suv = _surface_derivs(u, v, control)
+    r = points - s
+    value = 0.5 * (r * r).sum(axis=1)
+    grad_u = -(su * r).sum(axis=1)
+    grad_v = -(sv * r).sum(axis=1)
+    h11 = (su * su).sum(axis=1) - (suu * r).sum(axis=1)
+    h12 = (su * sv).sum(axis=1) - (suv * r).sum(axis=1)
+    h22 = (sv * sv).sum(axis=1) - (svv * r).sum(axis=1)
+    return value, grad_u, grad_v, h11, h12, h22
 
 
 @dataclass(frozen=True)
@@ -223,14 +227,13 @@ class BezierSurface:
         return cls(flat.reshape(n_u + 1, n_v + 1, 3, order="F"))
 
 
+def _one(value: float) -> np.ndarray:
+    return np.array([float(value)])
+
+
 def surface_eval(u: float, v: float, surface: BezierSurface) -> np.ndarray:
     """Point on the surface at (u, v), shape (3,)."""
-    control = surface.control
-    pu, qru = _power_tables(float(u), surface.n_u)
-    pv, qrv = _power_tables(float(v), surface.n_v)
-    bu = _b0(surface.n_u, pu, qru)
-    bv = _b0(surface.n_v, pv, qrv)
-    return bu @ np.tensordot(control, bv, axes=(1, 0))
+    return _surface_points(_one(u), _one(v), surface.control)[0]
 
 
 def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarray:
@@ -260,18 +263,14 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
 
 def surface_jacobian(u: float, v: float, surface: BezierSurface) -> np.ndarray:
     """Partial derivatives of the surface map, rows (ds/du, ds/dv), shape (2, 3)."""
-    control = surface.control
-    pu, qru = _power_tables(float(u), surface.n_u)
-    pv, qrv = _power_tables(float(v), surface.n_v)
-    t0 = np.tensordot(control, _b0(surface.n_v, pv, qrv), axes=(1, 0))
-    t1 = np.tensordot(control, _b1(surface.n_v, pv, qrv), axes=(1, 0))
-    return np.stack((_b1(surface.n_u, pu, qru) @ t0, _b0(surface.n_u, pu, qru) @ t1))
+    _, su, sv, _, _, _ = _surface_derivs(_one(u), _one(v), surface.control)
+    return np.stack((su[0], sv[0]))
 
 
 def g_value(x: np.ndarray, u: float, v: float, surface: BezierSurface) -> float:
     """Half squared distance between x and the surface point at (u, v)."""
-    r = x - surface_eval(u, v, surface)
-    return 0.5 * float(r @ r)
+    point = np.asarray(x, dtype=np.float64).reshape(1, 3)
+    return float(_values_only(point, _one(u), _one(v), surface.control)[0])
 
 
 def g_eval(
@@ -287,27 +286,8 @@ def g_eval(
     Returns:
         (value, gradient shape (2,), hessian shape (2, 2))
     """
-    control = surface.control
-    n_u, n_v = surface.n_u, surface.n_v
-    pu, qru = _power_tables(float(u), n_u)
-    pv, qrv = _power_tables(float(v), n_v)
-    bu = _b0(n_u, pu, qru)
-    bv = _b0(n_v, pv, qrv)
-    t0 = np.tensordot(control, bv, axes=(1, 0))
-    t1 = np.tensordot(control, _b1(n_v, pv, qrv), axes=(1, 0))
-    s = bu @ t0
-    r = x - s
-    value = 0.5 * float(r @ r)
-
-    bu1 = _b1(n_u, pu, qru)
-    su = bu1 @ t0
-    sv = bu @ t1
-    grad = -np.array([su @ r, sv @ r])
-
-    t2 = np.tensordot(control, _b2(n_v, pv, qrv), axes=(1, 0))
-    c_u = (_b2(n_u, pu, qru) @ t0) @ r
-    c_v = (bu @ t2) @ r
-    c_uv = (bu1 @ t1) @ r
-    h12 = su @ sv - c_uv
-    hess = np.array([[su @ su - c_u, h12], [h12, sv @ sv - c_v]])
-    return value, grad, hess
+    point = np.asarray(x, dtype=np.float64).reshape(1, 3)
+    value, g_u, g_v, h11, h12, h22 = (
+        a[0] for a in _values_grads_hessians(point, _one(u), _one(v), surface.control)
+    )
+    return float(value), np.array([g_u, g_v]), np.array([[h11, h12], [h12, h22]])

@@ -171,21 +171,23 @@ def cmd_fit(args) -> int:
 
 def cmd_project(args) -> int:
     model, _ = io.read_surface_model(args.surface)
-    cloud = io.read_point_cloud(args.cloud)
-    if cloud.n_x == 0:
+    probes, _ = io.read_xyzw(args.cloud)
+    if probes.shape[0] == 0:
         print("error: cannot project an empty cloud", file=sys.stderr)
         return EXIT_USAGE
     settings = _projection_settings(args)
     has_records = model.u.size > 0
-    if not has_records:
+    if has_records:
+        records = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
+    else:
         grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
         inits = np.array([(u, v) for u in grid for v in grid])
 
     lines = ["u,v,distance,converged"]
     successes = 0
-    for point in cloud.points:
+    for point in probes:
         if has_records:
-            d2 = np.sum((point - _record_points(model)) ** 2, axis=1)
+            d2 = np.sum((point - records) ** 2, axis=1)
             j = int(np.argmin(d2))
             u0, v0 = model.u[j], model.v[j]
         else:
@@ -201,13 +203,8 @@ def cmd_project(args) -> int:
         lines.append(f"{res.u!r},{res.v!r},{distance!r},{int(res.converged)}")
     with open(args.output, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"projected {successes}/{cloud.n_x} points -> {args.output}")
+    print(f"projected {successes}/{probes.shape[0]} points -> {args.output}")
     return 0 if successes else EXIT_NUMERICAL
-
-
-def _record_points(model):
-    b = design_matrix(model.u, model.v, model.n_u, model.n_v)
-    return b.T @ model.surface.flat
 
 
 def cmd_study(args) -> int:

@@ -36,6 +36,16 @@ def center_cloud(cloud: PointCloud) -> CenteredCloud:
     return CenteredCloud(cloud.points - centroid, centroid)
 
 
+def _residual_sum(points, weights, b, surface: BezierSurface) -> float:
+    """Weighted sum of squared residuals against the samples ``b.T @ surface.flat``."""
+    residual = points - b.T @ surface.flat
+    return float(np.sum(weights**2 * np.sum(residual**2, axis=1)))
+
+
+def _ridge_penalty(surface: BezierSurface, lam: float) -> float:
+    return 0.5 * lam * float(np.sum(surface.flat**2))
+
+
 def weighted_objective(
     points: np.ndarray,
     weights: np.ndarray,
@@ -45,8 +55,7 @@ def weighted_objective(
 ) -> float:
     """Half the weighted sum of squared point-to-surface-sample distances."""
     b = design_matrix(u, v, surface.n_u, surface.n_v)
-    residual = points - b.T @ surface.flat
-    return 0.5 * float(np.sum(weights**2 * np.sum(residual**2, axis=1)))
+    return 0.5 * _residual_sum(points, weights, b, surface)
 
 
 def regularized_objective(
@@ -58,8 +67,7 @@ def regularized_objective(
     lam: float,
 ) -> float:
     """Weighted objective plus the ridge penalty on the flattened control."""
-    penalty = 0.5 * lam * float(np.sum(surface.flat**2))
-    return weighted_objective(points, weights, surface, u, v) + penalty
+    return weighted_objective(points, weights, surface, u, v) + _ridge_penalty(surface, lam)
 
 
 def solve_control_points(
@@ -80,11 +88,15 @@ def solve_control_points(
     Raises:
         RankDeficiencyError: the system is singular and ``lam`` is 0.
     """
+    return _solve_design(points, weights, design_matrix(u, v, n_u, n_v), n_u, n_v, lam)
+
+
+def _solve_design(points, weights, b, n_u: int, n_v: int, lam: float) -> BezierSurface:
+    """``solve_control_points`` for the design matrix ``b`` of orders (n_u, n_v)."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     if lam < 0:
         raise ValueError(f"regularization strength must be nonnegative, got {lam}")
-    b = design_matrix(u, v, n_u, n_v)
     w2 = weights**2
     bw = b * w2
     gram = bw @ b.T

@@ -67,6 +67,8 @@ def read_voxel_grid(path) -> VoxelGrid:
         origin = [float(tok) for tok in header[7:10]]
     except ValueError as exc:
         raise FileFormatError(f"{path}:1: bad header value ({exc})") from exc
+    if min(n, m, p) < 1:
+        raise FileFormatError(f"{path}:1: grid dimensions must be positive, got ({n}, {m}, {p})")
     values = []
     for lineno, line in enumerate(lines[1:], start=2):
         for tok in line.split():
@@ -96,7 +98,12 @@ def write_point_cloud(cloud: PointCloud, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_point_cloud(path) -> PointCloud:
+def read_xyzw(path) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (n, 3) points and (n,) weights of an ``x,y,z,w`` file.
+
+    Probes to project use this directly: a non-finite probe only fails its
+    own projection, while a cloud to fit must pass the ``PointCloud`` checks.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != CLOUD_HEADER:
@@ -115,8 +122,13 @@ def read_point_cloud(path) -> PointCloud:
             raise FileFormatError(f"{path}:{lineno}: bad value ({exc})") from exc
         points.append(values[:3])
         weights.append(values[3])
+    return np.array(points).reshape(-1, 3), np.array(weights)
+
+
+def read_point_cloud(path) -> PointCloud:
+    points, weights = read_xyzw(path)
     try:
-        return PointCloud(np.array(points).reshape(-1, 3), np.array(weights))
+        return PointCloud(points, weights)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -14,24 +14,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .control import (
-    DEFAULT_LAMBDA,
-    center_cloud,
-    regularized_objective,
-    solve_control_points,
-    translate_surface,
-    weighted_objective,
-)
-from .errors import DegenerateGeometryError, RankDeficiencyError
+from .control import DEFAULT_LAMBDA, center_cloud, translate_surface
+from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
+from .errors import DegenerateGeometryError
 from .projection import ProjectionSettings, project_all
-from .selection import (
-    FitModel,
-    bic_statistic,
-    mdl_select,
-    param_count,
-    ranking_floor,
-    sigma2_hat,
-)
+from .selection import FitModel, _search_orders
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
@@ -110,16 +97,6 @@ def init_uv(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     return coords[:, 0].copy(), coords[:, 1].copy()
 
 
-def _fit_fixed(cloud, u, v, n_u, n_v, lam) -> FitModel:
-    """Single-candidate refit at frozen orders."""
-    surface = solve_control_points(cloud.points, cloud.weights, u, v, n_u, n_v, lam)
-    sigma2 = sigma2_hat(cloud, surface, u, v)
-    d = param_count(cloud.n_x, n_u, n_v)
-    t = bic_statistic(max(sigma2, ranking_floor(cloud.points)), d, cloud.n_x)
-    return FitModel(surface, np.asarray(u, float).copy(), np.asarray(v, float).copy(),
-                    sigma2, t, d)
-
-
 def fit_surface(
     cloud: PointCloud, settings: FitSettings | None = None
 ) -> tuple[FitModel, FitTrace]:
@@ -141,17 +118,16 @@ def fit_surface(
     inner = PointCloud(centered.points, cloud.weights)
     u, v = init_uv(inner)
     lam = settings.lam
-    fixed = settings.fixed_orders
+    if settings.fixed_orders is not None:
+        start = cap = settings.fixed_orders
+    else:
+        start, cap = (1, 1), settings.order_cap
 
     trace: FitTrace = []
     tic = perf_counter()
-    if fixed is not None:
-        model = _fit_fixed(inner, u, v, fixed[0], fixed[1], lam)
-    else:
-        model = mdl_select(inner, u, v, 1, 1, lam, settings.order_cap)
-    f0 = weighted_objective(inner.points, inner.weights, model.surface, u, v)
+    model, f, _, _ = _search_orders(inner, u, v, start[0], start[1], lam, cap)
     trace.append(
-        FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, f0,
+        FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, f,
                      math.nan, math.nan, math.nan, math.nan, 0, perf_counter() - tic)
     )
 
@@ -162,29 +138,11 @@ def fit_surface(
         u, v = batch.u, batch.v
         f_before = float(np.sum(inner.weights**2 * batch.g_start))
         f_after = float(np.sum(inner.weights**2 * batch.g_final))
-
-        f_reg_before = regularized_objective(
-            inner.points, inner.weights, model.surface, u, v, lam
+        model, f, f_reg_before, f_reg_after = _search_orders(
+            inner, u, v, model.n_u, model.n_v, lam, cap, previous=model.surface
         )
-        try:
-            same_order = solve_control_points(
-                inner.points, inner.weights, u, v, model.n_u, model.n_v, lam
-            )
-            f_reg_after = regularized_objective(
-                inner.points, inner.weights, same_order, u, v, lam
-            )
-        except RankDeficiencyError:
-            # the order search below decides whether any candidate survives
-            f_reg_before = math.nan
-            f_reg_after = math.nan
-
-        if fixed is not None:
-            model = _fit_fixed(inner, u, v, fixed[0], fixed[1], lam)
-        else:
-            model = mdl_select(inner, u, v, model.n_u, model.n_v, lam, settings.order_cap)
-        f_model = weighted_objective(inner.points, inner.weights, model.surface, u, v)
         trace.append(
-            FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f_model,
+            FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f,
                          f_before, f_after, f_reg_before, f_reg_after,
                          len(batch.failed), perf_counter() - tic)
         )

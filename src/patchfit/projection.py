@@ -5,12 +5,12 @@ solved by Newton's method with Armijo backtracking; when the Hessian is not
 positive definite the step falls back to steepest descent, so every accepted
 step decreases the objective.
 
-All points are advanced in lockstep on batched arrays. Contractions use
-einsum, whose per-lane results do not depend on which other points share the
-batch, so projecting a cloud is bit-identical to projecting its points one by
-one (this is asserted in the test suite). Accepted line-search values are
-carried forward rather than recomputed, which makes the per-point objective
-sequence monotone by construction.
+All points are advanced in lockstep on batched arrays. The objective and
+its derivatives come from the batched kernel in ``bezier``, whose per-lane
+results do not depend on the rest of the batch, so projecting a cloud is
+bit-identical to projecting its points one by one. Accepted line-search
+values are carried forward rather than recomputed, which makes the per-point
+objective sequence monotone by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierSurface, _basis_rows, _basis_rows_derivs
+from .bezier import BezierSurface, _values_grads_hessians, _values_only
+from .bezier import _basis_rows, _basis_rows_derivs  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import ProjectionError
 from .voxel import PointCloud
 
@@ -65,39 +66,6 @@ class BatchProjection:
     g_start: np.ndarray
     g_final: np.ndarray
     failed: tuple[int, ...] = field(default=())
-
-
-def _values_only(points, u, v, control):
-    """Batched half squared distances; same einsum path as the full variant."""
-    bu = _basis_rows(u, control.shape[0] - 1)
-    bv = _basis_rows(v, control.shape[1] - 1)
-    t0 = np.einsum("mi,ijk->mjk", bu, control)
-    s = np.einsum("mj,mjk->mk", bv, t0)
-    r = points - s
-    return 0.5 * (r * r).sum(axis=1)
-
-
-def _values_grads_hessians(points, u, v, control):
-    """Batched objective values with gradients and Hessian entries."""
-    bu0, bu1, bu2 = _basis_rows_derivs(u, control.shape[0] - 1)
-    bv0, bv1, bv2 = _basis_rows_derivs(v, control.shape[1] - 1)
-    t0 = np.einsum("mi,ijk->mjk", bu0, control)
-    t1 = np.einsum("mi,ijk->mjk", bu1, control)
-    t2 = np.einsum("mi,ijk->mjk", bu2, control)
-    s = np.einsum("mj,mjk->mk", bv0, t0)
-    su = np.einsum("mj,mjk->mk", bv0, t1)
-    sv = np.einsum("mj,mjk->mk", bv1, t0)
-    suu = np.einsum("mj,mjk->mk", bv0, t2)
-    svv = np.einsum("mj,mjk->mk", bv2, t0)
-    suv = np.einsum("mj,mjk->mk", bv1, t1)
-    r = points - s
-    value = 0.5 * (r * r).sum(axis=1)
-    grad_u = -(su * r).sum(axis=1)
-    grad_v = -(sv * r).sum(axis=1)
-    h11 = (su * su).sum(axis=1) - (suu * r).sum(axis=1)
-    h12 = (su * sv).sum(axis=1) - (suv * r).sum(axis=1)
-    h22 = (sv * sv).sum(axis=1) - (svv * r).sum(axis=1)
-    return value, grad_u, grad_v, h11, h12, h22
 
 
 def _finite_rows(*arrays):

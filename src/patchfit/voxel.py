@@ -41,6 +41,8 @@ class VoxelGrid:
         data = np.asarray(self.data)
         if data.ndim != 3:
             raise ValueError(f"grid data must be 3D, got {data.ndim}D")
+        if 0 in data.shape:
+            raise ValueError(f"grid axes must be non-empty, got shape {data.shape}")
         spacing = np.asarray(self.spacing, dtype=np.float64).reshape(3)
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         if not (np.isfinite(spacing).all() and (spacing > 0).all()):
@@ -84,7 +86,7 @@ class Kernel3:
 
 @dataclass
 class PointCloud:
-    """Indexed points in R^3 with strictly positive weights."""
+    """Indexed finite points in R^3 with finite, strictly positive weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -96,6 +98,8 @@ class PointCloud:
             raise ValueError(f"points ({pts.shape[0]}) and weights ({w.shape[0]}) differ in length")
         if w.size and not (w > 0).all():
             raise ValueError("weights must be strictly positive")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise ValueError("points and weights must be finite")
         self.points = pts
         self.weights = w
 

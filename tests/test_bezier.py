@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln
 
 from patchfit import (
@@ -17,6 +20,7 @@ from patchfit import (
     surface_eval,
     surface_jacobian,
 )
+from patchfit.bezier import _surface_points, _values_grads_hessians, _values_only
 
 
 def bernstein_loggamma(u, i, n):
@@ -281,3 +285,34 @@ class TestGEval:
             surface = random_surface(rng, 3, 2)
             _, _, hess = g_eval(rng.normal(size=3), rng.uniform(), rng.uniform(), surface)
             assert hess[0, 1] == hess[1, 0]
+
+
+@st.composite
+def kernel_batches(draw):
+    """A control tensor of orders 1-6 with a batch of points and parameters."""
+    n_u = draw(st.integers(1, 6))
+    n_v = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 9))
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    params = st.floats(-0.5, 1.5, allow_nan=False)
+    control = draw(arrays(np.float64, (n_u + 1, n_v + 1, 3), elements=coords))
+    points = draw(arrays(np.float64, (m, 3), elements=coords))
+    u = draw(arrays(np.float64, m, elements=params))
+    v = draw(arrays(np.float64, m, elements=params))
+    return BezierSurface(control), points, u, v, draw(st.integers(0, m - 1))
+
+
+class TestOneKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_batches())
+    def test_scalar_calls_equal_batch_lane_bitwise(self, batch):
+        surface, points, u, v, k = batch
+        control = surface.control
+        npt.assert_array_equal(surface_eval(u[k], v[k], surface),
+                               _surface_points(u, v, control)[k])
+        assert g_value(points[k], u[k], v[k], surface) == _values_only(points, u, v, control)[k]
+        value, g_u, g_v, h11, h12, h22 = _values_grads_hessians(points, u, v, control)
+        g, grad, hess = g_eval(points[k], u[k], v[k], surface)
+        assert g == value[k]
+        npt.assert_array_equal(grad, [g_u[k], g_v[k]])
+        npt.assert_array_equal(hess, [[h11[k], h12[k]], [h12[k], h22[k]]])

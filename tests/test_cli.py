@@ -76,6 +76,14 @@ class TestSelect:
         result = run_cli("select")
         assert result.returncode == 2
 
+    def test_negative_grid_dimensions_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.vox"
+        bad.write_text("VOX1 -2 -2 2 1 1 1 0 0 0\n1 1 1 1 1 1 1 1\n")
+        result = run_cli("select", str(bad), "-o", str(tmp_path / "x.csv"),
+                         "--seed-voxel", "0", "0", "0")
+        assert result.returncode == 2
+        assert "bad.vox:1" in result.stderr
+
     def test_curved_boundary_point_count(self, tmp_path):
         # 15 mm cube at 1 mm spacing around a spherical boundary; the point
         # count is reported, not asserted
@@ -101,6 +109,14 @@ class TestFit:
         result = run_cli("fit", str(cloud), "-o", str(out), "--lam", "0")
         assert result.returncode == 0, result.stderr
         assert "orders (1, 1)" in result.stdout
+
+    @pytest.mark.parametrize("row", ["nan,0.5,0.5,1.0", "0.5,0.5,0.5,inf"])
+    def test_non_finite_cloud_is_a_usage_error(self, tmp_path, saddle_cloud, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(saddle_cloud.read_text() + row + "\n")
+        result = run_cli("fit", str(path), "-o", str(tmp_path / "s.json"))
+        assert result.returncode == 2
+        assert "points and weights must be finite" in result.stderr
 
     def test_rank_deficiency_exit_code(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -175,6 +191,17 @@ class TestProject:
         empty.write_text("x,y,z,w\n")
         result = run_cli("project", str(surface_path), str(empty), "-o", str(tmp_path / "p.csv"))
         assert result.returncode == 2
+
+    def test_non_finite_probe_gets_failure_row(self, tmp_path, saddle_cloud):
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        probes = tmp_path / "probes.csv"
+        probes.write_text("x,y,z,w\n0.1,0.2,0.0,1.0\nnan,nan,nan,1.0\n")
+        out = tmp_path / "p.csv"
+        result = run_cli("project", str(surface_path), str(probes), "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3 and rows[2] == "nan,nan,nan,0"
 
 
 class TestStudy:

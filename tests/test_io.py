@@ -19,6 +19,7 @@ from patchfit.io import (
     read_point_cloud,
     read_surface_model,
     read_voxel_grid,
+    read_xyzw,
     write_point_cloud,
     write_study_long,
     write_study_table,
@@ -76,6 +77,19 @@ class TestVoxelGridFormat:
         with pytest.raises(FileFormatError, match="expected 8 values"):
             read_voxel_grid(path)
 
+    def test_negative_dimensions_report_header(self, tmp_path):
+        # (-2) * (-2) * 2 matches the 8 values, so only the sign check catches it
+        path = tmp_path / "bad.vox"
+        path.write_text("VOX1 -2 -2 2 1 1 1 0 0 0\n1 1 1 1 1 1 1 1\n")
+        with pytest.raises(FileFormatError, match="bad.vox:1: grid dimensions must be positive"):
+            read_voxel_grid(path)
+
+    def test_zero_dimension_reports_header(self, tmp_path):
+        path = tmp_path / "bad.vox"
+        path.write_text("VOX1 0 4 4 1 1 1 0 0 0\n")
+        with pytest.raises(FileFormatError, match="bad.vox:1: grid dimensions must be positive"):
+            read_voxel_grid(path)
+
 
 class TestPointCloudFormat:
     def test_round_trip(self, tmp_path):
@@ -98,6 +112,20 @@ class TestPointCloudFormat:
         path.write_text("x,y,z,w\n1,2,3,1\n1,2,3\n")
         with pytest.raises(FileFormatError, match="cloud.csv:3"):
             read_point_cloud(path)
+
+    @pytest.mark.parametrize("row", ["nan,2,3,1", "1,inf,3,1", "1,2,3,inf"])
+    def test_non_finite_row_is_a_format_error(self, tmp_path, row):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"x,y,z,w\n1,2,3,1\n{row}\n")
+        with pytest.raises(FileFormatError, match="finite"):
+            read_point_cloud(path)
+
+    def test_probe_points_may_be_non_finite(self, tmp_path):
+        path = tmp_path / "probes.csv"
+        path.write_text("x,y,z,w\n1,2,3,1\nnan,nan,nan,1\n")
+        probes, _ = read_xyzw(path)
+        assert probes.shape == (2, 3)
+        assert np.isnan(probes[1]).all()
 
 
 class TestSurfaceDocument:

@@ -1,6 +1,7 @@
 """Initialization and the alternating fit loop."""
 
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -183,6 +184,26 @@ class TestFitSurface:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_surface(PointCloud([[0.0, 0, 0], [1, 0, 0]], np.ones(2)))
+
+    def test_one_design_matrix_per_candidate_order(self, monkeypatch):
+        import patchfit.bezier
+
+        original = patchfit.bezier.design_matrix
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("patchfit") and getattr(module, "design_matrix", None) is original:
+                monkeypatch.setattr(module, "design_matrix", counted)
+        rng = np.random.default_rng(12)
+        cloud, _ = heightfield_cloud(rng, n=90, noise=0.05)
+        settings = FitSettings(order_cap=(20, 20))
+        model, trace = fit_surface(cloud, settings)
+        assert max(max(r.n_u, r.n_v) for r in trace) < 20  # the caps never bind
+        assert len(calls) == 4 * len(trace)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

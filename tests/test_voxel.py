@@ -317,3 +317,21 @@ class TestPointCloudType:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((2, 3)), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = np.zeros((3, 3))
+        points[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(points, np.ones(3))
+
+    def test_rejects_infinite_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(np.zeros((2, 3)), [1.0, np.inf])
+
+
+class TestVoxelGridType:
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 0, 4), (4, 4, 0)])
+    def test_rejects_empty_axes(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            VoxelGrid(np.zeros(shape, dtype=np.int64), (1, 1, 1), (0, 0, 0))
