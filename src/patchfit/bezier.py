@@ -19,11 +19,11 @@ All evaluation runs through one batched kernel: ``_basis_rows`` and
 ``_basis_rows_derivs`` build basis rows for a vector of parameters, and
 ``_values_only`` / ``_values_grads_hessians`` contract them with the control
 tensor into the half squared point-to-surface distance and its derivatives.
-``basis_vector``, ``surface_eval``, ``surface_jacobian``, ``g_value`` and
-``g_eval`` are one-row calls of the same code. Contractions use einsum,
-whose per-lane results do not depend on which other lanes share the batch,
-so evaluating a batch is bit-identical to evaluating its lanes one by one
-(this is asserted in the test suite).
+``bernstein``, ``basis_vector``, ``surface_eval``, ``surface_jacobian``,
+``g_value`` and ``g_eval`` are one-row calls of the same code. Contractions
+use einsum, whose per-lane results do not depend on which other lanes share
+the batch, so evaluating a batch is bit-identical to evaluating its lanes
+one by one (this is asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def bernstein(u: float, i: int, n: int) -> float:
         raise ValueError(f"order must be nonnegative, got {n}")
     if i < 0 or i > n:
         raise ValueError(f"basis index {i} outside [0, {n}]")
-    return float(_pascal_row(n)[i] * u**i * (1.0 - u) ** (n - i))
+    return float(_basis_rows(np.array([float(u)]), n)[0, i])
 
 
 def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:

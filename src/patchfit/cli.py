@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from . import io
-from .bezier import design_matrix, g_value
+from .bezier import _values_only, design_matrix
 from .errors import (
     DegenerateGeometryError,
     EmptySelectionError,
@@ -27,12 +27,14 @@ from .errors import (
     RankDeficiencyError,
 )
 from .pipeline import FitSettings, fit_surface, outer_iterations
-from .projection import ProjectionSettings, project_point
+from .projection import ProjectionSettings, project_all
+from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .simulate import run_study
 from .voxel import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
     DEFAULT_NEIGHBORHOOD,
+    PointCloud,
     extract_cloud,
     select_points,
 )
@@ -176,35 +178,30 @@ def cmd_project(args) -> int:
         print("error: cannot project an empty cloud", file=sys.stderr)
         return EXIT_USAGE
     settings = _projection_settings(args)
-    has_records = model.u.size > 0
-    if has_records:
-        records = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
-    else:
-        grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
-        inits = np.array([(u, v) for u in grid for v in grid])
-
-    lines = ["u,v,distance,converged"]
-    successes = 0
-    for point in probes:
-        if has_records:
-            d2 = np.sum((point - records) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            u0, v0 = model.u[j], model.v[j]
+    finite_rows = np.flatnonzero(np.isfinite(probes).all(axis=1))
+    points = probes[finite_rows]
+    # A huge finite probe overflows its start search; its lane then fails.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if model.u.size > 0:
+            records = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
+            starts = [np.argmin(np.sum((p - records) ** 2, axis=1)) for p in points]
+            u0, v0 = model.u[starts], model.v[starts]
         else:
-            values = [g_value(point, u0c, v0c, model.surface) for u0c, v0c in inits]
-            u0, v0 = inits[int(np.argmin(values))]
-        try:
-            res = project_point(point, model.surface, u0, v0, settings)
-        except ProjectionError:
-            lines.append("nan,nan,nan,0")
-            continue
-        successes += 1
-        distance = float(np.sqrt(2.0 * res.g))
-        lines.append(f"{res.u!r},{res.v!r},{distance!r},{int(res.converged)}")
+            grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
+            inits = np.array([(u, v) for u in grid for v in grid])
+            starts = [np.argmin(_values_only(p, *inits.T, model.surface.control)) for p in points]
+            u0, v0 = inits[starts].T
+    batch = project_all(PointCloud(points, np.ones(len(points))), model.surface, u0, v0, settings)
+    u, v, conv = batch.u.tolist(), batch.v.tolist(), batch.converged.tolist()
+    distance = np.sqrt(2.0 * batch.g_final).tolist()
+    solved = np.delete(np.arange(len(points)), batch.failed).tolist()
+    lines = ["nan,nan,nan,0"] * probes.shape[0]
+    for k in solved:
+        lines[finite_rows[k]] = f"{u[k]!r},{v[k]!r},{distance[k]!r},{int(conv[k])}"
     with open(args.output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"projected {successes}/{probes.shape[0]} points -> {args.output}")
-    return 0 if successes else EXIT_NUMERICAL
+        fh.write("\n".join(["u,v,distance,converged", *lines]) + "\n")
+    print(f"projected {len(solved)}/{probes.shape[0]} points -> {args.output}")
+    return 0 if solved else EXIT_NUMERICAL
 
 
 def cmd_study(args) -> int:

@@ -38,6 +38,12 @@ class FitSettings:
             raise ValueError("max_outer_iters must be at least 1")
         if self.order_cap[0] < 1 or self.order_cap[1] < 1:
             raise ValueError("order caps must be at least 1")
+        if self.fixed_orders is not None and min(self.fixed_orders) < 1:
+            raise ValueError("fixed_orders must be at least 1")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and nonnegative")
+        if not (math.isfinite(self.rel_sigma2_tol) and self.rel_sigma2_tol >= 0):
+            raise ValueError("rel_sigma2_tol must be finite and nonnegative")
 
 
 @dataclass

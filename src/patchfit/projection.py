@@ -39,8 +39,8 @@ class ProjectionSettings:
     def __post_init__(self):
         if self.max_newton_iters < 0 or self.max_backtracks < 0:
             raise ValueError("iteration limits must be nonnegative")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be strictly positive")
+        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be finite and strictly positive")
         if not (0.0 < self.armijo_c < 1.0 and 0.0 < self.backtrack_factor < 1.0):
             raise ValueError("armijo_c and backtrack_factor must lie in (0, 1)")
 
@@ -65,6 +65,7 @@ class BatchProjection:
     v: np.ndarray
     g_start: np.ndarray
     g_final: np.ndarray
+    converged: np.ndarray
     failed: tuple[int, ...] = field(default=())
 
 
@@ -231,6 +232,7 @@ def project_all(
 
     Each solve is independent and deterministic. Points whose solve fails
     keep their previous parameters; their indices are reported in ``failed``.
+    ``converged`` marks the points whose gradient norm reached ``grad_tol``.
     """
     if settings is None:
         settings = ProjectionSettings()
@@ -244,5 +246,6 @@ def project_all(
         v=state.v,
         g_start=state.g_start,
         g_final=state.value,
+        converged=state.converged,
         failed=tuple(int(i) for i in np.flatnonzero(state.failed)),
     )

@@ -15,9 +15,10 @@ from time import perf_counter
 import numpy as np
 
 from .bezier import design_matrix
-from .errors import PatchFitError, ProjectionError
+from .errors import PatchFitError
 from .pipeline import FitSettings, FitTrace, fit_surface, outer_iterations
-from .projection import ProjectionSettings, project_point
+from .projection import ProjectionSettings, project_all
+from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .selection import FitModel, _rank_key
 from .voxel import PointCloud
 
@@ -157,10 +158,11 @@ def eval_fit(
 ) -> EvalMetrics:
     """Unweighted train residual variance and projected test distance variance.
 
-    The train metric reuses the model's own location parameters. Each test
-    point is projected onto the fitted surface, warm-started from the fitted
-    parameters of its nearest training point; failed projections are dropped
-    from the mean and counted.
+    The train metric reuses the model's own location parameters. All test
+    points are projected onto the fitted surface in one batch, each
+    warm-started from the fitted parameters of its nearest training point;
+    failed projections are dropped from the mean and counted. Test points
+    must be finite: a non-finite one raises ValueError.
     """
     x_tr = np.asarray(x_tr, dtype=np.float64).reshape(-1, 3)
     s_te = np.asarray(s_te, dtype=np.float64).reshape(-1, 3)
@@ -170,18 +172,13 @@ def eval_fit(
 
     diff = s_te[:, None, :] - x_tr[None, :, :]
     nearest = np.argmin(np.sum(diff**2, axis=2), axis=1)
-    dist2 = []
-    failures = 0
-    for i in range(s_te.shape[0]):
-        j = nearest[i]
-        try:
-            res = project_point(s_te[i], model.surface, model.u[j], model.v[j], settings)
-        except ProjectionError:
-            failures += 1
-            continue
-        dist2.append(2.0 * res.g)
+    test = PointCloud(s_te, np.ones(s_te.shape[0]))
+    batch = project_all(test, model.surface, model.u[nearest], model.v[nearest], settings)
+    # Python's sum adds in index order; np.sum adds pairwise and can change
+    # the last bits of the reported metric.
+    dist2 = (2.0 * np.delete(batch.g_final, batch.failed)).tolist()
     sigma2_te = (sum(dist2) / (3.0 * len(dist2))) if dist2 else math.nan
-    return EvalMetrics(sigma2_tr, sigma2_te, failures)
+    return EvalMetrics(sigma2_tr, sigma2_te, len(batch.failed))
 
 
 @dataclass

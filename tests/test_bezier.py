@@ -20,7 +20,7 @@ from patchfit import (
     surface_eval,
     surface_jacobian,
 )
-from patchfit.bezier import _surface_points, _values_grads_hessians, _values_only
+from patchfit.bezier import _basis_rows, _surface_points, _values_grads_hessians, _values_only
 
 
 def bernstein_loggamma(u, i, n):
@@ -308,6 +308,8 @@ class TestOneKernel:
     def test_scalar_calls_equal_batch_lane_bitwise(self, batch):
         surface, points, u, v, k = batch
         control = surface.control
+        npt.assert_array_equal([bernstein(u[k], i, surface.n_u) for i in range(surface.n_u + 1)],
+                               _basis_rows(u, surface.n_u)[k])
         npt.assert_array_equal(surface_eval(u[k], v[k], surface),
                                _surface_points(u, v, control)[k])
         assert g_value(points[k], u[k], v[k], surface) == _values_only(points, u, v, control)[k]

@@ -1,12 +1,13 @@
 """End-to-end command-line runs, exit codes, and output determinism."""
 
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from patchfit import VoxelGrid
+from patchfit import ProjectionError, VoxelGrid, design_matrix, g_value, project_point
 from patchfit.io import read_point_cloud, read_surface_model, write_point_cloud, write_voxel_grid
 from patchfit.voxel import PointCloud
 
@@ -100,6 +101,25 @@ class TestSelect:
         assert n_x > 0
 
 
+def reference_row(point, model):
+    """One probe's output row, projected on its own: the batched CLI path must match it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.u.size:
+            records = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
+            j = int(np.argmin(np.sum((point - records) ** 2, axis=1)))
+            u0, v0 = model.u[j], model.v[j]
+        else:
+            grid = np.linspace(0.0, 1.0, 5)  # the default --init-grid
+            starts = [(u, v) for u in grid for v in grid]
+            values = [g_value(point, u, v, model.surface) for u, v in starts]
+            u0, v0 = starts[int(np.argmin(values))]
+    try:
+        res = project_point(point, model.surface, u0, v0)
+    except ProjectionError:
+        return "nan,nan,nan,0"
+    return f"{res.u!r},{res.v!r},{float(np.sqrt(2.0 * res.g))!r},{int(res.converged)}"
+
+
 class TestFit:
     def test_fit_plane_prints_orders(self, tmp_path, half_space_grid):
         cloud = tmp_path / "cloud.csv"
@@ -117,6 +137,21 @@ class TestFit:
         result = run_cli("fit", str(path), "-o", str(tmp_path / "s.json"))
         assert result.returncode == 2
         assert "points and weights must be finite" in result.stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--fixed-orders -1 2", "fixed_orders must be at least 1"),
+        ("--fixed-orders 0 3", "fixed_orders must be at least 1"),
+        ("--lam nan", "lam must be finite and nonnegative"),
+        ("--lam inf", "lam must be finite and nonnegative"),
+        ("--rel-sigma2-tol nan", "rel_sigma2_tol must be finite and nonnegative"),
+        ("--grad-tol nan", "grad_tol must be finite and strictly positive"),
+        ("--grad-tol inf", "grad_tol must be finite and strictly positive"),
+    ])
+    def test_bad_settings_are_a_usage_error(self, tmp_path, saddle_cloud, flags, message):
+        result = run_cli("fit", str(saddle_cloud), "-o", str(tmp_path / "s.json"), *flags.split())
+        assert result.returncode == 2
+        assert f"error: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_rank_deficiency_exit_code(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -202,6 +237,39 @@ class TestProject:
         assert result.returncode == 0, result.stderr
         rows = out.read_text().splitlines()
         assert len(rows) == 3 and rows[2] == "nan,nan,nan,0"
+
+    def test_only_non_finite_probes_is_a_numerical_failure(self, tmp_path, saddle_cloud):
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        probes = tmp_path / "probes.csv"
+        probes.write_text("x,y,z,w\nnan,0.0,0.0,1.0\ninf,1.0,1.0,1.0\n")
+        out = tmp_path / "p.csv"
+        result = run_cli("project", str(surface_path), str(probes), "-o", str(out))
+        assert result.returncode == 3
+        assert out.read_text().splitlines()[1:] == ["nan,nan,nan,0"] * 2
+
+    @pytest.mark.parametrize("records", [True, False], ids=["records", "no_records"])
+    def test_rows_equal_per_point_reference(self, tmp_path, saddle_cloud, records):
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        if not records:
+            doc = json.loads(surface_path.read_text())
+            doc["points"] = []
+            surface_path.write_text(json.dumps(doc))
+        model, _ = read_surface_model(surface_path)
+        rng = np.random.default_rng(23)
+        probes = np.column_stack([rng.uniform(-1, 1, (12, 2)), rng.normal(0, 0.1, 12)])
+        probes = np.vstack([probes, [np.nan] * 3, [1e300, 0.0, 0.0]])
+        probe_path = tmp_path / "probes.csv"
+        probe_path.write_text("x,y,z,w\n" + "".join(
+            f"{x!r},{y!r},{z!r},1.0\n" for x, y, z in probes.tolist()))
+        out = tmp_path / "p.csv"
+        result = run_cli("project", str(surface_path), str(probe_path), "-o", str(out))
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        rows = out.read_text().splitlines()
+        assert rows[1:] == [reference_row(p, model) for p in probes]
+        assert rows[-2:] == ["nan,nan,nan,0", "nan,nan,nan,0"]
 
 
 class TestStudy:

@@ -12,6 +12,7 @@ from patchfit import (
     DegenerateGeometryError,
     FitSettings,
     PointCloud,
+    ProjectionSettings,
     design_matrix,
     fit_surface,
     init_uv,
@@ -210,3 +211,19 @@ class TestFitSurface:
             FitSettings(max_outer_iters=0)
         with pytest.raises(ValueError):
             FitSettings(order_cap=(0, 3))
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (FitSettings, "fixed_orders", (-1, 2)),
+        (FitSettings, "fixed_orders", (0, 3)),
+        (FitSettings, "lam", -1e-3),
+        (FitSettings, "lam", math.nan),
+        (FitSettings, "lam", math.inf),
+        (FitSettings, "rel_sigma2_tol", -1.0),
+        (FitSettings, "rel_sigma2_tol", math.nan),
+        (FitSettings, "rel_sigma2_tol", math.inf),
+        (ProjectionSettings, "grad_tol", math.nan),
+        (ProjectionSettings, "grad_tol", math.inf),
+    ])
+    def test_bad_settings_rejected_at_construction(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            cls(**{name: value})

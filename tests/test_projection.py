@@ -133,6 +133,7 @@ class TestProjectAll:
             assert res.v == batch.v[i]
             assert res.g == batch.g_final[i]
             assert res.g_start == batch.g_start[i]
+            assert res.converged == batch.converged[i]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)

@@ -11,11 +11,13 @@ from patchfit import (
     FitSettings,
     LatentSurface,
     PointCloud,
+    ProjectionError,
     eval_fit,
     fit_surface,
     latent_eval,
     latent_height,
     make_dataset,
+    project_point,
     random_rotation,
     run_study,
     run_trial,
@@ -141,6 +143,28 @@ class TestEvalFit:
         j = int(np.argmin(((data.x_tr - data.s_te[0]) ** 2).sum(axis=1)))
         res = project_point(data.s_te[0], model.surface, model.u[j], model.v[j])
         assert metrics.sigma2_te == pytest.approx(2 * res.g / 3, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("surface", ["plane", "rosenbrock"])
+    def test_batch_equals_per_point_reference(self, surface):
+        spec = ExperimentSpec(surface=surface, n_tr=60, n_te=30, sigma2_y=1e-2, seed=24)
+        data = make_dataset(spec)
+        model, _ = fit_surface(PointCloud(data.x_tr, np.ones(spec.n_tr)))
+        s_te = np.vstack([data.s_te, [1e300, 0.0, 0.0]])  # the last one cannot be projected
+        metrics = eval_fit(model, data.x_tr, s_te)
+
+        dist2, failures = [], 0
+        for point in s_te:
+            j = int(np.argmin(np.sum((point - data.x_tr) ** 2, axis=1)))
+            try:
+                res = project_point(point, model.surface, model.u[j], model.v[j])
+            except ProjectionError:
+                failures += 1
+                continue
+            dist2.append(2.0 * res.g)
+        assert failures == 1
+        assert metrics.test_failures == failures
+        assert metrics.sigma2_te == sum(dist2) / (3.0 * len(dist2))
 
 
 class TestStudies:
