@@ -40,6 +40,7 @@ from .projection import (
     ProjectionResult,
     ProjectionSettings,
     project_all,
+    project_nearest,
     project_point,
 )
 from .selection import FitModel, bic_statistic, mdl_select, param_count, sigma2_hat

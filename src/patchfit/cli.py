@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from . import io
-from .bezier import _values_only, design_matrix
+from .bezier import _surface_points, design_matrix
 from .errors import (
     DegenerateGeometryError,
     EmptySelectionError,
@@ -27,14 +27,13 @@ from .errors import (
     RankDeficiencyError,
 )
 from .pipeline import FitSettings, fit_surface, outer_iterations
-from .projection import ProjectionSettings, project_all
+from .projection import ProjectionSettings, project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .simulate import run_study
 from .voxel import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
     DEFAULT_NEIGHBORHOOD,
-    PointCloud,
     extract_cloud,
     select_points,
 )
@@ -180,18 +179,14 @@ def cmd_project(args) -> int:
     settings = _projection_settings(args)
     finite_rows = np.flatnonzero(np.isfinite(probes).all(axis=1))
     points = probes[finite_rows]
-    # A huge finite probe overflows its start search; its lane then fails.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if model.u.size > 0:
-            records = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
-            starts = [np.argmin(np.sum((p - records) ** 2, axis=1)) for p in points]
-            u0, v0 = model.u[starts], model.v[starts]
-        else:
-            grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
-            inits = np.array([(u, v) for u in grid for v in grid])
-            starts = [np.argmin(_values_only(p, *inits.T, model.surface.control)) for p in points]
-            u0, v0 = inits[starts].T
-    batch = project_all(PointCloud(points, np.ones(len(points))), model.surface, u0, v0, settings)
+    if model.u.size > 0:
+        ref_u, ref_v = model.u, model.v
+        refs = design_matrix(ref_u, ref_v, model.n_u, model.n_v).T @ model.surface.flat
+    else:
+        grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
+        ref_u, ref_v = np.array([(u, v) for u in grid for v in grid]).T
+        refs = _surface_points(ref_u, ref_v, model.surface.control)
+    batch = project_nearest(points, model.surface, refs, ref_u, ref_v, settings)
     u, v, conv = batch.u.tolist(), batch.v.tolist(), batch.converged.tolist()
     distance = np.sqrt(2.0 * batch.g_final).tolist()
     solved = np.delete(np.arange(len(points)), batch.failed).tolist()

@@ -115,12 +115,23 @@ def fit_surface(
     ``max_outer_iters`` or when the relative change of the noise variance
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
+
+    Raises ValueError, before any solve, when the weighted squared spread
+    sum_i w_i^2 |x_i - mean(x)|^2 overflows or is zero: such magnitudes
+    would overflow or vanish inside the solves.
     """
     if settings is None:
         settings = FitSettings()
     if cloud.n_x < 3:
         raise ValueError(f"need at least 3 points to fit, got {cloud.n_x}")
-    centered = center_cloud(cloud)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = center_cloud(cloud)
+        spread = np.sum(cloud.weights**2 * np.sum(centered.points**2, axis=1))
+    if not (np.isfinite(spread) and spread > 0):
+        raise ValueError(
+            f"weighted squared spread of the cloud is {float(spread)!r}; it must be finite and "
+            "positive (rescale the points or the weights)"
+        )
     inner = PointCloud(centered.points, cloud.weights)
     u, v = init_uv(inner)
     lam = settings.lam

@@ -249,3 +249,18 @@ def project_all(
         converged=state.converged,
         failed=tuple(int(i) for i in np.flatnonzero(state.failed)),
     )
+
+
+def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v,
+                    settings: ProjectionSettings | None = None) -> BatchProjection:
+    """Foot points for finite points, each started at its nearest reference.
+
+    Point i starts at ``(ref_u[k], ref_v[k])`` for the ``refs[k]`` at least
+    exact squared distance, the first on ties, found one point at a time. A
+    point whose distances all overflow starts at k = 0 and its lane fails.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    cloud = PointCloud(points, np.ones(points.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nearest = [np.argmin(np.sum((p - refs) ** 2, axis=1)) for p in cloud.points]
+    return project_all(cloud, surface, ref_u[nearest], ref_v[nearest], settings)

@@ -17,7 +17,7 @@ import numpy as np
 from .bezier import design_matrix
 from .errors import PatchFitError
 from .pipeline import FitSettings, FitTrace, fit_surface, outer_iterations
-from .projection import ProjectionSettings, project_all
+from .projection import project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .selection import FitModel, _rank_key
 from .voxel import PointCloud
@@ -150,30 +150,20 @@ class EvalMetrics:
     test_failures: int
 
 
-def eval_fit(
-    model: FitModel,
-    x_tr: np.ndarray,
-    s_te: np.ndarray,
-    settings: ProjectionSettings | None = None,
-) -> EvalMetrics:
+def eval_fit(model: FitModel, x_tr: np.ndarray, s_te: np.ndarray) -> EvalMetrics:
     """Unweighted train residual variance and projected test distance variance.
 
-    The train metric reuses the model's own location parameters. All test
-    points are projected onto the fitted surface in one batch, each
-    warm-started from the fitted parameters of its nearest training point;
-    failed projections are dropped from the mean and counted. Test points
-    must be finite: a non-finite one raises ValueError.
+    The train metric reuses the model's own location parameters. Test points
+    go through ``project_nearest`` from the training points with default
+    settings; failed projections are dropped from the mean and counted. Test
+    points must be finite: a non-finite one raises ValueError.
     """
     x_tr = np.asarray(x_tr, dtype=np.float64).reshape(-1, 3)
-    s_te = np.asarray(s_te, dtype=np.float64).reshape(-1, 3)
     b = design_matrix(model.u, model.v, model.n_u, model.n_v)
     fitted = b.T @ model.surface.flat
     sigma2_tr = float(np.sum((fitted - x_tr) ** 2)) / (3.0 * x_tr.shape[0])
 
-    diff = s_te[:, None, :] - x_tr[None, :, :]
-    nearest = np.argmin(np.sum(diff**2, axis=2), axis=1)
-    test = PointCloud(s_te, np.ones(s_te.shape[0]))
-    batch = project_all(test, model.surface, model.u[nearest], model.v[nearest], settings)
+    batch = project_nearest(s_te, model.surface, x_tr, model.u, model.v)
     # Python's sum adds in index order; np.sum adds pairwise and can change
     # the last bits of the reported metric.
     dist2 = (2.0 * np.delete(batch.g_final, batch.failed)).tolist()
@@ -237,14 +227,12 @@ def _fit_brute(cloud: PointCloud, settings: FitSettings, cap: tuple[int, int]):
     return best, best_trace
 
 
-def run_trial(spec: ExperimentSpec, trial: int,
-              projection: ProjectionSettings | None = None) -> TrialRecord:
+def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     dataset = make_dataset(spec, trial)
     cloud = PointCloud(dataset.x_tr, np.ones(spec.n_tr))
     settings = FitSettings(
         lam=spec.lam,
         fixed_orders=spec.orders if spec.mode == "fixed" else None,
-        projection=projection or ProjectionSettings(),
     )
     tic = perf_counter()
     try:
@@ -252,7 +240,7 @@ def run_trial(spec: ExperimentSpec, trial: int,
             model, trace = _fit_brute(cloud, settings, spec.brute_cap)
         else:
             model, trace = fit_surface(cloud, settings)
-        metrics = eval_fit(model, dataset.x_tr, dataset.s_te, settings.projection)
+        metrics = eval_fit(model, dataset.x_tr, dataset.s_te)
     except (PatchFitError, np.linalg.LinAlgError) as exc:
         return TrialRecord(spec.name, trial, spec.surface, spec.mode, spec.n_tr,
                            spec.sigma2_y, 0, 0, 0, 0, math.nan, math.nan,
@@ -265,15 +253,12 @@ def run_trial(spec: ExperimentSpec, trial: int,
     )
 
 
-def run_study(
-    specs: list[ExperimentSpec],
-    projection: ProjectionSettings | None = None,
-) -> tuple[list[StudyRow], list[TrialRecord]]:
+def run_study(specs: list[ExperimentSpec]) -> tuple[list[StudyRow], list[TrialRecord]]:
     """Run every spec for its trial count; aggregate means over successes."""
     rows = []
     records = []
     for spec in specs:
-        spec_records = [run_trial(spec, trial, projection) for trial in range(spec.trials)]
+        spec_records = [run_trial(spec, trial) for trial in range(spec.trials)]
         records.extend(spec_records)
         good = [r for r in spec_records if not r.error]
         failures = len(spec_records) - len(good)

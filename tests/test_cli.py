@@ -138,6 +138,21 @@ class TestFit:
         assert result.returncode == 2
         assert "points and weights must be finite" in result.stderr
 
+    @pytest.mark.parametrize("point_scale, weight", [
+        (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200),
+    ])
+    def test_overflowing_magnitudes_are_a_usage_error(self, tmp_path, saddle_cloud,
+                                                       point_scale, weight):
+        cloud = read_point_cloud(saddle_cloud)
+        path = tmp_path / "scaled.csv"
+        write_point_cloud(PointCloud(point_scale * cloud.points, np.full(cloud.n_x, weight)), path)
+        out = tmp_path / "s.json"
+        result = run_cli("fit", str(path), "-o", str(out))
+        assert result.returncode == 2
+        assert "error: weighted squared spread of the cloud is" in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         ("--fixed-orders -1 2", "fixed_orders must be at least 1"),
         ("--fixed-orders 0 3", "fixed_orders must be at least 1"),

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -185,6 +186,19 @@ class TestFitSurface:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_surface(PointCloud([[0.0, 0, 0], [1, 0, 0]], np.ones(2)))
+
+    @pytest.mark.parametrize("point_scale, weight", [
+        (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200),
+    ])
+    def test_overflowing_magnitudes_rejected_before_any_solve(self, point_scale, weight):
+        rng = np.random.default_rng(13)
+        cloud, _ = heightfield_cloud(rng, n=60)
+        scaled = PointCloud(point_scale * cloud.points, np.full(60, weight))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="weighted squared spread"):
+                fit_surface(scaled)
+        assert caught == []
 
     def test_one_design_matrix_per_candidate_order(self, monkeypatch):
         import patchfit.bezier

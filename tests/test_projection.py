@@ -9,7 +9,9 @@ from patchfit import (
     PointCloud,
     ProjectionError,
     ProjectionSettings,
+    g_value,
     project_all,
+    project_nearest,
     project_point,
     surface_eval,
 )
@@ -171,3 +173,60 @@ class TestProjectAll:
         surface, cloud, u, v = self._instance(rng, n=4)
         with pytest.raises(ValueError):
             project_all(cloud, surface, u[:3], v)
+
+
+class TestProjectNearest:
+    def _instance(self, rng, n_refs=25):
+        surface = random_surface(rng, 3, 2)
+        ref_u = rng.uniform(0, 1, n_refs)
+        ref_v = rng.uniform(0, 1, n_refs)
+        refs = np.array([surface_eval(u, v, surface) for u, v in zip(ref_u, ref_v)])
+        return surface, refs, ref_u, ref_v
+
+    def test_duplicate_references_pick_the_first(self):
+        rng = np.random.default_rng(12)
+        surface, refs, ref_u, ref_v = self._instance(rng)
+        point = surface_eval(0.3, 0.6, surface)
+        refs = np.vstack([refs, point, point])
+        ref_u = np.append(ref_u, [0.3, 0.9])
+        ref_v = np.append(ref_v, [0.6, 0.1])
+        batch = project_nearest(point[None, :], surface, refs, ref_u, ref_v)
+        assert batch.g_start[0] == g_value(point, 0.3, 0.6, surface)
+        assert batch.u[0] == 0.3 and batch.v[0] == 0.6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_point_fails_only_its_lane(self):
+        rng = np.random.default_rng(13)
+        surface, refs, ref_u, ref_v = self._instance(rng)
+        points = np.vstack([refs[:3] + 0.01, [1e300, 0.0, 0.0]])
+        batch = project_nearest(points, surface, refs, ref_u, ref_v)
+        assert batch.failed == (3,)
+        assert batch.converged[:3].all()
+
+    def test_no_points_give_an_empty_batch(self):
+        rng = np.random.default_rng(14)
+        surface, refs, ref_u, ref_v = self._instance(rng)
+        batch = project_nearest(np.empty((0, 3)), surface, refs, ref_u, ref_v)
+        assert batch.u.shape == batch.v.shape == batch.g_final.shape == (0,)
+        assert batch.failed == ()
+
+    def test_non_finite_point_raises(self):
+        rng = np.random.default_rng(15)
+        surface, refs, ref_u, ref_v = self._instance(rng)
+        with pytest.raises(ValueError, match="finite"):
+            project_nearest([[np.nan, 0.0, 0.0]], surface, refs, ref_u, ref_v)
+
+    def test_lanes_equal_project_point_from_brute_force_start(self):
+        rng = np.random.default_rng(16)
+        surface, refs, ref_u, ref_v = self._instance(rng, n_refs=40)
+        points = rng.normal(0, 1.0, (30, 3))
+        batch = project_nearest(points, surface, refs, ref_u, ref_v)
+        for i, p in enumerate(points):
+            dist = [sum(((p - r) ** 2).tolist()) for r in refs]
+            k = min(range(len(refs)), key=dist.__getitem__)
+            res = project_point(p, surface, ref_u[k], ref_v[k])
+            assert res.u == batch.u[i]
+            assert res.v == batch.v[i]
+            assert res.g == batch.g_final[i]
+            assert res.g_start == batch.g_start[i]
+            assert res.converged == batch.converged[i]

@@ -144,7 +144,7 @@ class TestEvalFit:
         res = project_point(data.s_te[0], model.surface, model.u[j], model.v[j])
         assert metrics.sigma2_te == pytest.approx(2 * res.g / 3, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("surface", ["plane", "rosenbrock"])
     def test_batch_equals_per_point_reference(self, surface):
         spec = ExperimentSpec(surface=surface, n_tr=60, n_te=30, sigma2_y=1e-2, seed=24)
@@ -155,7 +155,8 @@ class TestEvalFit:
 
         dist2, failures = [], 0
         for point in s_te:
-            j = int(np.argmin(np.sum((point - data.x_tr) ** 2, axis=1)))
+            with np.errstate(over="ignore"):
+                j = int(np.argmin(np.sum((point - data.x_tr) ** 2, axis=1)))
             try:
                 res = project_point(point, model.surface, model.u[j], model.v[j])
             except ProjectionError:
