@@ -136,8 +136,13 @@ def cmd_select(args) -> int:
     if args.seed_voxel is not None:
         seed = tuple(args.seed_voxel)
     else:
-        query = np.asarray(args.query, dtype=np.float64)
-        seed = tuple(int(round(c)) for c in (query - grid.origin) / grid.spacing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            index = (np.asarray(args.query, dtype=np.float64) - grid.origin) / grid.spacing
+        if not np.isfinite(index).all():
+            print(f"error: --query must give a finite voxel index, got "
+                  f"{' '.join(map(repr, args.query))}", file=sys.stderr)
+            return EXIT_USAGE
+        seed = tuple(int(round(c)) for c in index)
     region = select_points(grid, seed, l=args.l, max_iters=args.max_iters, epsilon=args.epsilon)
     weight_grid = io.read_voxel_grid(args.weight_grid) if args.weight_grid else None
     cloud = extract_cloud(region, args.weight_mode, weight_grid)

@@ -69,22 +69,30 @@ def read_voxel_grid(path) -> VoxelGrid:
         raise FileFormatError(f"{path}:1: bad header value ({exc})") from exc
     if min(n, m, p) < 1:
         raise FileFormatError(f"{path}:1: grid dimensions must be positive, got ({n}, {m}, {p})")
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: bad value {tok!r}") from exc
-    if len(values) != n * m * p:
+    # Every line break is whitespace to str.split, so the body is the tokens
+    # after the header's ten; numpy parses str with the float() grammar.
+    try:
+        arr = np.array(text.split()[10:], dtype=np.float64)
+    except ValueError:
+        _raise_first_bad_value(path, lines)
+        raise
+    if arr.size != n * m * p:
         raise FileFormatError(
-            f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {len(values)}"
+            f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {arr.size}"
         )
-    arr = np.array(values)
     if arr.size and np.all(arr == np.round(arr)):
         arr = arr.astype(np.int64)
     data = arr.reshape((n, m, p), order="F")
     return VoxelGrid(data, spacing, origin)
+
+
+def _raise_first_bad_value(path: Path, lines: list[str]) -> None:
+    for lineno, line in enumerate(lines[1:], start=2):
+        for tok in line.split():
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: bad value {tok!r}") from exc
 
 
 # ---------------------------------------------------------------------------

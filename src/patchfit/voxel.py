@@ -58,7 +58,7 @@ class VoxelGrid:
         return self.data.shape
 
     def is_binary(self) -> bool:
-        return bool(np.isin(self.data, (0, 1)).all())
+        return bool(((self.data == 0) | (self.data == 1)).all())
 
     def voxel_centers(self, indices: np.ndarray) -> np.ndarray:
         """Physical centers (mm) for an (n, 3) array of voxel indices."""
@@ -128,16 +128,25 @@ def ones_kernel(l: int = DEFAULT_NEIGHBORHOOD) -> Kernel3:
     return Kernel3(np.ones((l, l, l), dtype=np.int64))
 
 
+def _check_kernel_fits(kernel: Kernel3, dims: tuple[int, int, int]) -> None:
+    if any(k > g for k, g in zip(kernel.dims, dims)):
+        raise ValueError(f"kernel dims {kernel.dims} exceed grid dims {dims}")
+
+
 def convolve3(grid: VoxelGrid, kernel: Kernel3) -> VoxelGrid:
     """Direct 3D convolution with zero padding, integer exact.
 
     Output has the same dims, spacing and origin as the input.
     """
-    if any(k > g for k, g in zip(kernel.dims, grid.dims)):
-        raise ValueError(f"kernel dims {kernel.dims} exceed grid dims {grid.dims}")
+    _check_kernel_fits(kernel, grid.dims)
     data = grid.data.astype(np.int64, copy=False)
     out = ndimage.convolve(data, kernel.weights, mode="constant", cval=0)
     return VoxelGrid(out, grid.spacing, grid.origin)
+
+
+def _require_binary(grid: VoxelGrid) -> None:
+    if not grid.is_binary():
+        raise ValueError("boundary_mask requires a binary occupancy grid")
 
 
 def boundary_mask(grid: VoxelGrid, epsilon: int = DEFAULT_EPSILON) -> VoxelGrid:
@@ -148,35 +157,52 @@ def boundary_mask(grid: VoxelGrid, epsilon: int = DEFAULT_EPSILON) -> VoxelGrid:
     exterior voxels adjacent to the volume, which would otherwise pass the
     threshold.
     """
-    if not grid.is_binary():
-        raise ValueError("boundary_mask requires a binary occupancy grid")
+    _require_binary(grid)
     response = convolve3(grid, laplacian_kernel()).data
     mask = ((response >= int(epsilon)) & (grid.data == 1)).astype(np.int64)
     return VoxelGrid(mask, grid.spacing, grid.origin)
 
 
-def _snap_to_mask(mask: np.ndarray, seed: tuple[int, int, int], radius: int,
-                  spacing: np.ndarray) -> tuple[int, int, int]:
+def _snap_to_mask(mask: np.ndarray, lo: tuple[int, int, int], seed: tuple[int, int, int],
+                  radius: int, spacing: np.ndarray) -> tuple[int, int, int]:
     """Nearest mask voxel within a Chebyshev radius of seed, else error.
 
-    Nearest is by physical distance; ties break on lexicographic index order.
+    ``mask`` covers the grid from voxel index ``lo`` on, and must reach at
+    least ``radius`` voxels past the seed wherever the grid does; seed and
+    result are grid indices. Nearest is by physical distance; ties break on
+    lexicographic index order.
     """
-    dims = mask.shape
-    lo = [max(0, seed[a] - radius) for a in range(3)]
-    hi = [min(dims[a], seed[a] + radius + 1) for a in range(3)]
-    if any(lo[a] >= hi[a] for a in range(3)):
+    box_lo = [max(lo[a], seed[a] - radius) for a in range(3)]
+    box_hi = [min(lo[a] + mask.shape[a], seed[a] + radius + 1) for a in range(3)]
+    if any(box_lo[a] >= box_hi[a] for a in range(3)):
         raise EmptySelectionError(f"query voxel {seed} is beyond the snap radius of any boundary voxel")
-    window = mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+    window = mask[tuple(slice(box_lo[a] - lo[a], box_hi[a] - lo[a]) for a in range(3))]
     candidates = np.argwhere(window > 0)
     if candidates.size == 0:
         raise EmptySelectionError(
             f"no boundary voxel within Chebyshev radius {radius} of query voxel {seed}"
         )
-    candidates = candidates + np.array(lo)
+    candidates = candidates + np.array(box_lo)
     offsets = (candidates - np.array(seed)) * spacing
     dist2 = (offsets**2).sum(axis=1)
     order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0], dist2))
     return tuple(int(c) for c in candidates[order[0]])
+
+
+def _window(seed: tuple[int, int, int], reach: int, dims: tuple[int, int, int],
+            min_width: int) -> tuple[slice, slice, slice]:
+    """Voxels within Chebyshev ``reach`` of seed, clipped to the grid.
+
+    Along each axis the window is widened to ``min_width`` voxels (or the
+    whole axis, if shorter), also when the seed lies outside the grid.
+    """
+    bounds = []
+    for s, d in zip(seed, dims):
+        width = min(d, min_width)
+        lo = max(0, min(s - reach, d - width))
+        hi = min(d, max(s + reach + 1, lo + width))
+        bounds.append(slice(lo, hi))
+    return tuple(bounds)
 
 
 def select_points(
@@ -195,6 +221,12 @@ def select_points(
     seed, where one hop spans Chebyshev distance (l-1)/2. Accumulated values
     are larger near the seed and approximate an inverse surface distance.
 
+    The support thus lies within Chebyshev distance
+    ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
+    run only in a window one voxel wider than that (the Laplacian's context)
+    and the result is scattered back into a grid of the input's dims. The
+    binary and kernel-size checks still cover the whole grid.
+
     Emits PerimeterTruncationWarning when the grown region comes close enough
     to the grid perimeter that the next dilation would leave the grid.
     """
@@ -202,33 +234,46 @@ def select_points(
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    mask_grid = boundary_mask(grid, epsilon)
-    mask = mask_grid.data
+    _require_binary(grid)
+    laplacian = laplacian_kernel()
+    _check_kernel_fits(laplacian, grid.dims)
     seed = tuple(int(s) for s in seed)
-    inside = all(0 <= seed[a] < mask.shape[a] for a in range(3))
-    if not inside or mask[seed] == 0:
-        seed = _snap_to_mask(mask, seed, l, grid.spacing)
+    margin = (l - 1) // 2
+    # At least 1, so that the mask at the seed is exact even for an l that
+    # ones_kernel rejects only after the snap.
+    reach = max(l + max_iters * margin + 1, 1)
+    window = _window(seed, reach, grid.dims, max(laplacian.dims[0], l))
+    lo = tuple(w.start for w in window)
+    crop = VoxelGrid(grid.data[window], grid.spacing, grid.origin)
+    mask = boundary_mask(crop, epsilon).data
+    local = tuple(s - o for s, o in zip(seed, lo))
+    inside = all(0 <= local[a] < mask.shape[a] for a in range(3))
+    if not inside or mask[local] == 0:
+        seed = _snap_to_mask(mask, lo, seed, l, grid.spacing)
+        local = tuple(s - o for s, o in zip(seed, lo))
 
     kernel = ones_kernel(l)
+    _check_kernel_fits(kernel, grid.dims)
     delta = np.zeros_like(mask)
-    delta[seed] = 1
-    region = convolve3(VoxelGrid(delta, grid.spacing, grid.origin), kernel).data * mask
+    delta[local] = 1
+    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), kernel).data * mask
     for _ in range(max_iters - 1):
-        grown = convolve3(VoxelGrid(region, grid.spacing, grid.origin), kernel).data * mask
+        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), kernel).data * mask
         region = np.minimum(region + grown, _SATURATION)
 
-    margin = (l - 1) // 2
-    support = np.argwhere(region > 0)
+    support = np.argwhere(region > 0) + np.array(lo)
     if support.size:
         near_low = (support <= margin).any()
-        near_high = (support >= np.array(region.shape) - 1 - margin).any()
+        near_high = (support >= np.array(grid.dims) - 1 - margin).any()
         if near_low or near_high:
             warnings.warn(
                 "region growth reached the grid perimeter; selection may be truncated",
                 PerimeterTruncationWarning,
                 stacklevel=2,
             )
-    return VoxelGrid(region, grid.spacing, grid.origin)
+    full = np.zeros(grid.dims, dtype=np.int64)
+    full[window] = region
+    return VoxelGrid(full, grid.spacing, grid.origin)
 
 
 def extract_cloud(

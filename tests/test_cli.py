@@ -59,6 +59,25 @@ class TestSelect:
                          "--query", "10.2", "9.8", "9.3", "--max-iters", "2")
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("spacing, coords", [
+        (1.0, ("inf", "0", "0")),
+        (1.0, ("0", "nan", "0")),
+        # Finite, but (query - origin) / spacing overflows.
+        (0.5, ("1.7e308", "0", "0")),
+    ])
+    def test_non_finite_query_is_a_usage_error(self, tmp_path, spacing, coords):
+        data = np.zeros((20, 20, 20), dtype=np.int64)
+        data[:, :, :10] = 1
+        grid = tmp_path / "grid.vox"
+        write_voxel_grid(VoxelGrid(data, (spacing,) * 3, (0, 0, 0)), grid)
+        result = run_cli("select", str(grid), "-o", str(tmp_path / "cloud.csv"),
+                         "--query", *coords)
+        assert result.returncode == 2
+        assert "--query" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
+        assert not (tmp_path / "cloud.csv").exists()
+
     def test_empty_selection_exit_code(self, tmp_path, half_space_grid):
         out = tmp_path / "cloud.csv"
         result = run_cli("select", str(half_space_grid), "-o", str(out),

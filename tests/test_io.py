@@ -1,5 +1,7 @@
 """File format round trips and parse error reporting."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -89,6 +91,78 @@ class TestVoxelGridFormat:
         path.write_text("VOX1 0 4 4 1 1 1 0 0 0\n")
         with pytest.raises(FileFormatError, match="bad.vox:1: grid dimensions must be positive"):
             read_voxel_grid(path)
+
+
+class TestVoxelGridTokens:
+    """The body is every whitespace-separated token after the header, read as float() reads it."""
+
+    HEADER = "VOX1 2 1 1 1 1 1 0 0 0"
+
+    def read(self, tmp_path, body, newline="\n"):
+        path = tmp_path / "grid.vox"
+        path.write_bytes((self.HEADER + newline + body + newline).encode())
+        return read_voxel_grid(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "nan", "Infinity", "+1.5", "1e400", "\u0661", "-iNF"])
+    def test_accepted_as_float_accepts(self, tmp_path, token):
+        # the 0.5 keeps the grid real-valued
+        grid = self.read(tmp_path, f"{token} 0.5")
+        npt.assert_array_equal(grid.data[:, 0, 0], [float(token), 0.5])
+        assert grid.data.dtype == np.float64
+
+    @pytest.mark.parametrize("token", ["0x10", "1__0", "_1", "1,5", "NaN(1)", "1.5j", "."])
+    def test_rejected_as_float_rejects(self, tmp_path, token):
+        with pytest.raises(ValueError):
+            float(token)
+        with pytest.raises(FileFormatError, match=re.escape(f"grid.vox:2: bad value {token!r}")):
+            self.read(tmp_path, f"{token} 1")
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\f", "\v", "\x85", "\u2028"])
+    def test_line_breaks(self, tmp_path, newline):
+        text = newline.join(["VOX1 2 2 1 0.5 1 1 0 0 0", "1 0", "0", "1"]) + newline
+        path = tmp_path / "grid.vox"
+        path.write_text(text, newline="")
+        grid = read_voxel_grid(path)
+        npt.assert_array_equal(grid.data[:, :, 0], [[1, 0], [0, 1]])
+        npt.assert_array_equal(grid.spacing, [0.5, 1, 1])
+
+    def test_values_split_anywhere_across_lines(self, tmp_path):
+        rng = np.random.default_rng(4)
+        grid = VoxelGrid(rng.integers(0, 2, (3, 4, 5)), (1, 1, 1), (0, 0, 0))
+        tokens = [str(v) for v in grid.data.flatten(order="F")]
+        for _ in range(5):
+            breaks = rng.choice(["\n", " ", "\t", "\r\n", " \n\n "], size=len(tokens))
+            body = "".join(f"{tok}{sep}" for tok, sep in zip(tokens, breaks))
+            path = tmp_path / "split.vox"
+            path.write_text("VOX1 3 4 5 1 1 1 0 0 0\n" + body, newline="")
+            npt.assert_array_equal(read_voxel_grid(path).data, grid.data)
+
+    def test_first_bad_token_in_file_order(self, tmp_path):
+        path = tmp_path / "bad.vox"
+        path.write_text("VOX1 2 2 2 1 1 1 0 0 0\n1 1\n\n1 zz 1\n1 yy 1\n")
+        with pytest.raises(FileFormatError, match=re.escape("bad.vox:4: bad value 'zz'")):
+            read_voxel_grid(path)
+
+    def test_bad_token_beats_count_mismatch(self, tmp_path):
+        path = tmp_path / "bad.vox"
+        path.write_text("VOX1 2 2 2 1 1 1 0 0 0\n1 1\n1 x\n")
+        with pytest.raises(FileFormatError, match=re.escape("bad.vox:3: bad value 'x'")):
+            read_voxel_grid(path)
+
+    @pytest.mark.parametrize("body, count", [("1 2 3", 3), ("1 2 3 4 5 6 7 8 9", 9), ("", 0)])
+    def test_count_mismatch_message(self, tmp_path, body, count):
+        path = tmp_path / "bad.vox"
+        path.write_text(f"VOX1 2 2 2 1 1 1 0 0 0\n{body}\n")
+        with pytest.raises(FileFormatError) as info:
+            read_voxel_grid(path)
+        assert str(info.value) == f"{path}: expected 8 values for dims (2, 2, 2), got {count}"
+
+    @pytest.mark.parametrize("body, dtype", [
+        ("0 1", np.int64), ("1.0 2e0", np.int64), ("-3 1e2", np.int64),
+        ("0 0.5", np.float64), ("1 nan", np.float64),
+    ])
+    def test_dtype_decision(self, tmp_path, body, dtype):
+        assert self.read(tmp_path, body).data.dtype == dtype
 
 
 class TestPointCloudFormat:

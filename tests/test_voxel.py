@@ -1,11 +1,14 @@
 """Boundary detection and region growth against counting and BFS oracles."""
 
+import re
 import warnings
 from collections import deque
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patchfit import (
     EmptySelectionError,
@@ -72,6 +75,99 @@ def bfs_support(mask, seed, radius, max_depth):
                 seen.add(p)
                 frontier.append((p, depth + 1))
     return seen
+
+
+def reference_snap(mask, seed, radius, spacing):
+    """Oracle: nearest mask voxel within a Chebyshev radius, searched on the whole grid."""
+    dims = mask.shape
+    lo = [max(0, seed[a] - radius) for a in range(3)]
+    hi = [min(dims[a], seed[a] + radius + 1) for a in range(3)]
+    if any(lo[a] >= hi[a] for a in range(3)):
+        raise EmptySelectionError(f"query voxel {seed} is beyond the snap radius of any boundary voxel")
+    window = mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+    candidates = np.argwhere(window > 0)
+    if candidates.size == 0:
+        raise EmptySelectionError(
+            f"no boundary voxel within Chebyshev radius {radius} of query voxel {seed}"
+        )
+    candidates = candidates + np.array(lo)
+    dist2 = (((candidates - np.array(seed)) * spacing) ** 2).sum(axis=1)
+    order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0], dist2))
+    return tuple(int(c) for c in candidates[order[0]])
+
+
+def reference_select(grid, seed, l, max_iters, epsilon):
+    """Oracle: the boundary mask and every growth convolution over the whole grid."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    mask = boundary_mask(grid, epsilon).data
+    seed = tuple(int(s) for s in seed)
+    if not all(0 <= seed[a] < mask.shape[a] for a in range(3)) or mask[seed] == 0:
+        seed = reference_snap(mask, seed, l, grid.spacing)
+    kernel = ones_kernel(l)
+    delta = np.zeros_like(mask)
+    delta[seed] = 1
+    region = convolve3(VoxelGrid(delta, grid.spacing, grid.origin), kernel).data * mask
+    for _ in range(max_iters - 1):
+        grown = convolve3(VoxelGrid(region, grid.spacing, grid.origin), kernel).data * mask
+        region = np.minimum(region + grown, 2**52)
+    margin = (l - 1) // 2
+    support = np.argwhere(region > 0)
+    if ((support <= margin).any()
+            or (support >= np.array(region.shape) - 1 - margin).any()):
+        warnings.warn("region growth reached the grid perimeter; selection may be truncated",
+                      PerimeterTruncationWarning)
+    return VoxelGrid(region, grid.spacing, grid.origin)
+
+
+def selection_outcome(select, grid, seed, l, max_iters, epsilon):
+    """Region bytes and dtype (or exception type and message), and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            region = select(grid, seed, l, max_iters, epsilon)
+        except Exception as exc:  # the type and message are compared, not handled
+            result = (type(exc), str(exc))
+        else:
+            result = (region.data.dtype, region.data.shape, region.data.tobytes(),
+                      region.spacing.tobytes(), region.origin.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def slab(dims, top):
+    data = np.zeros(dims, dtype=np.int64)
+    data[:, :, : top + 1] = 1
+    return data
+
+
+@st.composite
+def selection_cases(draw):
+    """Random binary grids 3-40 voxels a side (one in ten with a stray 2), and
+    queries inside, near and outside them."""
+    dims = tuple(draw(st.integers(3, 40)) for _ in range(3))
+    l = draw(st.sampled_from((1, 3, 5)))
+    max_iters = draw(st.integers(1, 6))
+    epsilon = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("noise", "blobs", "slab")))
+    if kind == "noise":
+        data = (rng.random(dims) < rng.uniform(0.2, 0.9)).astype(np.int64)
+    elif kind == "blobs":
+        idx = np.indices(dims)
+        data = np.zeros(dims, dtype=np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            center = rng.uniform(0, dims)
+            dist2 = sum((idx[a] - center[a]) ** 2 for a in range(3))
+            data[dist2 <= rng.uniform(2, 10) ** 2] = 1
+    else:
+        data = slab(dims, int(rng.integers(0, dims[2])))
+    if rng.random() < 0.1:
+        data[tuple(int(rng.integers(0, d)) for d in dims)] = 2
+    reach = l + max_iters * (l - 1) // 2 + 1
+    pad = {"inside": 0, "near": l, "outside": reach + 3}[
+        draw(st.sampled_from(("inside", "near", "outside")))]
+    query = tuple(draw(st.integers(-pad, d - 1 + pad)) for d in dims)
+    return data, query, l, max_iters, epsilon
 
 
 def random_blob_grid(rng, dim=20):
@@ -243,6 +339,57 @@ class TestSelectPoints:
         grid = half_space(dim=24, z_top=11)
         region = select_points(grid, (12, 12, 11), max_iters=4)
         assert region.data[12, 12, 11] == region.data.max()
+
+
+class TestWindowedSelection:
+    """The windowed selection against the whole-grid oracle above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=selection_cases(), spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.0, 2.0)]))
+    # thin grid, query on and just past its thin face
+    @example(case=(slab((3, 30, 30), 1), (1, 15, 1), 5, 6, 9), spacing=(1.0, 1.0, 1.0))
+    @example(case=(slab((5, 12, 12), 2), (6, 6, 2), 5, 3, 9), spacing=(1.0, 1.0, 1.0))
+    @example(case=(slab((4, 20, 20), 9), (2, 10, 9), 5, 2, 9), spacing=(1.0, 1.0, 1.0))
+    # query outside the grid: snapped, just beyond the snap radius, and far away
+    @example(case=(slab((20, 20, 20), 9), (-2, 10, 9), 3, 4, 9), spacing=(1.0, 1.0, 1.0))
+    @example(case=(slab((20, 20, 20), 9), (26, 10, 9), 3, 4, 9), spacing=(1.0, 1.0, 1.0))
+    @example(case=(slab((20, 20, 20), 9), (10, 10, -40), 3, 4, 9), spacing=(1.0, 1.0, 1.0))
+    def test_equals_full_grid_reference(self, case, spacing):
+        data, query, l, max_iters, epsilon = case
+        grid = VoxelGrid(data, spacing, (1.5, -2.0, 0.25))
+        assert (selection_outcome(select_points, grid, query, l, max_iters, epsilon)
+                == selection_outcome(reference_select, grid, query, l, max_iters, epsilon))
+
+    def test_non_binary_value_outside_window(self):
+        data = slab((30, 30, 30), 9)
+        data[29, 29, 29] = 2
+        with pytest.raises(ValueError, match="binary occupancy grid"):
+            select_points(unit_grid(data), (5, 5, 9), max_iters=1)
+
+    @pytest.mark.parametrize("dims, l, message", [
+        ((2, 20, 20), 3, "kernel dims (3, 3, 3) exceed grid dims (2, 20, 20)"),
+        ((4, 20, 20), 5, "kernel dims (5, 5, 5) exceed grid dims (4, 20, 20)"),
+    ])
+    def test_kernel_larger_than_grid_names_grid_dims(self, dims, l, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_points(unit_grid(slab(dims, 9)), (1, 10, 9), l=l, max_iters=1)
+
+    @pytest.mark.parametrize("query, message", [
+        ((10, 10, 40), "query voxel (10, 10, 40) is beyond the snap radius"),
+        ((10, 10, 15), "Chebyshev radius 3 of query voxel (10, 10, 15)"),
+    ])
+    def test_snap_errors_name_the_query_voxel(self, query, message):
+        with pytest.raises(EmptySelectionError, match=re.escape(message)):
+            select_points(half_space(dim=20, z_top=5), query, max_iters=1)
+
+    def test_region_far_from_the_edge_leaves_the_rest_zero(self):
+        grid = half_space(dim=64, z_top=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PerimeterTruncationWarning)
+            region = select_points(grid, (32, 32, 31), max_iters=2)
+        assert region.dims == grid.dims and region.data.dtype == np.int64
+        support = np.argwhere(region.data > 0)
+        assert np.abs(support - [32, 32, 31]).max() == 2
 
 
 class TestExtractCloud:

@@ -17,7 +17,13 @@ Outputs:
   settings, with ``--fixed-orders 2 3`` and with ``--lam 0``; ``project``
   onto a document with records and onto one with ``"points": []``, each
   with a NaN probe and a ``1e300`` probe; ``study table1_trends --trials 2``.
-  Wall-clock timings in stdout are masked as ``<t>``.
+  More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
+  a seed beside a face (``PerimeterTruncationWarning`` on stderr),
+  ``--weight-mode inverse-distance``, ``external-map`` with
+  ``--weight-grid``, the grid written with CRLF line breaks, and a grid
+  with a bad token.
+  Wall-clock timings in stdout are masked as ``<t>``, and the file:line
+  prefix of a warning on stderr as ``<where>``.
 - ``trials.json``: the metrics of seeded ``simulate.run_trial`` calls (plane
   and Rosenbrock, automatic and fixed orders, several training sizes and
   noise levels), floats written with ``float.hex``. ``ms`` is left out.
@@ -47,17 +53,38 @@ TRIAL_NOISE = (1e-4, 1e-2, 0.25)
 TRIALS_PER_SPEC = 2
 
 
-def wavy_grid_text(n: int) -> tuple[str, tuple[int, int, int]]:
-    """VOX1 text of an n^3 grid filled below a wavy height, and a seed voxel on it."""
+def wavy_height(n: int) -> np.ndarray:
+    """Top occupied k of each (i, j) column of the wavy test grid."""
     idx = np.arange(n, dtype=np.float64)
     i, j = np.meshgrid(idx, idx, indexing="ij")
-    height = np.floor(n / 2 + 3.0 * np.sin(i / 6.0) + 2.0 * np.cos(j / 5.0)).astype(int)
+    return np.floor(n / 2 + 3.0 * np.sin(i / 6.0) + 2.0 * np.cos(j / 5.0)).astype(int)
+
+
+def wavy_grid_text(n: int) -> tuple[str, tuple[int, int, int]]:
+    """VOX1 text of an n^3 grid filled below a wavy height, and a seed voxel on it."""
+    height = wavy_height(n)
     k = np.arange(n)
     occupied = k[None, None, :] <= height[:, :, None]
     values = occupied.transpose(2, 1, 0).astype(int).ravel()  # i fastest, then j, then k
     header = f"VOX1 {n} {n} {n} 1.0 1.0 1.0 0.0 0.0 0.0"
     c = n // 2
     return header + "\n" + " ".join(map(str, values)) + "\n", (c, c, int(height[c, c]))
+
+
+def rows_text(text: str, n: int, newline: str) -> str:
+    """The same VOX1 grid with n values per line and the given line break."""
+    header, body = text.split("\n", 1)
+    tokens = body.split()
+    lines = [header] + [" ".join(tokens[s:s + n]) for s in range(0, len(tokens), n)]
+    return newline.join(lines) + newline
+
+
+def weight_grid_text(n: int) -> str:
+    """VOX1 text of a strictly positive real weight grid of the test grid's dims."""
+    i, j, k = np.indices((n, n, n), dtype=np.float64)
+    weights = 0.5 + 0.25 * np.sin(i / 3.0) * np.cos(j / 4.0) + 0.01 * k
+    header = f"VOX1 {n} {n} {n} 1.0 1.0 1.0 0.0 0.0 0.0"
+    return header + "\n" + " ".join(repr(float(w)) for w in weights.ravel(order="F")) + "\n"
 
 
 def write_probes(cloud_path: Path, path: Path) -> None:
@@ -72,6 +99,10 @@ def write_probes(cloud_path: Path, path: Path) -> None:
     lines.append("nan,nan,nan,1.0")
     lines.append("1e300,0,0,1.0")
     path.write_text("\n".join(lines) + "\n")
+
+
+def mask_warning_sites(stderr: str) -> str:
+    return re.sub(r"^\S.*?:\d+: (\w+Warning): ", r"<where>: \1: ", stderr, flags=re.M)
 
 
 def mask_timings(command: str, stdout: str) -> str:
@@ -92,7 +123,7 @@ def run_cli(name: str, args: list[str], outdir: Path, env: dict) -> None:
     result = subprocess.run([sys.executable, "-m", "patchfit", *args], cwd=outdir,
                             capture_output=True, text=True, env=env)
     (outdir / f"{name}.stdout").write_text(mask_timings(args[0], result.stdout))
-    (outdir / f"{name}.stderr").write_text(result.stderr)
+    (outdir / f"{name}.stderr").write_text(mask_warning_sites(result.stderr))
     (outdir / f"{name}.exit").write_text(f"{result.returncode}\n")
 
 
@@ -103,6 +134,7 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     (outdir / "grid.vox").write_text(text)
     run_cli("select", ["select", "grid.vox", "-o", "cloud.csv", "--epsilon", "6",
                        "--seed-voxel", *map(str, seed)], outdir, env)
+    select_outputs(outdir, env, text, seed)
     run_cli("fit_default", ["fit", "cloud.csv", "-o", "surface.json"], outdir, env)
     run_cli("fit_fixed", ["fit", "cloud.csv", "-o", "surface_fixed.json",
                           "--fixed-orders", "2", "3"], outdir, env)
@@ -117,6 +149,32 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     run_cli("project_norecords", ["project", "surface_norecords.json", "probes.csv",
                                   "-o", "foot_norecords.csv"], outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
+
+
+def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int]) -> None:
+    height = wavy_height(GRID_N)
+    c = GRID_N // 2
+    common = ["--epsilon", "6", "--max-iters", "3"]
+    query = ["-2.2", repr(c + 0.3), repr(float(height[0, c]) + 0.1)]
+    run_cli("select_outside", ["select", "grid.vox", "-o", "cloud_outside.csv", *common,
+                               "--query", *query], outdir, env)
+    run_cli("select_face", ["select", "grid.vox", "-o", "cloud_face.csv", *common,
+                            "--seed-voxel", "1", str(c), str(height[1, c])], outdir, env)
+    run_cli("select_inverse", ["select", "grid.vox", "-o", "cloud_inverse.csv", *common,
+                               "--seed-voxel", *map(str, seed),
+                               "--weight-mode", "inverse-distance"], outdir, env)
+    (outdir / "weights.vox").write_text(weight_grid_text(GRID_N))
+    run_cli("select_external", ["select", "grid.vox", "-o", "cloud_external.csv", *common,
+                                "--seed-voxel", *map(str, seed), "--weight-mode",
+                                "external-map", "--weight-grid", "weights.vox"], outdir, env)
+    (outdir / "grid_crlf.vox").write_bytes(rows_text(text, GRID_N, "\r\n").encode())
+    run_cli("select_crlf", ["select", "grid_crlf.vox", "-o", "cloud_crlf.csv", *common,
+                            "--seed-voxel", *map(str, seed)], outdir, env)
+    bad = rows_text(text, GRID_N, "\n").splitlines()
+    bad[4] = bad[4].replace(" 1 ", " 0x1 ", 1)
+    (outdir / "grid_bad.vox").write_text("\n".join(bad) + "\n")
+    run_cli("select_bad", ["select", "grid_bad.vox", "-o", "cloud_bad.csv",
+                           "--seed-voxel", *map(str, seed)], outdir, env)
 
 
 def trial_outputs(path: Path) -> int:
