@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from time import perf_counter
 
@@ -27,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .pipeline import FitSettings, fit_surface, outer_iterations
-from .projection import ProjectionSettings, project_nearest
+from .projection import project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .simulate import run_study
 from .voxel import (
@@ -39,34 +40,10 @@ from .voxel import (
 )
 
 _FIT_DEFAULTS = FitSettings()
-_PROJ_DEFAULTS = ProjectionSettings()
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_EMPTY = 4
-
-
-def _add_projection_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-newton-iters", type=int, default=_PROJ_DEFAULTS.max_newton_iters,
-                        help="Newton iteration cap per point (default %(default)s)")
-    parser.add_argument("--grad-tol", type=float, default=_PROJ_DEFAULTS.grad_tol,
-                        help="stationarity threshold on the gradient norm (default %(default)s)")
-    parser.add_argument("--armijo-c", type=float, default=_PROJ_DEFAULTS.armijo_c,
-                        help="sufficient-decrease constant (default %(default)s)")
-    parser.add_argument("--backtrack-factor", type=float, default=_PROJ_DEFAULTS.backtrack_factor,
-                        help="step shrink factor per backtrack (default %(default)s)")
-    parser.add_argument("--max-backtracks", type=int, default=_PROJ_DEFAULTS.max_backtracks,
-                        help="backtracking cap per Newton step (default %(default)s)")
-
-
-def _projection_settings(args) -> ProjectionSettings:
-    return ProjectionSettings(
-        max_newton_iters=args.max_newton_iters,
-        grad_tol=args.grad_tol,
-        armijo_c=args.armijo_c,
-        backtrack_factor=args.backtrack_factor,
-        max_backtracks=args.max_backtracks,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,6 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser("select", help="extract a weighted point cloud from a VOX1 grid")
+    # Newer CPython's pattern: also reads "-1e1" and "-.5" as negative numbers, not options.
+    p_select._negative_number_matcher = re.compile(r"^-\.?\d")
     p_select.add_argument("grid", help="VOX1 occupancy grid file")
     p_select.add_argument("-o", "--output", required=True, help="output point-cloud file")
     seed_group = p_select.add_mutually_exclusive_group(required=True)
@@ -110,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum order in v (default %(default)s)")
     p_fit.add_argument("--fixed-orders", nargs=2, type=int, metavar=("N_U", "N_V"), default=None,
                        help="freeze the surface order instead of selecting it")
-    _add_projection_flags(p_fit)
 
     p_project = sub.add_parser("project", help="project points onto a fitted surface")
     p_project.add_argument("surface", help="surface document from 'fit'")
@@ -118,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_project.add_argument("-o", "--output", required=True, help="output table (u,v,distance,converged)")
     p_project.add_argument("--init-grid", type=int, default=5,
                            help="fallback initialization grid size (default %(default)s)")
-    _add_projection_flags(p_project)
 
     p_study = sub.add_parser("study", help="run a simulation study from a config")
     p_study.add_argument("config", help="config path, or bundled name (table1_trends, fig4_plane)")
@@ -161,7 +138,6 @@ def cmd_fit(args) -> int:
         rel_sigma2_tol=args.rel_sigma2_tol,
         lam=args.lam,
         order_cap=(args.order_cap_u, args.order_cap_v),
-        projection=_projection_settings(args),
         fixed_orders=tuple(args.fixed_orders) if args.fixed_orders else None,
     )
     tic = perf_counter()
@@ -181,7 +157,6 @@ def cmd_project(args) -> int:
     if probes.shape[0] == 0:
         print("error: cannot project an empty cloud", file=sys.stderr)
         return EXIT_USAGE
-    settings = _projection_settings(args)
     finite_rows = np.flatnonzero(np.isfinite(probes).all(axis=1))
     points = probes[finite_rows]
     if model.u.size > 0:
@@ -191,7 +166,7 @@ def cmd_project(args) -> int:
         grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
         ref_u, ref_v = np.array([(u, v) for u in grid for v in grid]).T
         refs = _surface_points(ref_u, ref_v, model.surface.control)
-    batch = project_nearest(points, model.surface, refs, ref_u, ref_v, settings)
+    batch = project_nearest(points, model.surface, refs, ref_u, ref_v)
     u, v, conv = batch.u.tolist(), batch.v.tolist(), batch.converged.tolist()
     distance = np.sqrt(2.0 * batch.g_final).tolist()
     solved = np.delete(np.arange(len(points)), batch.failed).tolist()

@@ -80,7 +80,8 @@ def read_voxel_grid(path) -> VoxelGrid:
         raise FileFormatError(
             f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {arr.size}"
         )
-    if arr.size and np.all(arr == np.round(arr)):
+    # inf and 1e300 equal their rounding but have no int64 value.
+    if arr.size and np.abs(arr).max() < 2.0**63 and np.all(arr == np.round(arr)):
         arr = arr.astype(np.int64)
     data = arr.reshape((n, m, p), order="F")
     return VoxelGrid(data, spacing, origin)

@@ -9,7 +9,7 @@ top two principal directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .control import DEFAULT_LAMBDA, center_cloud, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
-from .projection import ProjectionSettings, project_all
+from .projection import project_all
 from .selection import FitModel, _search_orders
 from .voxel import PointCloud
 
@@ -30,7 +30,6 @@ class FitSettings:
     rel_sigma2_tol: float = 1e-6
     lam: float = DEFAULT_LAMBDA
     order_cap: tuple[int, int] = (6, 6)
-    projection: ProjectionSettings = field(default_factory=ProjectionSettings)
     fixed_orders: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -151,7 +150,7 @@ def fit_surface(
     prev_sigma2 = model.sigma2
     for it in range(1, settings.max_outer_iters + 1):
         tic = perf_counter()
-        batch = project_all(inner, model.surface, u, v, settings.projection)
+        batch = project_all(inner, model.surface, u, v)
         u, v = batch.u, batch.v
         f_before = float(np.sum(inner.weights**2 * batch.g_start))
         f_after = float(np.sum(inner.weights**2 * batch.g_final))

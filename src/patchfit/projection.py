@@ -24,25 +24,19 @@ from .bezier import _basis_rows, _basis_rows_derivs  # noqa: F401  kept bound fo
 from .errors import ProjectionError
 from .voxel import PointCloud
 
-# |u| or |v| beyond this marks a runaway parameterization.
-_PARAM_RANGE = 10.0
 
-
-@dataclass
+@dataclass(frozen=True)
 class ProjectionSettings:
+    """The solver's constants; they are fixed, and the solver reads ``_SETTINGS``."""
+
     max_newton_iters: int = 20
     grad_tol: float = 1e-10
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 50
 
-    def __post_init__(self):
-        if self.max_newton_iters < 0 or self.max_backtracks < 0:
-            raise ValueError("iteration limits must be nonnegative")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError("grad_tol must be finite and strictly positive")
-        if not (0.0 < self.armijo_c < 1.0 and 0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("armijo_c and backtrack_factor must lie in (0, 1)")
+
+_SETTINGS = ProjectionSettings()
 
 
 @dataclass
@@ -54,7 +48,6 @@ class ProjectionResult:
     grad_norm: float
     iterations: int
     converged: bool
-    out_of_range: bool
 
 
 @dataclass
@@ -90,14 +83,10 @@ class _BatchState:
     fail_v: np.ndarray
 
 
-def _solve_batch(points, control, u0, v0, settings: ProjectionSettings) -> _BatchState:
-    # Overflow and invalid-value warnings are expected when trial parameters
-    # run away; non-finite lanes are rejected or marked failed explicitly.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _solve_batch_inner(points, control, u0, v0, settings)
-
-
-def _solve_batch_inner(points, control, u0, v0, settings: ProjectionSettings) -> _BatchState:
+# Overflow and invalid-value warnings are expected when trial parameters run
+# away; non-finite lanes are rejected or marked failed explicitly.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve_batch(points, control, u0, v0) -> _BatchState:
     n = points.shape[0]
     u = u0.astype(np.float64, copy=True)
     v = v0.astype(np.float64, copy=True)
@@ -109,9 +98,9 @@ def _solve_batch_inner(points, control, u0, v0, settings: ProjectionSettings) ->
     g_start = value.copy()
     iterations = np.zeros(n, dtype=np.int64)
     grad_norm = np.hypot(grad_u, grad_v)
-    active = ok & (grad_norm > settings.grad_tol)
+    active = ok & (grad_norm > _SETTINGS.grad_tol)
 
-    for _ in range(settings.max_newton_iters):
+    for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -130,14 +119,14 @@ def _solve_batch_inner(points, control, u0, v0, settings: ProjectionSettings) ->
         cand_v = np.empty(idx.size)
         cand_val = np.empty(idx.size)
         pending = np.arange(idx.size)
-        for _ in range(settings.max_backtracks):
+        for _ in range(_SETTINGS.max_backtracks):
             if pending.size == 0:
                 break
             lanes = idx[pending]
             trial_u = u[lanes] + alpha[pending] * p0[pending]
             trial_v = v[lanes] + alpha[pending] * p1[pending]
             trial_val = _values_only(points[lanes], trial_u, trial_v, control)
-            bound = value[lanes] + settings.armijo_c * alpha[pending] * dirderiv[pending]
+            bound = value[lanes] + _SETTINGS.armijo_c * alpha[pending] * dirderiv[pending]
             good = np.isfinite(trial_val) & (trial_val <= bound)
             sel = pending[good]
             accepted[sel] = True
@@ -145,7 +134,7 @@ def _solve_batch_inner(points, control, u0, v0, settings: ProjectionSettings) ->
             cand_v[sel] = trial_v[good]
             cand_val[sel] = trial_val[good]
             pending = pending[~good]
-            alpha[pending] *= settings.backtrack_factor
+            alpha[pending] *= _SETTINGS.backtrack_factor
 
         stuck = idx[~accepted]
         active[stuck] = False
@@ -177,9 +166,9 @@ def _solve_batch_inner(points, control, u0, v0, settings: ProjectionSettings) ->
         h12[good_lanes] = mb[mok]
         h22[good_lanes] = md[mok]
         grad_norm[good_lanes] = np.hypot(mgu[mok], mgv[mok])
-        active[good_lanes] = grad_norm[good_lanes] > settings.grad_tol
+        active[good_lanes] = grad_norm[good_lanes] > _SETTINGS.grad_tol
 
-    converged = ~failed & (grad_norm <= settings.grad_tol)
+    converged = ~failed & (grad_norm <= _SETTINGS.grad_tol)
     return _BatchState(u, v, value, g_start, grad_norm, iterations, converged,
                        failed, fail_u, fail_v)
 
@@ -189,35 +178,30 @@ def project_point(
     surface: BezierSurface,
     u0: float,
     v0: float,
-    settings: ProjectionSettings | None = None,
 ) -> ProjectionResult:
     """Locally minimize the half squared distance from x to the surface.
 
-    Returns once the gradient norm falls to ``settings.grad_tol`` or the
-    Newton budget is spent; the final objective never exceeds the starting
-    one. Raises ProjectionError, carrying the last finite iterate, when the
+    Returns once the gradient norm falls to ``grad_tol`` or the Newton
+    budget is spent; the final objective never exceeds the starting one.
+    Raises ProjectionError, carrying the last finite iterate, when the
     objective or its derivatives stop being finite.
     """
-    if settings is None:
-        settings = ProjectionSettings()
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
     state = _solve_batch(point, surface.control, np.array([float(u0)]),
-                         np.array([float(v0)]), settings)
+                         np.array([float(v0)]))
     if state.failed[0]:
         raise ProjectionError(
             "objective or derivatives not finite during foot-point search",
             float(state.fail_u[0]), float(state.fail_v[0]),
         )
-    u, v = float(state.u[0]), float(state.v[0])
     return ProjectionResult(
-        u=u,
-        v=v,
+        u=float(state.u[0]),
+        v=float(state.v[0]),
         g=float(state.value[0]),
         g_start=float(state.g_start[0]),
         grad_norm=float(state.grad_norm[0]),
         iterations=int(state.iterations[0]),
         converged=bool(state.converged[0]),
-        out_of_range=abs(u) > _PARAM_RANGE or abs(v) > _PARAM_RANGE,
     )
 
 
@@ -226,7 +210,6 @@ def project_all(
     surface: BezierSurface,
     u: np.ndarray,
     v: np.ndarray,
-    settings: ProjectionSettings | None = None,
 ) -> BatchProjection:
     """Foot points for every cloud point, warm-started from (u, v).
 
@@ -234,13 +217,11 @@ def project_all(
     keep their previous parameters; their indices are reported in ``failed``.
     ``converged`` marks the points whose gradient norm reached ``grad_tol``.
     """
-    if settings is None:
-        settings = ProjectionSettings()
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.shape != (cloud.n_x,):
         raise ValueError("parameter vectors must match the cloud size")
-    state = _solve_batch(cloud.points, surface.control, u, v, settings)
+    state = _solve_batch(cloud.points, surface.control, u, v)
     return BatchProjection(
         u=state.u,
         v=state.v,
@@ -251,8 +232,7 @@ def project_all(
     )
 
 
-def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v,
-                    settings: ProjectionSettings | None = None) -> BatchProjection:
+def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> BatchProjection:
     """Foot points for finite points, each started at its nearest reference.
 
     Point i starts at ``(ref_u[k], ref_v[k])`` for the ``refs[k]`` at least
@@ -263,4 +243,4 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v,
     cloud = PointCloud(points, np.ones(points.shape[0]))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nearest = [np.argmin(np.sum((p - refs) ** 2, axis=1)) for p in cloud.points]
-    return project_all(cloud, surface, ref_u[nearest], ref_v[nearest], settings)
+    return project_all(cloud, surface, ref_u[nearest], ref_v[nearest])

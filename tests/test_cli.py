@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from patchfit import ProjectionError, VoxelGrid, design_matrix, g_value, project_point
+from patchfit.cli import build_parser
 from patchfit.io import read_point_cloud, read_surface_model, write_point_cloud, write_voxel_grid
 from patchfit.voxel import PointCloud
 
@@ -77,6 +78,23 @@ class TestSelect:
         assert "Traceback" not in result.stderr
         assert "Warning" not in result.stderr
         assert not (tmp_path / "cloud.csv").exists()
+
+    @pytest.mark.parametrize("exponent, plain", [("-1e1", "-10.0"), ("-1E+1", "-10.0"),
+                                                 ("-.5e0", "-0.5")])
+    def test_query_accepts_negative_exponent_form(self, exponent, plain):
+        def query(x):
+            return build_parser().parse_args(["select", "g.vox", "-o", "c.csv",
+                                              "--query", x, "-2", x]).query
+        assert query(exponent) == query(plain) == [float(plain), -2.0, float(plain)]
+
+    def test_non_finite_integral_grid_is_not_binary(self, tmp_path):
+        grid = tmp_path / "grid.vox"
+        grid.write_text("VOX1 2 1 1 1 1 1 0 0 0\n1 inf\n")
+        result = run_cli("select", str(grid), "-o", str(tmp_path / "c.csv"),
+                         "--seed-voxel", "0", "0", "0")
+        assert result.returncode == 2
+        assert "error: boundary_mask requires a binary occupancy grid" in result.stderr
+        assert "Warning" not in result.stderr
 
     def test_empty_selection_exit_code(self, tmp_path, half_space_grid):
         out = tmp_path / "cloud.csv"
@@ -178,8 +196,6 @@ class TestFit:
         ("--lam nan", "lam must be finite and nonnegative"),
         ("--lam inf", "lam must be finite and nonnegative"),
         ("--rel-sigma2-tol nan", "rel_sigma2_tol must be finite and nonnegative"),
-        ("--grad-tol nan", "grad_tol must be finite and strictly positive"),
-        ("--grad-tol inf", "grad_tol must be finite and strictly positive"),
     ])
     def test_bad_settings_are_a_usage_error(self, tmp_path, saddle_cloud, flags, message):
         result = run_cli("fit", str(saddle_cloud), "-o", str(tmp_path / "s.json"), *flags.split())
@@ -360,8 +376,18 @@ class TestHelpDefaults:
     def test_fit_help_lists_module_defaults(self):
         result = run_cli("fit", "--help")
         assert result.returncode == 0
-        for token in ("0.001", "10", "1e-10", "0.0001", "0.5", "50"):
+        for token in ("0.001", "10", "1e-06", "6"):
             assert token in result.stdout
+
+    @pytest.mark.parametrize("command", [["fit", "c.csv"], ["project", "s.json", "c.csv"]],
+                             ids=["fit", "project"])
+    @pytest.mark.parametrize("flag", ["--max-newton-iters", "--grad-tol", "--armijo-c",
+                                      "--backtrack-factor", "--max-backtracks"])
+    def test_projection_constants_are_not_flags(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args([*command, "-o", "out", flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
     def test_select_help_lists_module_defaults(self):
         result = run_cli("select", "--help")

@@ -160,6 +160,8 @@ class TestVoxelGridTokens:
     @pytest.mark.parametrize("body, dtype", [
         ("0 1", np.int64), ("1.0 2e0", np.int64), ("-3 1e2", np.int64),
         ("0 0.5", np.float64), ("1 nan", np.float64),
+        # integral, but with no int64 value
+        ("1 inf", np.float64), ("-inf 0", np.float64), ("1 1e300", np.float64),
     ])
     def test_dtype_decision(self, tmp_path, body, dtype):
         assert self.read(tmp_path, body).data.dtype == dtype

@@ -13,7 +13,6 @@ from patchfit import (
     DegenerateGeometryError,
     FitSettings,
     PointCloud,
-    ProjectionSettings,
     design_matrix,
     fit_surface,
     init_uv,
@@ -235,8 +234,6 @@ class TestFitSurface:
         (FitSettings, "rel_sigma2_tol", -1.0),
         (FitSettings, "rel_sigma2_tol", math.nan),
         (FitSettings, "rel_sigma2_tol", math.inf),
-        (ProjectionSettings, "grad_tol", math.nan),
-        (ProjectionSettings, "grad_tol", math.inf),
     ])
     def test_bad_settings_rejected_at_construction(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -1,5 +1,7 @@
 """Foot-point search: closed-form oracles, descent, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,13 +10,13 @@ from patchfit import (
     BezierSurface,
     PointCloud,
     ProjectionError,
-    ProjectionSettings,
     g_value,
     project_all,
     project_nearest,
     project_point,
     surface_eval,
 )
+from patchfit import projection
 
 
 def planar_surface(origin, a, b):
@@ -57,19 +59,25 @@ class TestProjectPoint:
             uv_star = np.linalg.solve(normal_eqs, [a @ (x - origin), b @ (x - origin)])
             npt.assert_allclose([res.u, res.v], uv_star, rtol=1e-8, atol=1e-10)
             assert res.converged
+        # The foot point may lie far outside [0, 1]^2.
+        surface = planar_surface(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+        res = project_point(np.array([50.0, 0.5, 0.0]), surface, 0.5, 0.5)
+        assert res.u == pytest.approx(50.0)
 
-    def test_monotone_descent_and_stationarity(self):
+    def test_monotone_descent_and_stationarity(self, monkeypatch):
         rng = np.random.default_rng(2)
         surface = random_surface(rng, 3, 3)
         x = surface_eval(0.4, 0.6, surface) + 0.05 * rng.normal(size=3)
         values = []
         for k in range(12):
-            res = project_point(x, surface, 0.35, 0.65,
-                                ProjectionSettings(max_newton_iters=k))
+            with monkeypatch.context() as m:
+                truncated = replace(projection._SETTINGS, max_newton_iters=k)
+                m.setattr(projection, "_SETTINGS", truncated)
+                res = project_point(x, surface, 0.35, 0.65)
             values.append(res.g)
         assert all(b <= a for a, b in zip(values, values[1:]))
         final = project_point(x, surface, 0.35, 0.65)
-        assert final.grad_norm <= ProjectionSettings().grad_tol
+        assert final.grad_norm <= projection._SETTINGS.grad_tol
         assert final.g <= final.g_start
 
     def test_non_finite_start_raises_with_iterate(self):
@@ -78,20 +86,6 @@ class TestProjectPoint:
         with pytest.raises(ProjectionError) as err:
             project_point(np.zeros(3), surface, 1e200, 0.5)
         assert err.value.u == 1e200
-
-    def test_out_of_range_flag(self):
-        surface = planar_surface(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-        res = project_point(np.array([50.0, 0.5, 0.0]), surface, 0.5, 0.5)
-        assert res.out_of_range
-        assert res.u == pytest.approx(50.0)
-
-    def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            ProjectionSettings(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            ProjectionSettings(armijo_c=1.0)
-        with pytest.raises(ValueError):
-            ProjectionSettings(backtrack_factor=0.0)
 
 
 class TestProjectAll:

@@ -22,6 +22,8 @@ Outputs:
   ``--weight-mode inverse-distance``, ``external-map`` with
   ``--weight-grid``, the grid written with CRLF line breaks, and a grid
   with a bad token.
+  The ``--help`` text of each subcommand, at ``COLUMNS=80``, so that a
+  change to the CLI's interface shows up too.
   Wall-clock timings in stdout are masked as ``<t>``, and the file:line
   prefix of a warning on stderr as ``<where>``.
 - ``trials.json``: the metrics of seeded ``simulate.run_trial`` calls (plane
@@ -122,7 +124,8 @@ def mask_timings(command: str, stdout: str) -> str:
 def run_cli(name: str, args: list[str], outdir: Path, env: dict) -> None:
     result = subprocess.run([sys.executable, "-m", "patchfit", *args], cwd=outdir,
                             capture_output=True, text=True, env=env)
-    (outdir / f"{name}.stdout").write_text(mask_timings(args[0], result.stdout))
+    stdout = result.stdout if "--help" in args else mask_timings(args[0], result.stdout)
+    (outdir / f"{name}.stdout").write_text(stdout)
     (outdir / f"{name}.stderr").write_text(mask_warning_sites(result.stderr))
     (outdir / f"{name}.exit").write_text(f"{result.returncode}\n")
 
@@ -149,6 +152,9 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     run_cli("project_norecords", ["project", "surface_norecords.json", "probes.csv",
                                   "-o", "foot_norecords.csv"], outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
+    help_env = dict(env, COLUMNS="80")
+    for command in ("select", "fit", "project", "study"):
+        run_cli(f"help_{command}", [command, "--help"], outdir, help_env)
 
 
 def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int]) -> None:
