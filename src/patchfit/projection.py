@@ -3,7 +3,15 @@
 Each point is an independent 2D minimization of the half squared distance,
 solved by Newton's method with Armijo backtracking; when the Hessian is not
 positive definite the step falls back to steepest descent, so every accepted
-step decreases the objective.
+step decreases the objective. A point stops once its gradient norm is at most
+``grad_tol``, or at the precision floor: when its accepted step is at most
+``floor_ulp`` ulp of max(1, |(u, v)|), or when its backtracking ladder
+reaches a trial that no longer moves (u, v) before an Armijo point. Both
+stops count as converged.
+
+A Newton iteration makes at most two ``_values_only`` calls: one for the
+full step of every active point, and one for the remaining backtracking
+ladders (alpha = 1/2, 1/4, ...) of the points that reject it.
 
 All points are advanced in lockstep on batched arrays. The objective and
 its derivatives come from the batched kernel in ``bezier``, whose per-lane
@@ -34,6 +42,7 @@ class ProjectionSettings:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 50
+    floor_ulp: int = 4
 
 
 _SETTINGS = ProjectionSettings()
@@ -41,6 +50,8 @@ _SETTINGS = ProjectionSettings()
 
 @dataclass
 class ProjectionResult:
+    """One point's foot point; ``converged`` as in ``BatchProjection``."""
+
     u: float
     v: float
     g: float
@@ -52,13 +63,20 @@ class ProjectionResult:
 
 @dataclass
 class BatchProjection:
-    """Per-point foot points for a cloud; failed points keep their inputs."""
+    """Per-point foot points for a cloud; failed points keep their inputs.
+
+    ``converged`` marks the points that stopped at ``grad_tol`` or at the
+    precision floor, ``iterations`` counts each point's accepted Newton steps
+    and ``kernel_calls`` the batched objective-kernel calls of the solve.
+    """
 
     u: np.ndarray
     v: np.ndarray
     g_start: np.ndarray
     g_final: np.ndarray
     converged: np.ndarray
+    iterations: np.ndarray
+    kernel_calls: int
     failed: tuple[int, ...] = field(default=())
 
 
@@ -81,6 +99,7 @@ class _BatchState:
     failed: np.ndarray
     fail_u: np.ndarray
     fail_v: np.ndarray
+    kernel_calls: int
 
 
 # Overflow and invalid-value warnings are expected when trial parameters run
@@ -91,6 +110,7 @@ def _solve_batch(points, control, u0, v0) -> _BatchState:
     u = u0.astype(np.float64, copy=True)
     v = v0.astype(np.float64, copy=True)
     value, grad_u, grad_v, h11, h12, h22 = _values_grads_hessians(points, u, v, control)
+    calls = 1
     ok = _finite_rows(value, grad_u, grad_v, h11, h12, h22)
     failed = ~ok
     fail_u = u0.copy()
@@ -99,6 +119,7 @@ def _solve_batch(points, control, u0, v0) -> _BatchState:
     iterations = np.zeros(n, dtype=np.int64)
     grad_norm = np.hypot(grad_u, grad_v)
     active = ok & (grad_norm > _SETTINGS.grad_tol)
+    floored = np.zeros(n, dtype=bool)
 
     for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
@@ -113,47 +134,59 @@ def _solve_batch(points, control, u0, v0) -> _BatchState:
         p1 = np.where(newton, -(a * gv - b * gu) / det_safe, -gv)
         dirderiv = gu * p0 + gv * p1
 
-        alpha = np.ones(idx.size)
-        accepted = np.zeros(idx.size, dtype=bool)
-        cand_u = np.empty(idx.size)
-        cand_v = np.empty(idx.size)
-        cand_val = np.empty(idx.size)
-        pending = np.arange(idx.size)
-        for _ in range(_SETTINGS.max_backtracks):
-            if pending.size == 0:
-                break
-            lanes = idx[pending]
-            trial_u = u[lanes] + alpha[pending] * p0[pending]
-            trial_v = v[lanes] + alpha[pending] * p1[pending]
-            trial_val = _values_only(points[lanes], trial_u, trial_v, control)
-            bound = value[lanes] + _SETTINGS.armijo_c * alpha[pending] * dirderiv[pending]
-            good = np.isfinite(trial_val) & (trial_val <= bound)
-            sel = pending[good]
-            accepted[sel] = True
-            cand_u[sel] = trial_u[good]
-            cand_v[sel] = trial_v[good]
-            cand_val[sel] = trial_val[good]
-            pending = pending[~good]
-            alpha[pending] *= _SETTINGS.backtrack_factor
+        cur_u, cur_v, cur_val = u[idx], v[idx], value[idx]
+        cand_u = cur_u + p0
+        cand_v = cur_v + p1
+        cand_val = _values_only(points[idx], cand_u, cand_v, control)
+        calls += 1
+        accepted = np.isfinite(cand_val) & (cand_val <= cur_val + _SETTINGS.armijo_c * dirderiv)
 
-        stuck = idx[~accepted]
-        active[stuck] = False
+        # Lanes that reject alpha = 1 evaluate the rest of their ladder in one
+        # call: alpha = 1/2, 1/4, ... up to the first trial that no longer
+        # moves (u, v). Each takes its first Armijo point; a lane with none
+        # whose ladder ran into that floor has stalled at the precision floor.
+        back = np.flatnonzero(~accepted)
+        if back.size:
+            alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
+            bu, bv = cur_u[back, None], cur_v[back, None]
+            trial_u = bu + alphas * p0[back, None]
+            trial_v = bv + alphas * p1[back, None]
+            moves = (trial_u != bu) | (trial_v != bv)
+            length = np.where(moves.all(axis=1), alphas.size, moves.argmin(axis=1))
+            rungs = np.arange(alphas.size) < length[:, None]
+            trial_val = np.full(rungs.shape, np.nan)
+            if length.any():
+                trial_val[rungs] = _values_only(points[np.repeat(idx[back], length)],
+                                                trial_u[rungs], trial_v[rungs], control)
+                calls += 1
+            bound = cur_val[back, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
+            good = np.isfinite(trial_val) & (trial_val <= bound)
+            hit = good.any(axis=1)
+            first = good.argmax(axis=1)[hit]
+            won = back[hit]
+            accepted[won] = True
+            cand_u[won] = trial_u[hit, first]
+            cand_v[won] = trial_v[hit, first]
+            cand_val[won] = trial_val[hit, first]
+            floored[idx[back[~hit & (length < alphas.size)]]] = True
+
+        active[idx[~accepted]] = False
         moved = idx[accepted]
         if moved.size == 0:
             continue
-        prev_u = u[moved].copy()
-        prev_v = v[moved].copy()
-        u[moved] = cand_u[accepted]
-        v[moved] = cand_v[accepted]
+        prev_u, prev_v = cur_u[accepted], cur_v[accepted]
+        new_u, new_v = cand_u[accepted], cand_v[accepted]
+        u[moved] = new_u
+        v[moved] = new_v
         value[moved] = cand_val[accepted]
         iterations[moved] += 1
 
-        _, mgu, mgv, ma, mb, md = _values_grads_hessians(points[moved], u[moved], v[moved], control)
+        _, mgu, mgv, ma, mb, md = _values_grads_hessians(points[moved], new_u, new_v, control)
+        calls += 1
         mok = _finite_rows(mgu, mgv, ma, mb, md)
         if not mok.all():
             bad = moved[~mok]
             failed[bad] = True
-            active[bad] = False
             fail_u[bad] = prev_u[~mok]
             fail_v[bad] = prev_v[~mok]
             u[bad] = u0[bad]
@@ -165,12 +198,22 @@ def _solve_batch(points, control, u0, v0) -> _BatchState:
         h11[good_lanes] = ma[mok]
         h12[good_lanes] = mb[mok]
         h22[good_lanes] = md[mok]
-        grad_norm[good_lanes] = np.hypot(mgu[mok], mgv[mok])
-        active[good_lanes] = grad_norm[good_lanes] > _SETTINGS.grad_tol
+        norm = np.hypot(mgu, mgv)
+        grad_norm[good_lanes] = norm[mok]
+        going = mok & (norm > _SETTINGS.grad_tol)
+        # A lane whose step was at most floor_ulp ulp of max(1, |(u, v)|) stops.
+        check = np.flatnonzero(going)
+        pu, pv = prev_u[check], prev_v[check]
+        du, dv = new_u[check] - pu, new_v[check] - pv
+        scale = np.sqrt(np.maximum(1.0, pu * pu + pv * pv))
+        tiny = check[np.sqrt(du * du + dv * dv) <= _SETTINGS.floor_ulp * np.spacing(scale)]
+        going[tiny] = False
+        floored[moved[tiny]] = True
+        active[moved] = going
 
-    converged = ~failed & (grad_norm <= _SETTINGS.grad_tol)
+    converged = ~failed & ((grad_norm <= _SETTINGS.grad_tol) | floored)
     return _BatchState(u, v, value, g_start, grad_norm, iterations, converged,
-                       failed, fail_u, fail_v)
+                       failed, fail_u, fail_v, calls)
 
 
 def project_point(
@@ -181,8 +224,10 @@ def project_point(
 ) -> ProjectionResult:
     """Locally minimize the half squared distance from x to the surface.
 
-    Returns once the gradient norm falls to ``grad_tol`` or the Newton
-    budget is spent; the final objective never exceeds the starting one.
+    Returns once the gradient norm falls to ``grad_tol``, the point reaches
+    the precision floor (both count as ``converged``), the line search finds
+    no decrease, or the Newton budget is spent; the final objective never
+    exceeds the starting one.
     Raises ProjectionError, carrying the last finite iterate, when the
     objective or its derivatives stop being finite.
     """
@@ -215,7 +260,8 @@ def project_all(
 
     Each solve is independent and deterministic. Points whose solve fails
     keep their previous parameters; their indices are reported in ``failed``.
-    ``converged`` marks the points whose gradient norm reached ``grad_tol``.
+    ``converged`` marks the points whose gradient norm reached ``grad_tol``
+    or that stopped at the precision floor (see the module docstring).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -228,6 +274,8 @@ def project_all(
         g_start=state.g_start,
         g_final=state.value,
         converged=state.converged,
+        iterations=state.iterations,
+        kernel_calls=state.kernel_calls,
         failed=tuple(int(i) for i in np.flatnonzero(state.failed)),
     )
 

@@ -16,7 +16,9 @@ from patchfit import (
     project_point,
     surface_eval,
 )
-from patchfit import projection
+from patchfit import design_matrix, projection
+from patchfit.bezier import _values_grads_hessians, _values_only
+from patchfit.simulate import LatentSurface, latent_eval, random_rotation
 
 
 def planar_surface(origin, a, b):
@@ -30,6 +32,79 @@ def planar_surface(origin, a, b):
 
 def random_surface(rng, n_u, n_v, scale=1.0):
     return BezierSurface(scale * rng.normal(size=(n_u + 1, n_v + 1, 3)))
+
+
+def rosenbrock_batch(seed, n=60, spread=0.3):
+    """A patch of order (4, 2) fitted to a rotated Rosenbrock sheet, noisy
+    points on the sheet, and starts ``spread`` away from their parameters."""
+    rng = np.random.default_rng(seed)
+    sheet = LatentSurface.rosenbrock(random_rotation(rng))
+    (x0, x1), (y0, y1) = sheet.domain
+
+    def on_sheet(u, v):
+        return latent_eval(sheet, np.column_stack([x0 + (x1 - x0) * u, y0 + (y1 - y0) * v]))
+
+    gu, gv = (g.ravel() for g in np.meshgrid(np.linspace(0, 1, 9), np.linspace(0, 1, 9)))
+    flat = np.linalg.lstsq(design_matrix(gu, gv, 4, 2).T, on_sheet(gu, gv), rcond=None)[0]
+    u, v = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    points = on_sheet(u, v) + 0.05 * rng.normal(size=(n, 3))
+    return (BezierSurface.from_flat(flat, 4, 2), points,
+            u + spread * rng.normal(size=n), v + spread * rng.normal(size=n))
+
+
+def sequential_solve(points, control, u0, v0):
+    """Reference solver: lane by lane, one backtracking trial per kernel call.
+
+    Same stop rule as the batched solver: a lane stops at ``grad_tol``, when
+    the line search finds no Armijo point (at the precision floor when its
+    ladder reached a trial that no longer moves (u, v)), or when its accepted
+    step is at most ``floor_ulp`` ulp of max(1, |(u, v)|).
+    """
+    s = projection._SETTINGS
+    lanes = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x, u, v in zip(points, u0, v0):
+            x, u, v = x[None, :], np.array([u]), np.array([v])
+            value, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
+            g_start, norm, iterations = value, np.hypot(gu, gv), 0
+            failed = not np.isfinite([value, gu, gv, a, b, d]).all()
+            floored = False
+            for _ in range(s.max_newton_iters):
+                if failed or floored or norm[0] <= s.grad_tol:
+                    break
+                det = a * d - b * b
+                if det[0] > 0.0 and (a + d)[0] > 0.0:
+                    p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
+                else:
+                    p0, p1 = -gu, -gv
+                slope = gu * p0 + gv * p1
+                alpha, step = 1.0, None
+                for k in range(s.max_backtracks):
+                    tu, tv = u + alpha * p0, v + alpha * p1
+                    if k > 0 and tu[0] == u[0] and tv[0] == v[0]:
+                        floored = True
+                        break
+                    tval = _values_only(x, tu, tv, control)
+                    if np.isfinite(tval[0]) and tval[0] <= (value + s.armijo_c * alpha * slope)[0]:
+                        step = tu, tv, tval
+                        break
+                    alpha *= s.backtrack_factor
+                if step is None:
+                    break
+                (pu, pv), (u, v, value) = (u, v), step
+                iterations += 1
+                _, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
+                if not np.isfinite([gu, gv, a, b, d]).all():
+                    failed = True
+                    break
+                norm = np.hypot(gu, gv)
+                if norm[0] > s.grad_tol:
+                    du, dv = u - pu, v - pv
+                    scale = np.sqrt(np.maximum(1.0, pu * pu + pv * pv))
+                    floored = np.sqrt(du * du + dv * dv)[0] <= s.floor_ulp * np.spacing(scale)[0]
+            lanes.append((u[0], v[0], value[0], g_start[0], norm[0], iterations, failed,
+                          not failed and (norm[0] <= s.grad_tol or floored)))
+    return lanes
 
 
 class TestProjectPoint:
@@ -86,6 +161,55 @@ class TestProjectPoint:
         with pytest.raises(ProjectionError) as err:
             project_point(np.zeros(3), surface, 1e200, 0.5)
         assert err.value.u == 1e200
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_sequential_backtracking_bitwise(self, seed):
+        surface, points, u0, v0 = rosenbrock_batch(seed)
+        u0[0] = 1e200  # a lane that fails at its start
+        state = projection._solve_batch(points, surface.control, u0, v0)
+        expected = sequential_solve(points, surface.control, u0, v0)
+        for i, lane in enumerate(expected):
+            u, v, g, g_start, grad_norm, iterations, failed, converged = lane
+            assert state.failed[i] == failed
+            if failed:
+                continue
+            assert (state.u[i], state.v[i], state.value[i]) == (u, v, g)
+            assert (state.g_start[i], state.grad_norm[i]) == (g_start, grad_norm)
+            assert state.iterations[i] == iterations
+            assert state.converged[i] == converged
+        assert state.failed[0]
+        assert (state.converged & (state.grad_norm > projection._SETTINGS.grad_tol)).any()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_far_foot_point_stops_at_the_floor(self, seed):
+        # At u = 1e8 one ulp of u moves the surface by about 1e-8, so the
+        # gradient cannot fall to grad_tol; the lane stops at the floor.
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        surface = planar_surface(np.zeros(3), a, b)
+        normal = np.cross(a, b) / np.linalg.norm(np.cross(a, b))
+        res = project_point(1e8 * a + 0.5 * b + normal, surface, 1e8, 0.5)
+        assert res.grad_norm > projection._SETTINGS.grad_tol
+        assert res.converged
+        assert res.iterations <= 2
+        assert res.g <= res.g_start
+
+    def test_at_most_two_line_search_calls_per_newton_iteration(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(projection, "_values_only",
+                            lambda *a: log.append("trial") or _values_only(*a))
+        monkeypatch.setattr(projection, "_values_grads_hessians",
+                            lambda *a: log.append("newton") or _values_grads_hessians(*a))
+        surface, points, u, v = rosenbrock_batch(5, n=200, spread=1.0)
+        batch = project_all(PointCloud(points, np.ones(len(points))), surface, u, v)
+        # Every Newton iteration starts from fresh derivatives.
+        runs = "".join("n" if c == "newton" else "t" for c in log).split("n")
+        assert runs[0] == "" and max(len(r) for r in runs) <= 2
+        assert log.count("trial") <= 2 * (batch.iterations.max() + 1)
+        assert batch.kernel_calls == len(log)
+        assert batch.iterations.max() > 1
 
 
 class TestProjectAll:
