@@ -15,16 +15,8 @@ from .bezier import (
     g_eval,
     g_value,
     surface_eval,
-    surface_jacobian,
 )
-from .control import (
-    CenteredCloud,
-    center_cloud,
-    regularized_objective,
-    solve_control_points,
-    translate_surface,
-    weighted_objective,
-)
+from .control import solve_control_points, translate_surface, weighted_objective
 from .errors import (
     DegenerateGeometryError,
     EmptySelectionError,

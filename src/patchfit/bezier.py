@@ -19,11 +19,11 @@ All evaluation runs through one batched kernel: ``_basis_rows`` and
 ``_basis_rows_derivs`` build basis rows for a vector of parameters, and
 ``_values_only`` / ``_values_grads_hessians`` contract them with the control
 tensor into the half squared point-to-surface distance and its derivatives.
-``bernstein``, ``basis_vector``, ``surface_eval``, ``surface_jacobian``,
-``g_value`` and ``g_eval`` are one-row calls of the same code. Contractions
-use einsum, whose per-lane results do not depend on which other lanes share
-the batch, so evaluating a batch is bit-identical to evaluating its lanes
-one by one (this is asserted in the test suite).
+``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
+``g_eval`` are one-row calls of the same code. Contractions use einsum,
+whose per-lane results do not depend on which other lanes share the batch,
+so evaluating a batch is bit-identical to evaluating its lanes one by one
+(this is asserted in the test suite).
 """
 
 from __future__ import annotations
@@ -259,12 +259,6 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
     rows_v = _basis_rows(v, int(n_v))
     outer = rows_v[:, :, None] * rows_u[:, None, :]
     return outer.reshape(u.size, -1).T
-
-
-def surface_jacobian(u: float, v: float, surface: BezierSurface) -> np.ndarray:
-    """Partial derivatives of the surface map, rows (ds/du, ds/dv), shape (2, 3)."""
-    _, su, sv, _, _, _ = _surface_derivs(_one(u), _one(v), surface.control)
-    return np.stack((su[0], sv[0]))
 
 
 def g_value(x: np.ndarray, u: float, v: float, surface: BezierSurface) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -180,13 +181,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_study(args) -> int:
-    specs = io.load_study_config(args.config)
-    if args.seed is not None:
-        for spec in specs:
-            spec.seed = args.seed
-    if args.trials is not None:
-        for spec in specs:
-            spec.trials = args.trials
+    overrides = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
+    specs = [replace(spec, **overrides) for spec in io.load_study_config(args.config)]
     rows, records = run_study(specs)
     io.write_study_table(rows, f"{args.output}_table.csv")
     io.write_study_long(records, f"{args.output}_long.csv")

@@ -9,31 +9,13 @@ the surface translated back afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bezier import BezierSurface, design_matrix
 from .errors import RankDeficiencyError
-from .voxel import PointCloud
 
 DEFAULT_LAMBDA = 1e-3
-
-
-@dataclass
-class CenteredCloud:
-    """Points translated so their unweighted centroid is the origin."""
-
-    points: np.ndarray
-    centroid: np.ndarray
-
-
-def center_cloud(cloud: PointCloud) -> CenteredCloud:
-    if cloud.n_x < 1:
-        raise ValueError("cannot center an empty cloud")
-    centroid = cloud.points.mean(axis=0)
-    return CenteredCloud(cloud.points - centroid, centroid)
 
 
 def _residual_sum(points, weights, b, surface: BezierSurface) -> float:
@@ -56,18 +38,6 @@ def weighted_objective(
     """Half the weighted sum of squared point-to-surface-sample distances."""
     b = design_matrix(u, v, surface.n_u, surface.n_v)
     return 0.5 * _residual_sum(points, weights, b, surface)
-
-
-def regularized_objective(
-    points: np.ndarray,
-    weights: np.ndarray,
-    surface: BezierSurface,
-    u: np.ndarray,
-    v: np.ndarray,
-    lam: float,
-) -> float:
-    """Weighted objective plus the ridge penalty on the flattened control."""
-    return weighted_objective(points, weights, surface, u, v) + _ridge_penalty(surface, lam)
 
 
 def solve_control_points(

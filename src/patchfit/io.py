@@ -207,10 +207,18 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
 # Study configs and results
 # ---------------------------------------------------------------------------
 
-_SPEC_INT = {"n_tr": "n_tr", "n_te": "n_te", "seed": "seed", "trials": "trials"}
-_SPEC_FLOAT = {"sigma2_y": "sigma2_y", "lam": "lam"}
-_SPEC_STR = {"name": "name", "surface": "surface", "mode": "mode"}
-_SPEC_PAIR = {"orders": "orders", "brute_cap": "brute_cap"}
+def _int_pair(value: str) -> tuple[int, int]:
+    first, second = value.split()
+    return int(first), int(second)
+
+
+# Each field's parser, and what a value that the parser rejects should be.
+_SPEC_FIELDS = {
+    **dict.fromkeys(("n_tr", "n_te", "seed", "trials"), (int, "an integer")),
+    **dict.fromkeys(("sigma2_y", "lam"), (float, "a number")),
+    **dict.fromkeys(("name", "surface", "mode"), (str, "text")),
+    **dict.fromkeys(("orders", "brute_cap"), (_int_pair, "two integers")),
+}
 
 
 def parse_study_config(text: str, source: str = "<config>") -> list[ExperimentSpec]:
@@ -231,29 +239,13 @@ def parse_study_config(text: str, source: str = "<config>") -> list[ExperimentSp
             raise FileFormatError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in _SPEC_INT:
-            try:
-                current[key] = int(value)
-            except ValueError:
-                raise FileFormatError(f"{source}:{lineno}: field {key} needs an integer") from None
-        elif key in _SPEC_FLOAT:
-            try:
-                current[key] = float(value)
-            except ValueError:
-                raise FileFormatError(f"{source}:{lineno}: field {key} needs a number") from None
-        elif key in _SPEC_STR:
-            current[key] = value
-        elif key in _SPEC_PAIR:
-            parts = value.split()
-            if len(parts) != 2:
-                raise FileFormatError(f"{source}:{lineno}: field {key} needs two integers")
-            try:
-                current[key] = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise FileFormatError(f"{source}:{lineno}: field {key} needs two integers") from None
-        else:
+        if key not in _SPEC_FIELDS:
             raise FileFormatError(f"{source}:{lineno}: unknown field {key!r}")
+        parse, kind = _SPEC_FIELDS[key]
+        try:
+            current[key] = parse(value.strip())
+        except ValueError:
+            raise FileFormatError(f"{source}:{lineno}: field {key} needs {kind}") from None
     if not blocks:
         raise FileFormatError(f"{source}: no [spec] sections found")
     specs = []
@@ -296,18 +288,18 @@ def _cell(value) -> str:
     return str(value).replace(",", ";").replace("\n", " ")
 
 
+def _write_rows(items, columns, path) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(getattr(item, col)) for col in columns) for item in items]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_study_table(rows: list[StudyRow], path) -> None:
     """Aggregate results, one row per spec. Wall times are reported on stdout
     only so that re-runs produce byte-identical files."""
-    lines = [",".join(_TABLE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_cell(getattr(row, col)) for col in _TABLE_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(rows, _TABLE_COLUMNS, path)
 
 
 def write_study_long(records: list[TrialRecord], path) -> None:
     """Plot-ready long format, one row per trial."""
-    lines = [",".join(_LONG_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_cell(getattr(rec, col)) for col in _LONG_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(records, _LONG_COLUMNS, path)

@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .control import DEFAULT_LAMBDA, center_cloud, translate_surface
+from .control import DEFAULT_LAMBDA, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
@@ -124,14 +124,15 @@ def fit_surface(
     if cloud.n_x < 3:
         raise ValueError(f"need at least 3 points to fit, got {cloud.n_x}")
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = center_cloud(cloud)
-        spread = np.sum(cloud.weights**2 * np.sum(centered.points**2, axis=1))
+        centroid = cloud.points.mean(axis=0)
+        points = cloud.points - centroid
+        spread = np.sum(cloud.weights**2 * np.sum(points**2, axis=1))
     if not (np.isfinite(spread) and spread > 0):
         raise ValueError(
             f"weighted squared spread of the cloud is {float(spread)!r}; it must be finite and "
             "positive (rescale the points or the weights)"
         )
-    inner = PointCloud(centered.points, cloud.weights)
+    inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)
     lam = settings.lam
     if settings.fixed_orders is not None:
@@ -168,11 +169,7 @@ def fit_surface(
         if rel < settings.rel_sigma2_tol:
             break
 
-    final = replace(
-        model,
-        surface=translate_surface(model.surface, centered.centroid),
-        centroid=centered.centroid.copy(),
-    )
+    final = replace(model, surface=translate_surface(model.surface, centroid), centroid=centroid)
     return final, trace
 
 

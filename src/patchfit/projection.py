@@ -87,25 +87,12 @@ def _finite_rows(*arrays):
     return ok
 
 
-@dataclass
-class _BatchState:
-    u: np.ndarray
-    v: np.ndarray
-    value: np.ndarray
-    g_start: np.ndarray
-    grad_norm: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    failed: np.ndarray
-    fail_u: np.ndarray
-    fail_v: np.ndarray
-    kernel_calls: int
-
-
 # Overflow and invalid-value warnings are expected when trial parameters run
 # away; non-finite lanes are rejected or marked failed explicitly.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve_batch(points, control, u0, v0) -> _BatchState:
+def _solve_batch(points, control, u0, v0):
+    """The batch, each lane's final gradient norm, and the last finite (u, v)
+    of each failed lane (the start for the others)."""
     n = points.shape[0]
     u = u0.astype(np.float64, copy=True)
     v = v0.astype(np.float64, copy=True)
@@ -212,8 +199,9 @@ def _solve_batch(points, control, u0, v0) -> _BatchState:
         active[moved] = going
 
     converged = ~failed & ((grad_norm <= _SETTINGS.grad_tol) | floored)
-    return _BatchState(u, v, value, g_start, grad_norm, iterations, converged,
-                       failed, fail_u, fail_v, calls)
+    batch = BatchProjection(u, v, g_start, value, converged, iterations, calls,
+                            tuple(int(i) for i in np.flatnonzero(failed)))
+    return batch, grad_norm, fail_u, fail_v
 
 
 def project_point(
@@ -232,21 +220,21 @@ def project_point(
     objective or its derivatives stop being finite.
     """
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    state = _solve_batch(point, surface.control, np.array([float(u0)]),
-                         np.array([float(v0)]))
-    if state.failed[0]:
+    batch, grad_norm, fail_u, fail_v = _solve_batch(
+        point, surface.control, np.array([float(u0)]), np.array([float(v0)]))
+    if batch.failed:
         raise ProjectionError(
             "objective or derivatives not finite during foot-point search",
-            float(state.fail_u[0]), float(state.fail_v[0]),
+            float(fail_u[0]), float(fail_v[0]),
         )
     return ProjectionResult(
-        u=float(state.u[0]),
-        v=float(state.v[0]),
-        g=float(state.value[0]),
-        g_start=float(state.g_start[0]),
-        grad_norm=float(state.grad_norm[0]),
-        iterations=int(state.iterations[0]),
-        converged=bool(state.converged[0]),
+        u=float(batch.u[0]),
+        v=float(batch.v[0]),
+        g=float(batch.g_final[0]),
+        g_start=float(batch.g_start[0]),
+        grad_norm=float(grad_norm[0]),
+        iterations=int(batch.iterations[0]),
+        converged=bool(batch.converged[0]),
     )
 
 
@@ -267,17 +255,7 @@ def project_all(
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.shape != (cloud.n_x,):
         raise ValueError("parameter vectors must match the cloud size")
-    state = _solve_batch(cloud.points, surface.control, u, v)
-    return BatchProjection(
-        u=state.u,
-        v=state.v,
-        g_start=state.g_start,
-        g_final=state.value,
-        converged=state.converged,
-        iterations=state.iterations,
-        kernel_calls=state.kernel_calls,
-        failed=tuple(int(i) for i in np.flatnonzero(state.failed)),
-    )
+    return _solve_batch(cloud.points, surface.control, u, v)[0]
 
 
 def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> BatchProjection:

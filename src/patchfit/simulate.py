@@ -105,10 +105,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.n_tr < 3 or self.n_te < 1 or self.trials < 1:
             raise ValueError("n_tr must be >= 3 and n_te, trials >= 1")
-        if self.sigma2_y < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (math.isfinite(self.sigma2_y) and self.sigma2_y >= 0):
+            raise ValueError("noise variance must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if min(self.orders) < 1 or min(self.brute_cap) < 1:
+            raise ValueError("orders and brute_cap must be at least 1")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and nonnegative")
+        LatentSurface.for_kind(self.surface)  # rejects an unknown kind
         if not self.name:
             self.name = f"{self.surface}_n{self.n_tr}_s{self.sigma2_y:g}_{self.mode}"
 
@@ -154,9 +159,9 @@ def eval_fit(model: FitModel, x_tr: np.ndarray, s_te: np.ndarray) -> EvalMetrics
     """Unweighted train residual variance and projected test distance variance.
 
     The train metric reuses the model's own location parameters. Test points
-    go through ``project_nearest`` from the training points with default
-    settings; failed projections are dropped from the mean and counted. Test
-    points must be finite: a non-finite one raises ValueError.
+    go through ``project_nearest`` from the training points; failed
+    projections are dropped from the mean and counted. Test points must be
+    finite: a non-finite one raises ValueError.
     """
     x_tr = np.asarray(x_tr, dtype=np.float64).reshape(-1, 3)
     b = design_matrix(model.u, model.v, model.n_u, model.n_v)

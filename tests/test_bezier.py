@@ -18,9 +18,20 @@ from patchfit import (
     g_eval,
     g_value,
     surface_eval,
-    surface_jacobian,
 )
-from patchfit.bezier import _basis_rows, _surface_points, _values_grads_hessians, _values_only
+from patchfit.bezier import (
+    _basis_rows,
+    _surface_derivs,
+    _surface_points,
+    _values_grads_hessians,
+    _values_only,
+)
+
+
+def surface_jacobian(u, v, surface):
+    """Rows (ds/du, ds/dv) of the surface map at (u, v), shape (2, 3)."""
+    _, su, sv, _, _, _ = _surface_derivs(np.array([u]), np.array([v]), surface.control)
+    return np.stack((su[0], sv[0]))
 
 
 def bernstein_loggamma(u, i, n):

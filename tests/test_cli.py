@@ -253,11 +253,12 @@ class TestProject:
         surface_path = tmp_path / "surface.json"
         run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
         model, _ = read_surface_model(surface_path)
-        from patchfit import surface_eval, surface_jacobian
+        from patchfit import surface_eval
+        from patchfit.bezier import _surface_derivs
 
         u0, v0 = 0.4, 0.6
-        jac = surface_jacobian(u0, v0, model.surface)
-        normal = np.cross(jac[0], jac[1])
+        _, su, sv, _, _, _ = _surface_derivs(np.array([u0]), np.array([v0]), model.surface.control)
+        normal = np.cross(su[0], sv[0])
         normal /= np.linalg.norm(normal)
         offset = 0.05
         point = surface_eval(u0, v0, model.surface) + offset * normal
@@ -359,6 +360,33 @@ class TestStudy:
         assert result.returncode == 0, result.stderr
         long_rows = (tmp_path / "o_long.csv").read_text().splitlines()
         assert len(long_rows) == 3  # header + 2 trials
+
+    @pytest.mark.parametrize("line, message", [
+        ("brute_cap = 0 0", "spec 1: orders and brute_cap must be at least 1"),
+        ("sigma2_y = nan", "spec 1: noise variance must be finite and nonnegative"),
+    ])
+    def test_bad_spec_is_a_usage_error(self, tmp_path, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text("[spec]\nsurface = plane\nn_tr = 20\nn_te = 8\nsigma2_y = 0.01\n"
+                          f"seed = 5\ntrials = 1\nmode = brute\n{line}\n")
+        result = run_cli("study", str(config), "-o", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {config}: {message}\n"
+        assert not (tmp_path / "o_table.csv").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--trials", "0"], "n_tr must be >= 3 and n_te, trials >= 1"),
+        (["--trials", "-2"], "n_tr must be >= 3 and n_te, trials >= 1"),
+    ])
+    def test_bad_override_is_a_usage_error(self, tmp_path, override, message):
+        config = tmp_path / "tiny.cfg"
+        config.write_text("[spec]\nsurface = plane\nn_tr = 20\nn_te = 8\n"
+                          "sigma2_y = 0.01\nseed = 5\ntrials = 1\n")
+        result = run_cli("study", str(config), "-o", str(tmp_path / "o"), *override)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "o_table.csv").exists()
 
     def test_config_validation_error(self, tmp_path):
         config = tmp_path / "bad.cfg"

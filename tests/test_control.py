@@ -1,4 +1,4 @@
-"""Centering, the regularized control-point solve, and translation."""
+"""The regularized control-point solve and translation."""
 
 import numpy as np
 import numpy.testing as npt
@@ -6,11 +6,8 @@ import pytest
 
 from patchfit import (
     BezierSurface,
-    PointCloud,
     RankDeficiencyError,
-    center_cloud,
     design_matrix,
-    regularized_objective,
     solve_control_points,
     surface_eval,
     translate_surface,
@@ -23,27 +20,6 @@ def synth_points(rng, surface, n):
     v = rng.uniform(0, 1, n)
     points = design_matrix(u, v, surface.n_u, surface.n_v).T @ surface.flat
     return points, u, v
-
-
-class TestCenterCloud:
-    def test_single_point(self):
-        cloud = PointCloud([[3.0, 4.0, 5.0]], [1.0])
-        centered = center_cloud(cloud)
-        npt.assert_array_equal(centered.points, [[0.0, 0.0, 0.0]])
-        npt.assert_array_equal(centered.centroid, [3.0, 4.0, 5.0])
-
-    def test_symmetric_pair(self):
-        cloud = PointCloud([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]], [1.0, 1.0])
-        centered = center_cloud(cloud)
-        npt.assert_array_equal(centered.centroid, [0.0, 0.0, 0.0])
-        npt.assert_array_equal(centered.points, cloud.points)
-
-    def test_random_cloud_mean_is_zero(self):
-        rng = np.random.default_rng(0)
-        points = rng.normal(size=(100, 3)) * 50 + 10
-        centered = center_cloud(PointCloud(points, np.ones(100)))
-        scale = np.abs(points).max()
-        assert np.linalg.norm(centered.points.mean(axis=0)) <= 1e-12 * scale
 
 
 class TestWeightedObjective:
@@ -137,8 +113,8 @@ class TestSolveControlPoints:
             v = rng.uniform(0, 1, n)
             old = BezierSurface(rng.normal(size=(3, 3, 3)))
             new = solve_control_points(points, weights, u, v, 2, 2, lam)
-            f_old = regularized_objective(points, weights, old, u, v, lam)
-            f_new = regularized_objective(points, weights, new, u, v, lam)
+            f_old = weighted_objective(points, weights, old, u, v) + 0.5 * lam * np.sum(old.flat**2)
+            f_new = weighted_objective(points, weights, new, u, v) + 0.5 * lam * np.sum(new.flat**2)
             assert f_new <= f_old
 
     def test_negative_lambda_rejected(self):

@@ -288,6 +288,32 @@ class TestStudyConfig:
         with pytest.raises(FileFormatError, match=":1"):
             parse_study_config("surface = plane\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_tr = 4.5", "field n_tr needs an integer"),
+        ("lam = abc", "field lam needs a number"),
+        ("orders = 2", "field orders needs two integers"),
+        ("orders = 1 2 3", "field orders needs two integers"),
+        ("orders = 1 x", "field orders needs two integers"),
+    ])
+    def test_bad_value_message_per_field_type(self, line, message):
+        with pytest.raises(FileFormatError) as err:
+            parse_study_config(f"[spec]\nsurface = plane\n{line}\n", "cfg")
+        assert str(err.value) == f"cfg:3: {message}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("brute_cap = 0 0", "orders and brute_cap must be at least 1"),
+        ("orders = 0 3", "orders and brute_cap must be at least 1"),
+        ("sigma2_y = nan", "noise variance must be finite and nonnegative"),
+        ("lam = -1", "lam must be finite and nonnegative"),
+        ("lam = inf", "lam must be finite and nonnegative"),
+        ("surface = sphere", "unknown latent surface kind: 'sphere'"),
+    ])
+    def test_spec_check_names_the_spec(self, line, message):
+        spec = "[spec]\nsurface = plane\nn_tr = 10\nsigma2_y = 0.1\nseed = 1\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_study_config(spec + spec + line + "\n", "cfg")
+        assert str(err.value) == f"cfg: spec 2: {message}"
+
     def test_bundled_configs_load(self):
         for name in ("table1_trends", "fig4_plane"):
             specs = load_study_config(name)

@@ -129,6 +129,7 @@ class TestFitSurface:
         rng = np.random.default_rng(6)
         cloud, _ = heightfield_cloud(rng, n=90, noise=0.03)
         model, _ = fit_surface(cloud)
+        npt.assert_array_equal(model.centroid, cloud.points.mean(axis=0))
         # evaluating the returned surface at the fitted parameters reproduces
         # the centered-frame evaluation plus the centroid
         inner = cloud.points - model.centroid

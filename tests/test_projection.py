@@ -168,19 +168,19 @@ class TestPrecisionFloor:
     def test_batch_equals_sequential_backtracking_bitwise(self, seed):
         surface, points, u0, v0 = rosenbrock_batch(seed)
         u0[0] = 1e200  # a lane that fails at its start
-        state = projection._solve_batch(points, surface.control, u0, v0)
+        batch, norms, _, _ = projection._solve_batch(points, surface.control, u0, v0)
         expected = sequential_solve(points, surface.control, u0, v0)
         for i, lane in enumerate(expected):
             u, v, g, g_start, grad_norm, iterations, failed, converged = lane
-            assert state.failed[i] == failed
+            assert (i in batch.failed) == failed
             if failed:
                 continue
-            assert (state.u[i], state.v[i], state.value[i]) == (u, v, g)
-            assert (state.g_start[i], state.grad_norm[i]) == (g_start, grad_norm)
-            assert state.iterations[i] == iterations
-            assert state.converged[i] == converged
-        assert state.failed[0]
-        assert (state.converged & (state.grad_norm > projection._SETTINGS.grad_tol)).any()
+            assert (batch.u[i], batch.v[i], batch.g_final[i]) == (u, v, g)
+            assert (batch.g_start[i], norms[i]) == (g_start, grad_norm)
+            assert batch.iterations[i] == iterations
+            assert batch.converged[i] == converged
+        assert 0 in batch.failed
+        assert (batch.converged & (norms > projection._SETTINGS.grad_tol)).any()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_far_foot_point_stops_at_the_floor(self, seed):

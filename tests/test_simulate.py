@@ -1,6 +1,7 @@
 """Dataset generation, fit metrics, and study aggregation."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -105,6 +106,22 @@ class TestMakeDataset:
             ExperimentSpec(surface="plane", n_tr=10, sigma2_y=-0.1, seed=1)
         with pytest.raises(ValueError):
             ExperimentSpec(surface="plane", n_tr=10, sigma2_y=0.1, seed=1, mode="magic")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("orders", (0, 2), "orders and brute_cap must be at least 1"),
+        ("orders", (2, -1), "orders and brute_cap must be at least 1"),
+        ("brute_cap", (0, 0), "orders and brute_cap must be at least 1"),
+        ("sigma2_y", math.nan, "noise variance must be finite"),
+        ("sigma2_y", math.inf, "noise variance must be finite"),
+        ("lam", -1e-3, "lam must be finite and nonnegative"),
+        ("lam", math.nan, "lam must be finite and nonnegative"),
+        ("lam", math.inf, "lam must be finite and nonnegative"),
+        ("surface", "sphere", "unknown latent surface kind: 'sphere'"),
+    ])
+    def test_bad_values_rejected_at_construction(self, field, value, message):
+        kwargs = {"surface": "plane", "n_tr": 10, "sigma2_y": 0.1, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(**kwargs)
 
 
 class TestEvalFit:
