@@ -91,54 +91,41 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
     return _basis_rows_derivs(np.array([float(u)]), n)[deriv][0]
 
 
-def _batch_power_tables(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pu[k] = values[k]**(0..n) and qrev[k] = (1-values[k])**(n..0)."""
-    m = values.size
-    pu = np.empty((m, n + 1))
-    qu = np.empty((m, n + 1))
-    pu[:, 0] = 1.0
-    qu[:, 0] = 1.0
+def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows pu[k] = (0,)*pad + values[k]**(0..n) and qrev[k] = (1-values[k])**(n..0) + (0,)*pad,
+    stored by column, so that every column slice of a table is contiguous."""
+    pu = np.zeros((values.size, pad + n + 1), order="F")
+    qu = np.zeros((values.size, pad + n + 1), order="F")
+    pu[:, pad] = 1.0
+    qu[:, pad] = 1.0
     w = 1.0 - values
-    for k in range(1, n + 1):
+    for k in range(pad + 1, pad + n + 1):
         pu[:, k] = pu[:, k - 1] * values
         qu[:, k] = qu[:, k - 1] * w
     return pu, qu[:, ::-1]
 
 
 def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
-    """Basis values for a batch of parameters: rows of shape (len, n+1)."""
+    """Basis values for a batch of parameters: C-ordered rows of shape (len, n+1)."""
     pu, qrev = _batch_power_tables(values, n)
-    return _pascal_row(n) * pu * qrev
+    return np.ascontiguousarray(_pascal_row(n) * pu * qrev)
 
 
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched basis rows with first and second derivative rows.
 
-    The value rows equal ``_basis_rows(values, n)`` bit for bit; the
-    derivatives use the same power tables shifted by one and two places.
+    All three are C-ordered and the value rows equal ``_basis_rows(values, n)``
+    bit for bit; the derivatives use the same power tables, padded and shifted.
     """
-    pu, qrev = _batch_power_tables(values, n)
-    m = values.size
+    p, q = _batch_power_tables(values, n, pad=2)
+    pu, pum1, pum2 = p[:, 2:], p[:, 1:-1], p[:, :-2]
+    qrev, qrevm1, qrevm2 = q[:, :-2], q[:, 1:-1], q[:, 2:]
     i, j, cii, cij, cjj = _deriv_factors(n)
     c = _pascal_row(n)
-
-    pum1 = np.empty((m, n + 1))
-    pum1[:, 0] = 0.0
-    pum1[:, 1:] = pu[:, :-1]
-    pum2 = np.empty((m, n + 1))
-    pum2[:, :2] = 0.0
-    pum2[:, 2:] = pu[:, :-2]
-    qrevm1 = np.empty((m, n + 1))
-    qrevm1[:, -1] = 0.0
-    qrevm1[:, :-1] = qrev[:, 1:]
-    qrevm2 = np.empty((m, n + 1))
-    qrevm2[:, -2:] = 0.0
-    qrevm2[:, :-2] = qrev[:, 2:]
-
     b0 = c * pu * qrev
     b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
     b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
-    return b0, b1, b2
+    return np.ascontiguousarray(b0), np.ascontiguousarray(b1), np.ascontiguousarray(b2)
 
 
 def _surface_points(u, v, control):

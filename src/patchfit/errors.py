@@ -18,15 +18,7 @@ class EmptySelectionError(PatchFitError):
 
 
 class ProjectionError(PatchFitError):
-    """Foot-point search hit a non-finite objective.
-
-    Carries the last iterate that still evaluated to a finite value.
-    """
-
-    def __init__(self, message: str, u: float, v: float):
-        super().__init__(message)
-        self.u = u
-        self.v = v
+    """Foot-point search hit a non-finite objective or derivatives."""
 
 
 class FileFormatError(PatchFitError):

@@ -18,7 +18,11 @@ its derivatives come from the batched kernel in ``bezier``, whose per-lane
 results do not depend on the rest of the batch, so projecting a cloud is
 bit-identical to projecting its points one by one. Accepted line-search
 values are carried forward rather than recomputed, which makes the per-point
-objective sequence monotone by construction.
+objective sequence monotone by construction. The solve returns one
+``BatchProjection``, with each point's final gradient norm in ``grad_norm``.
+A point whose objective or derivatives stop being finite fails: it is not
+advanced again and ends at its start with its starting objective, and
+``project_point`` raises a ``ProjectionError`` that carries only a message.
 """
 
 from __future__ import annotations
@@ -66,54 +70,44 @@ class BatchProjection:
     """Per-point foot points for a cloud; failed points keep their inputs.
 
     ``converged`` marks the points that stopped at ``grad_tol`` or at the
-    precision floor, ``iterations`` counts each point's accepted Newton steps
-    and ``kernel_calls`` the batched objective-kernel calls of the solve.
+    precision floor. ``grad_norm`` holds each point's final gradient norm; a
+    point that failed after a step keeps the norm of its last finite
+    derivatives. ``iterations`` counts each point's accepted Newton steps and
+    ``kernel_calls`` the batched objective-kernel calls of the solve.
     """
 
     u: np.ndarray
     v: np.ndarray
     g_start: np.ndarray
     g_final: np.ndarray
+    grad_norm: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     kernel_calls: int
     failed: tuple[int, ...] = field(default=())
 
 
-def _finite_rows(*arrays):
-    ok = np.isfinite(arrays[0])
-    for arr in arrays[1:]:
-        ok &= np.isfinite(arr)
-    return ok
-
-
 # Overflow and invalid-value warnings are expected when trial parameters run
 # away; non-finite lanes are rejected or marked failed explicitly.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_batch(points, control, u0, v0):
-    """The batch, each lane's final gradient norm, and the last finite (u, v)
-    of each failed lane (the start for the others)."""
-    n = points.shape[0]
-    u = u0.astype(np.float64, copy=True)
-    v = v0.astype(np.float64, copy=True)
-    value, grad_u, grad_v, h11, h12, h22 = _values_grads_hessians(points, u, v, control)
+    """Foot points of a batch. Row k of ``derivs`` holds lane k's (grad_u, grad_v,
+    h11, h12, h22); a non-finite refresh fails the lane instead of overwriting it."""
+    u, v = u0.astype(np.float64), v0.astype(np.float64)
+    value, *rest = _values_grads_hessians(points, u, v, control)
+    derivs = np.column_stack(rest)
     calls = 1
-    ok = _finite_rows(value, grad_u, grad_v, h11, h12, h22)
-    failed = ~ok
-    fail_u = u0.copy()
-    fail_v = v0.copy()
+    failed = ~(np.isfinite(value) & np.isfinite(derivs).all(axis=1))
     g_start = value.copy()
-    iterations = np.zeros(n, dtype=np.int64)
-    grad_norm = np.hypot(grad_u, grad_v)
-    active = ok & (grad_norm > _SETTINGS.grad_tol)
-    floored = np.zeros(n, dtype=bool)
+    iterations = np.zeros(u.size, dtype=np.int64)
+    active = ~failed & (np.hypot(derivs[:, 0], derivs[:, 1]) > _SETTINGS.grad_tol)
+    floored = np.zeros(u.size, dtype=bool)
 
     for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        gu, gv = grad_u[idx], grad_v[idx]
-        a, b, d = h11[idx], h12[idx], h22[idx]
+        gu, gv, a, b, d = derivs[idx].T
         det = a * d - b * b
         newton = (det > 0.0) & (a + d > 0.0)
         det_safe = np.where(newton, det, 1.0)
@@ -122,8 +116,7 @@ def _solve_batch(points, control, u0, v0):
         dirderiv = gu * p0 + gv * p1
 
         cur_u, cur_v, cur_val = u[idx], v[idx], value[idx]
-        cand_u = cur_u + p0
-        cand_v = cur_v + p1
+        cand_u, cand_v = cur_u + p0, cur_v + p1
         cand_val = _values_only(points[idx], cand_u, cand_v, control)
         calls += 1
         accepted = np.isfinite(cand_val) & (cand_val <= cur_val + _SETTINGS.armijo_c * dirderiv)
@@ -163,45 +156,28 @@ def _solve_batch(points, control, u0, v0):
             continue
         prev_u, prev_v = cur_u[accepted], cur_v[accepted]
         new_u, new_v = cand_u[accepted], cand_v[accepted]
-        u[moved] = new_u
-        v[moved] = new_v
+        u[moved], v[moved] = new_u, new_v
         value[moved] = cand_val[accepted]
         iterations[moved] += 1
 
-        _, mgu, mgv, ma, mb, md = _values_grads_hessians(points[moved], new_u, new_v, control)
+        fresh = np.column_stack(_values_grads_hessians(points[moved], new_u, new_v, control)[1:])
         calls += 1
-        mok = _finite_rows(mgu, mgv, ma, mb, md)
-        if not mok.all():
-            bad = moved[~mok]
-            failed[bad] = True
-            fail_u[bad] = prev_u[~mok]
-            fail_v[bad] = prev_v[~mok]
-            u[bad] = u0[bad]
-            v[bad] = v0[bad]
-            value[bad] = g_start[bad]
-        good_lanes = moved[mok]
-        grad_u[good_lanes] = mgu[mok]
-        grad_v[good_lanes] = mgv[mok]
-        h11[good_lanes] = ma[mok]
-        h12[good_lanes] = mb[mok]
-        h22[good_lanes] = md[mok]
-        norm = np.hypot(mgu, mgv)
-        grad_norm[good_lanes] = norm[mok]
-        going = mok & (norm > _SETTINGS.grad_tol)
+        finite = np.isfinite(fresh).all(axis=1)
+        failed[moved[~finite]] = True
+        derivs[moved[finite]] = fresh[finite]
+        going = finite & (np.hypot(fresh[:, 0], fresh[:, 1]) > _SETTINGS.grad_tol)
         # A lane whose step was at most floor_ulp ulp of max(1, |(u, v)|) stops.
-        check = np.flatnonzero(going)
-        pu, pv = prev_u[check], prev_v[check]
-        du, dv = new_u[check] - pu, new_v[check] - pv
-        scale = np.sqrt(np.maximum(1.0, pu * pu + pv * pv))
-        tiny = check[np.sqrt(du * du + dv * dv) <= _SETTINGS.floor_ulp * np.spacing(scale)]
-        going[tiny] = False
+        du, dv = new_u - prev_u, new_v - prev_v
+        scale = np.sqrt(np.maximum(1.0, prev_u * prev_u + prev_v * prev_v))
+        tiny = going & (np.sqrt(du * du + dv * dv) <= _SETTINGS.floor_ulp * np.spacing(scale))
         floored[moved[tiny]] = True
-        active[moved] = going
+        active[moved] = going & ~tiny
 
+    u[failed], v[failed], value[failed] = u0[failed], v0[failed], g_start[failed]
+    grad_norm = np.hypot(derivs[:, 0], derivs[:, 1])
     converged = ~failed & ((grad_norm <= _SETTINGS.grad_tol) | floored)
-    batch = BatchProjection(u, v, g_start, value, converged, iterations, calls,
-                            tuple(int(i) for i in np.flatnonzero(failed)))
-    return batch, grad_norm, fail_u, fail_v
+    return BatchProjection(u, v, g_start, value, grad_norm, converged, iterations, calls,
+                           tuple(int(i) for i in np.flatnonzero(failed)))
 
 
 def project_point(
@@ -216,23 +192,19 @@ def project_point(
     the precision floor (both count as ``converged``), the line search finds
     no decrease, or the Newton budget is spent; the final objective never
     exceeds the starting one.
-    Raises ProjectionError, carrying the last finite iterate, when the
-    objective or its derivatives stop being finite.
+    Raises ProjectionError when the objective or its derivatives stop
+    being finite.
     """
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    batch, grad_norm, fail_u, fail_v = _solve_batch(
-        point, surface.control, np.array([float(u0)]), np.array([float(v0)]))
+    batch = _solve_batch(point, surface.control, np.array([float(u0)]), np.array([float(v0)]))
     if batch.failed:
-        raise ProjectionError(
-            "objective or derivatives not finite during foot-point search",
-            float(fail_u[0]), float(fail_v[0]),
-        )
+        raise ProjectionError("objective or derivatives not finite during foot-point search")
     return ProjectionResult(
         u=float(batch.u[0]),
         v=float(batch.v[0]),
         g=float(batch.g_final[0]),
         g_start=float(batch.g_start[0]),
-        grad_norm=float(grad_norm[0]),
+        grad_norm=float(batch.grad_norm[0]),
         iterations=int(batch.iterations[0]),
         converged=bool(batch.converged[0]),
     )
@@ -255,7 +227,7 @@ def project_all(
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.shape != (cloud.n_x,):
         raise ValueError("parameter vectors must match the cloud size")
-    return _solve_batch(cloud.points, surface.control, u, v)[0]
+    return _solve_batch(cloud.points, surface.control, u, v)
 
 
 def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> BatchProjection:

@@ -246,7 +246,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
         else:
             model, trace = fit_surface(cloud, settings)
         metrics = eval_fit(model, dataset.x_tr, dataset.s_te)
-    except (PatchFitError, np.linalg.LinAlgError) as exc:
+    except (PatchFitError, ValueError) as exc:  # LinAlgError is a ValueError
         return TrialRecord(spec.name, trial, spec.surface, spec.mode, spec.n_tr,
                            spec.sigma2_y, 0, 0, 0, 0, math.nan, math.nan,
                            (perf_counter() - tic) * 1e3, 0, error=str(exc))

@@ -21,6 +21,7 @@ from patchfit import (
 )
 from patchfit.bezier import (
     _basis_rows,
+    _basis_rows_derivs,
     _surface_derivs,
     _surface_points,
     _values_grads_hessians,
@@ -321,6 +322,8 @@ class TestOneKernel:
         control = surface.control
         npt.assert_array_equal([bernstein(u[k], i, surface.n_u) for i in range(surface.n_u + 1)],
                                _basis_rows(u, surface.n_u)[k])
+        values = _basis_rows_derivs(u, surface.n_u)[0]
+        assert values.tobytes() == _basis_rows(u, surface.n_u).tobytes()
         npt.assert_array_equal(surface_eval(u[k], v[k], surface),
                                _surface_points(u, v, control)[k])
         assert g_value(points[k], u[k], v[k], surface) == _values_only(points, u, v, control)[k]

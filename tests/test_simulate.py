@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -234,6 +235,17 @@ class TestStudies:
         assert rows[0].failures == 2
         assert all(r.error for r in recs)
         assert math.isnan(rows[0].mean_sigma2_te)
+
+    def test_overflowing_spec_fails_its_trial_not_the_study(self):
+        # Noise of variance 1e308 overflows the cloud's weighted spread, which
+        # fit_surface rejects with a ValueError before any solve.
+        good = ExperimentSpec(surface="plane", n_tr=30, n_te=10, sigma2_y=0.01, seed=20, trials=1)
+        huge = replace(good, name="huge", sigma2_y=1e308)
+        rows, recs = run_study([good, huge])
+        assert [r.name for r in rows] == [good.name, "huge"]
+        assert (rows[0].failures, rows[1].failures) == (0, 1)
+        assert recs[0].error == ""
+        assert "weighted squared spread" in recs[1].error
 
     def test_rotation_changes_error_weakly(self):
         # isotropic noise is rotation-invariant in distribution, so pairing
