@@ -4,12 +4,14 @@ All formats are diffable text. Grids use the VOX1 layout: one ASCII header
 line ``VOX1 n m p sx sy sz ox oy oz`` followed by n*m*p whitespace-separated
 values in x-fastest order (i, then j, then k). Point clouds are ``x,y,z,w``
 delimited text. Fitted surfaces are JSON documents; field names are fixed in
-the README. Floats are serialized at full double precision via repr.
+the README. Floats are serialized at full double precision via repr, and
+files are read as UTF-8.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -27,6 +29,18 @@ CLOUD_HEADER = "x,y,z,w"
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _read_text(path: Path, raw: bytes | None = None) -> str:
+    """The file's text, decoded as UTF-8; bytes that are not UTF-8 are a format error.
+
+    Read here, the text gets universal newlines as ``Path.read_text`` gives
+    them; bytes already read (``raw``) are decoded as they are.
+    """
+    try:
+        return path.read_text(encoding="utf-8") if raw is None else raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +66,27 @@ def write_voxel_grid(grid: VoxelGrid, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# The bytes that both bytes.split() and str.split() take as whitespace.
+_ASCII_SPACE = b" \t\n\r\v\f"
+# An ASCII header line ended by an ASCII line break, with no other
+# str.splitlines() boundary (\x1c-\x1e, or a non-ASCII one) before it.
+_ASCII_HEADER_LINE = re.compile(rb"[^\n\r\v\f\x1c-\x1e\x80-\xff]*[\n\r\v\f]")
+
+
 def read_voxel_grid(path) -> VoxelGrid:
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}: empty file")
-    header = lines[0].split()
+    raw = path.read_bytes()
+    head = _ASCII_HEADER_LINE.match(raw)
+    values = _binary_values(raw[head.end():]) if head else None
+    if values is None:
+        text = _read_text(path, raw)
+        lines = text.splitlines()
+        if not lines:
+            raise FileFormatError(f"{path}: empty file")
+        header_line = lines[0]
+    else:
+        header_line = raw[:head.end() - 1].decode("ascii")
+    header = header_line.split()
     if len(header) != 10 or header[0] != VOX_MAGIC:
         raise FileFormatError(f"{path}:1: expected 'VOX1 n m p sx sy sz ox oy oz' header")
     try:
@@ -69,6 +97,35 @@ def read_voxel_grid(path) -> VoxelGrid:
         raise FileFormatError(f"{path}:1: bad header value ({exc})") from exc
     if min(n, m, p) < 1:
         raise FileFormatError(f"{path}:1: grid dimensions must be positive, got ({n}, {m}, {p})")
+    if values is None:
+        values = _float_values(path, text, lines)
+    if values.size != n * m * p:
+        raise FileFormatError(
+            f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {values.size}"
+        )
+    data = values.reshape((n, m, p), order="F")
+    return VoxelGrid(data, spacing, origin)
+
+
+def _binary_values(body: bytes) -> np.ndarray | None:
+    """The int64 values of a body of one-byte ``0``/``1`` tokens, else None.
+
+    Between ASCII whitespace such tokens read as ``float()`` reads them, and
+    the integral rule of ``_float_values`` makes them int64, so this bytewise
+    scan gives the same grid as the text path without splitting the text.
+    """
+    digits = body.translate(None, _ASCII_SPACE)
+    if digits.translate(None, b"01"):
+        return None
+    # Every byte is now a digit or ASCII whitespace, which sorts below "0".
+    is_digit = np.frombuffer(body, np.uint8) >= ord("0")
+    if np.any(is_digit[1:] & is_digit[:-1]):
+        return None
+    return np.subtract(np.frombuffer(digits, np.uint8), ord("0"), dtype=np.int64)
+
+
+def _float_values(path: Path, text: str, lines: list[str]) -> np.ndarray:
+    """The body values of VOX1 text, int64 when all are integral and in range."""
     # Every line break is whitespace to str.split, so the body is the tokens
     # after the header's ten; numpy parses str with the float() grammar.
     try:
@@ -76,15 +133,10 @@ def read_voxel_grid(path) -> VoxelGrid:
     except ValueError:
         _raise_first_bad_value(path, lines)
         raise
-    if arr.size != n * m * p:
-        raise FileFormatError(
-            f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {arr.size}"
-        )
     # inf and 1e300 equal their rounding but have no int64 value.
     if arr.size and np.abs(arr).max() < 2.0**63 and np.all(arr == np.round(arr)):
         arr = arr.astype(np.int64)
-    data = arr.reshape((n, m, p), order="F")
-    return VoxelGrid(data, spacing, origin)
+    return arr
 
 
 def _raise_first_bad_value(path: Path, lines: list[str]) -> None:
@@ -114,7 +166,7 @@ def read_xyzw(path) -> tuple[np.ndarray, np.ndarray]:
     own projection, while a cloud to fit must pass the ``PointCloud`` checks.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != CLOUD_HEADER:
         raise FileFormatError(f"{path}:1: expected '{CLOUD_HEADER}' header")
     points = []
@@ -174,7 +226,7 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
     """Parse a surface document; returns the model and stored residuals."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
@@ -264,13 +316,13 @@ def load_study_config(name_or_path) -> list[ExperimentSpec]:
     """Load a config from a path, or from the bundled configs by name."""
     path = Path(name_or_path)
     if path.exists():
-        return parse_study_config(path.read_text(), str(path))
+        return parse_study_config(_read_text(path), str(path))
     name = str(name_or_path)
     if not name.endswith(".cfg"):
         name += ".cfg"
     bundle = resources.files("patchfit").joinpath("configs", name)
     if bundle.is_file():
-        return parse_study_config(bundle.read_text(), f"bundled:{name}")
+        return parse_study_config(bundle.read_text(encoding="utf-8"), f"bundled:{name}")
     raise FileFormatError(f"no such config file or bundled config: {name_or_path}")
 
 

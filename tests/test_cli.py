@@ -400,6 +400,31 @@ class TestStudy:
         assert result.returncode == 2
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a usage error whose message names the file."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("select", "VOX1 2 1 1 1 1 1 0 0 0\n1 "),
+        ("fit", "x,y,z,w\n0,0,0,1\n"),
+        ("project", '{"n_u": 1}\n'),
+        ("study", "[spec]\nsurface = plane\n"),
+    ], ids=["select", "fit", "project", "study"])
+    def test_names_the_file(self, tmp_path, saddle_cloud, command, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode() + b"\xff\n")
+        out = str(tmp_path / "out")
+        args = {
+            "select": [str(path), "-o", out, "--seed-voxel", "0", "0", "0"],
+            "fit": [str(path), "-o", out],
+            "project": [str(path), str(saddle_cloud), "-o", out],
+            "study": [str(path), "-o", out],
+        }[command]
+        result = run_cli(command, *args)
+        assert result.returncode == 2
+        assert result.stderr == (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode "
+                                 f"byte 0xff in position {len(text)}: invalid start byte)\n")
+
+
 class TestHelpDefaults:
     def test_fit_help_lists_module_defaults(self):
         result = run_cli("fit", "--help")

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patchfit import (
     ExperimentSpec,
@@ -165,6 +167,131 @@ class TestVoxelGridTokens:
     ])
     def test_dtype_decision(self, tmp_path, body, dtype):
         assert self.read(tmp_path, body).data.dtype == dtype
+
+
+def text_path_read_voxel_grid(path):
+    """Oracle: the VOX1 reader that decodes every file and reads each
+    str.split() token with float(), int64 when all are integral and in range."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = text.splitlines()
+    if not lines:
+        raise FileFormatError(f"{path}: empty file")
+    header = lines[0].split()
+    if len(header) != 10 or header[0] != "VOX1":
+        raise FileFormatError(f"{path}:1: expected 'VOX1 n m p sx sy sz ox oy oz' header")
+    n, m, p = (int(tok) for tok in header[1:4])
+    if min(n, m, p) < 1:
+        raise FileFormatError(f"{path}:1: grid dimensions must be positive, got ({n}, {m}, {p})")
+    for lineno, line in enumerate(lines[1:], start=2):
+        for tok in line.split():
+            try:
+                float(tok)
+            except ValueError:
+                raise FileFormatError(f"{path}:{lineno}: bad value {tok!r}") from None
+    arr = np.array([float(tok) for tok in text.split()[10:]], dtype=np.float64)
+    if arr.size != n * m * p:
+        raise FileFormatError(
+            f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {arr.size}"
+        )
+    if arr.size and np.abs(arr).max() < 2.0**63 and np.all(arr == np.round(arr)):
+        arr = arr.astype(np.int64)
+    return VoxelGrid(arr.reshape((n, m, p), order="F"), header[4:7], header[7:10])
+
+
+def read_outcome(reader, path):
+    """What a reader gives for a file: the grid's exact bytes, or its exception."""
+    try:
+        grid = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    data = grid.data
+    return (data.dtype, data.shape, data.flags.f_contiguous, data.tobytes(),
+            grid.spacing.tobytes(), grid.origin.tobytes())
+
+
+# One-byte 0/1 tokens between these separators are read bytewise.
+BYTE_PATH_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f"]
+# Each of these sends a body to the text path: a token float() reads as one
+# value that is not a lone 0/1 byte, or a separator that is not one of the
+# six ASCII whitespace bytes (str.split() whitespace, a NUL that joins two
+# tokens into a bad one, an empty one that joins them into one, and a byte
+# that is not UTF-8).
+TEXT_PATH_TOKENS = [b"01", b"10", b"1.0", b"+1", b"-0", b"1_0", b"2", b"0.5",
+                    "\u0661".encode(), b"x"]
+TEXT_PATH_SEPARATORS = [b"\x1c", "\x85".encode(), b"\x00", b"", b"\xff"]
+HEADER_BREAKS = [b"\n", b"\r\n", b"\r", b"\v", b"\f", b"\x1c", "\x85".encode()]
+
+
+@st.composite
+def vox1_files(draw):
+    size = draw(st.integers(0, 24))
+    tokens = draw(st.lists(st.sampled_from([b"0", b"1"]), min_size=size, max_size=size))
+    runs = st.lists(st.sampled_from(BYTE_PATH_SEPARATORS), min_size=1, max_size=3)
+    seps = draw(st.lists(runs.map(b"".join), min_size=size + 1, max_size=size + 1))
+    for _ in range(draw(st.integers(0, 2))):
+        if size and draw(st.booleans()):
+            tokens[draw(st.integers(0, size - 1))] = draw(st.sampled_from(TEXT_PATH_TOKENS))
+        else:
+            seps[draw(st.integers(0, size))] = draw(st.sampled_from(TEXT_PATH_SEPARATORS))
+    count = size + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    m = draw(st.sampled_from([d for d in (1, 2, 3) if count % d == 0]))
+    header = f"VOX1 {count // m} 1 {m} 0.5 1 2 -1 0 3".encode()
+    body = seps[0] + b"".join(tok + sep for tok, sep in zip(tokens, seps[1:]))
+    return header + draw(st.sampled_from(HEADER_BREAKS)) + body
+
+
+class TestVoxelGridBytePath:
+    """A body of one-byte 0/1 tokens between ASCII whitespace is read bytewise;
+    the grid, or the error, is the one the text path gives."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("bodies") / "grid.vox"
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=vox1_files())
+    @example(data=b"VOX1 2 1 1 1 1 1 0 0 0\n0\t\f1\r\n")
+    @example(data=b"VOX1 2 1 1 1 1 1 0 0 0\n01 1")
+    @example(data=b"VOX1 2 1 1 1 1 1 0 0 0\x1c1 0\n")
+    @example(data=b"VOX1 2 1 1 1 1 1 0 0 0\n1\x1c0")
+    @example(data=b"VOX1 2 1 1 1 1 1 0 0 0\n1 \xff")
+    def test_equals_text_path(self, path, data):
+        path.write_bytes(data)
+        assert read_outcome(read_voxel_grid, path) == read_outcome(text_path_read_voxel_grid, path)
+
+    def test_binary_body_needs_no_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.vox"
+        path.write_bytes(b"VOX1 3 1 1 1 1 1 0 0 0\r\n1\t0\f\v1\n")
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("a 0/1 body was decoded")
+
+        monkeypatch.setattr("patchfit.io._read_text", no_decoding)
+        grid = read_voxel_grid(path)
+        npt.assert_array_equal(grid.data[:, 0, 0], [1, 0, 1])
+        assert grid.data.dtype == np.int64
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are a format error that names the file."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_voxel_grid, "VOX1 2 1 1 1 1 1 0 0 0\n1 "),
+        (read_xyzw, "x,y,z,w\n0,0,0,1\n"),
+        (read_surface_model, '{"n_u": 1}\n'),
+        (load_study_config, "[spec]\nsurface = plane\n"),
+    ], ids=["voxel_grid", "xyzw", "surface_model", "study_config"])
+    def test_reader_names_the_file(self, tmp_path, reader, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode() + b"\xff\n")
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == (f"{path}: not UTF-8 text ('utf-8' codec can't decode byte "
+                                   f"0xff in position {len(text)}: invalid start byte)")
 
 
 class TestPointCloudFormat:

@@ -20,8 +20,10 @@ Outputs:
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
   ``--weight-mode inverse-distance``, ``external-map`` with
-  ``--weight-grid``, the grid written with CRLF line breaks, and a grid
-  with a bad token.
+  ``--weight-grid``, the grid written with CRLF line breaks, a grid with a
+  bad token, and grids on each side of the bytewise 0/1 reading: separated
+  only by tabs and form feeds, with one ``1`` written ``1.0``, separated by
+  ``\\x1c``, and holding a byte that is not UTF-8.
   The ``--help`` text of each subcommand, at ``COLUMNS=80``, so that a
   change to the CLI's interface shows up too.
   Wall-clock timings in stdout are masked as ``<t>``, and the file:line
@@ -73,11 +75,11 @@ def wavy_grid_text(n: int) -> tuple[str, tuple[int, int, int]]:
     return header + "\n" + " ".join(map(str, values)) + "\n", (c, c, int(height[c, c]))
 
 
-def rows_text(text: str, n: int, newline: str) -> str:
-    """The same VOX1 grid with n values per line and the given line break."""
+def rows_text(text: str, n: int, newline: str, sep: str = " ") -> str:
+    """The same VOX1 grid with n values per line, the given line break and separator."""
     header, body = text.split("\n", 1)
     tokens = body.split()
-    lines = [header] + [" ".join(tokens[s:s + n]) for s in range(0, len(tokens), n)]
+    lines = [header] + [sep.join(tokens[s:s + n]) for s in range(0, len(tokens), n)]
     return newline.join(lines) + newline
 
 
@@ -181,6 +183,18 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
     (outdir / "grid_bad.vox").write_text("\n".join(bad) + "\n")
     run_cli("select_bad", ["select", "grid_bad.vox", "-o", "cloud_bad.csv",
                            "--seed-voxel", *map(str, seed)], outdir, env)
+    # Each side of the bytewise 0/1 fast path: tabs and form feeds only; one
+    # "1.0" and \x1c separators (both read as text); a byte that is not UTF-8.
+    variants = {
+        "tabs": rows_text(text, GRID_N, "\f", "\t").encode(),
+        "float": text.replace(" 1 ", " 1.0 ", 1).encode(),
+        "fs": rows_text(text, GRID_N, "\x1c", "\x1c").encode(),
+        "latin1": text.encode().replace(b" 0 ", b" \xff ", 1),
+    }
+    for name, data in variants.items():
+        (outdir / f"grid_{name}.vox").write_bytes(data)
+        run_cli(f"select_{name}", ["select", f"grid_{name}.vox", "-o", f"cloud_{name}.csv",
+                                   *common, "--seed-voxel", *map(str, seed)], outdir, env)
 
 
 def trial_outputs(path: Path) -> int:
