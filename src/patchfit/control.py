@@ -10,7 +10,6 @@ the surface translated back afterwards.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .bezier import BezierSurface, design_matrix
 from .errors import RankDeficiencyError
@@ -72,22 +71,25 @@ def _solve_design(points, weights, b, n_u: int, n_v: int, lam: float) -> BezierS
     gram = bw @ b.T
     gram[np.diag_indices_from(gram)] += lam
     rhs = bw @ points
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        factor = cho_factor(gram, lower=True)
-    except LinAlgError as exc:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
             "control-point system is singular; increase the regularization "
             "strength or supply more points"
         ) from exc
     if lam == 0.0:
         # rank deficiency can slip through the factorization as a tiny pivot
-        pivots = np.abs(np.diag(factor[0]))
+        pivots = np.abs(np.diag(factor))
         if pivots.min() <= 1e-7 * pivots.max():
             raise RankDeficiencyError(
                 "control-point system is numerically singular at lam=0; "
                 "increase the regularization strength or supply more points"
             )
-    flat = cho_solve(factor, rhs)
+    # Fortran order keeps from_flat's reshape a contiguous view for the kernels.
+    flat = np.asfortranarray(np.linalg.solve(factor.T, np.linalg.solve(factor, rhs)))
     return BezierSurface.from_flat(flat, n_u, n_v)
 
 

@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .control import DEFAULT_LAMBDA, translate_surface
+from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
@@ -52,7 +52,8 @@ class FitIteration:
     ``f`` is the weighted objective of the iteration's final model. The
     f_* pairs instrument the two descent blocks: the projection pair uses the
     projector's own objective values, the solve pair compares the regularized
-    objective of the previous surface against a refit at unchanged orders.
+    objective of the previous surface (``f_after_projection`` plus its ridge
+    penalty) against a refit at unchanged orders.
     """
 
     iteration: int
@@ -142,7 +143,7 @@ def fit_surface(
 
     trace: FitTrace = []
     tic = perf_counter()
-    model, f, _, _ = _search_orders(inner, u, v, start[0], start[1], lam, cap)
+    model, f, _ = _search_orders(inner, u, v, start[0], start[1], lam, cap)
     trace.append(
         FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, f,
                      math.nan, math.nan, math.nan, math.nan, 0, perf_counter() - tic)
@@ -155,9 +156,8 @@ def fit_surface(
         u, v = batch.u, batch.v
         f_before = float(np.sum(inner.weights**2 * batch.g_start))
         f_after = float(np.sum(inner.weights**2 * batch.g_final))
-        model, f, f_reg_before, f_reg_after = _search_orders(
-            inner, u, v, model.n_u, model.n_v, lam, cap, previous=model.surface
-        )
+        f_reg_before = f_after + _ridge_penalty(model.surface, lam)
+        model, f, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, lam, cap)
         trace.append(
             FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f,
                          f_before, f_after, f_reg_before, f_reg_after,

@@ -104,15 +104,13 @@ def _search_orders(
     n_v: int,
     lam: float,
     order_cap: tuple[int, int] | None,
-    previous: BezierSurface | None = None,
-) -> tuple[FitModel, float, float, float]:
+) -> tuple[FitModel, float, float]:
     """``mdl_select`` with one design matrix and one solve per candidate order.
 
     A candidate's weighted residual sum gives both its noise variance
     (sum / 3n) and its weighted objective (sum / 2). Returns the winning
-    model, its weighted objective, and two regularized objectives at the
-    start order: of ``previous`` and of its refit. Both are NaN when that
-    refit is rank deficient, the first also without a ``previous`` surface.
+    model, its weighted objective, and the regularized objective of the
+    refit at the start order, NaN when that refit is rank deficient.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -123,7 +121,7 @@ def _search_orders(
     points, weights = cloud.points, cloud.weights
 
     best = None
-    f_reg_previous = f_reg_same = math.nan
+    f_reg_same = math.nan
     last_error = None
     for cand_u in us:
         for cand_v in vs:
@@ -136,9 +134,6 @@ def _search_orders(
             total = _residual_sum(points, weights, b, surface)
             if (cand_u, cand_v) == (n_u, n_v):
                 f_reg_same = 0.5 * total + _ridge_penalty(surface, lam)
-                if previous is not None:
-                    f_reg_previous = (0.5 * _residual_sum(points, weights, b, previous)
-                                      + _ridge_penalty(previous, lam))
             sigma2 = total / (3.0 * cloud.n_x)
             d = param_count(cloud.n_x, cand_u, cand_v)
             t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
@@ -149,7 +144,7 @@ def _search_orders(
         if len(us) * len(vs) == 1:  # e.g. fixed orders: the solve's own message
             raise last_error
         raise RankDeficiencyError("every candidate order was rank deficient") from last_error
-    return best[1], best[2], f_reg_previous, f_reg_same
+    return best[1], best[2], f_reg_same
 
 
 def mdl_select(

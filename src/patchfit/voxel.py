@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptySelectionError, PerimeterTruncationWarning
 
@@ -134,13 +133,17 @@ def _check_kernel_fits(kernel: Kernel3, dims: tuple[int, int, int]) -> None:
 
 
 def convolve3(grid: VoxelGrid, kernel: Kernel3) -> VoxelGrid:
-    """Direct 3D convolution with zero padding, integer exact.
+    """Direct 3D convolution with zero padding, exact while every sum fits in int64.
 
-    Output has the same dims, spacing and origin as the input.
+    Each nonzero tap of the flipped kernel adds one shifted slice of the padded
+    grid. Output has the same dims, spacing and origin as the input.
     """
     _check_kernel_fits(kernel, grid.dims)
-    data = grid.data.astype(np.int64, copy=False)
-    out = ndimage.convolve(data, kernel.weights, mode="constant", cval=0)
+    flipped = kernel.weights[::-1, ::-1, ::-1]
+    padded = np.pad(grid.data.astype(np.int64, copy=False), [(k // 2, k // 2) for k in kernel.dims])
+    (n, m, p), out = grid.dims, np.zeros(grid.dims, dtype=np.int64)
+    for a, b, c in np.argwhere(flipped):
+        out += flipped[a, b, c] * padded[a:a + n, b:b + m, c:c + p]
     return VoxelGrid(out, grid.spacing, grid.origin)
 
 

@@ -117,6 +117,17 @@ class TestSolveControlPoints:
             f_new = weighted_objective(points, weights, new, u, v) + 0.5 * lam * np.sum(new.flat**2)
             assert f_new <= f_old
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.0])
+    def test_overflowing_system_rejected(self, lam):
+        # w^2 = 1e400 overflows the normal equations to inf; the overflow
+        # warning itself is not under test
+        rng = np.random.default_rng(8)
+        truth = BezierSurface(rng.normal(size=(2, 2, 3)))
+        points, u, v = synth_points(rng, truth, 20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_control_points(points, np.full(20, 1e200), u, v, 1, 1, lam=lam)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             solve_control_points(np.zeros((4, 3)), np.ones(4), [0, 0.3, 0.6, 1],

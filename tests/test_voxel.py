@@ -221,6 +221,28 @@ class TestConvolve3:
         out = convolve3(unit_grid(data), laplacian_kernel())
         assert out.data[3, 3, 3] == 26
 
+    def test_matches_direct_sum(self):
+        # oracle: out[i] = sum_k w[k] data[i - k + c], zero outside the grid
+        rng = np.random.default_rng(1)
+        data = rng.integers(-9, 10, (5, 6, 7))
+        weights = rng.integers(-3, 4, (3, 1, 5))
+        out = convolve3(unit_grid(data), Kernel3(weights)).data
+        expected = np.zeros_like(out)
+        for i in np.ndindex(data.shape):
+            for k in np.ndindex(weights.shape):
+                j = tuple(a - b + d // 2 for a, b, d in zip(i, k, weights.shape))
+                if all(0 <= x < n for x, n in zip(j, data.shape)):
+                    expected[i] += weights[k] * data[j]
+        npt.assert_array_equal(out, expected)
+
+    def test_integer_exact_beyond_double(self):
+        data = np.zeros((3, 3, 3), dtype=np.int64)
+        data[0, 0, 0] = 2**53 + 1
+        data[2, 1, 0] = 2**60 + 3
+        out = convolve3(unit_grid(data), ones_kernel(3)).data
+        assert out.dtype == np.int64
+        assert out[1, 1, 1] == 2**60 + 2**53 + 4
+
     def test_kernel_larger_than_grid(self):
         grid = unit_grid(np.ones((2, 2, 2)))
         with pytest.raises(ValueError):
