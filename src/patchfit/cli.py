@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from . import io
-from .bezier import _surface_points, design_matrix
+from .bezier import design_matrix
 from .errors import (
     DegenerateGeometryError,
     EmptySelectionError,
@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_project.add_argument("surface", help="surface document from 'fit'")
     p_project.add_argument("cloud", help="point-cloud file to project")
     p_project.add_argument("-o", "--output", required=True, help="output table (u,v,distance,converged)")
-    p_project.add_argument("--init-grid", type=int, default=5,
-                           help="fallback initialization grid size (default %(default)s)")
 
     p_study = sub.add_parser("study", help="run a simulation study from a config")
     p_study.add_argument("config", help="config path, or bundled name (table1_trends, fig4_plane)")
@@ -131,9 +129,6 @@ def cmd_select(args) -> int:
 
 def cmd_fit(args) -> int:
     cloud = io.read_point_cloud(args.cloud)
-    if cloud.n_x < 3:
-        print("error: need at least 3 points to fit", file=sys.stderr)
-        return EXIT_USAGE
     settings = FitSettings(
         max_outer_iters=args.max_outer_iters,
         rel_sigma2_tol=args.rel_sigma2_tol,
@@ -162,11 +157,10 @@ def cmd_project(args) -> int:
     points = probes[finite_rows]
     if model.u.size > 0:
         ref_u, ref_v = model.u, model.v
-        refs = design_matrix(ref_u, ref_v, model.n_u, model.n_v).T @ model.surface.flat
-    else:
-        grid = np.linspace(0.0, 1.0, max(args.init_grid, 2))
+    else:  # a document without records: start from the 5 x 5 lattice over [0, 1]^2
+        grid = np.linspace(0.0, 1.0, 5)
         ref_u, ref_v = np.array([(u, v) for u in grid for v in grid]).T
-        refs = _surface_points(ref_u, ref_v, model.surface.control)
+    refs = design_matrix(ref_u, ref_v, model.n_u, model.n_v).T @ model.surface.flat
     batch = project_nearest(points, model.surface, refs, ref_u, ref_v)
     u, v, conv = batch.u.tolist(), batch.v.tolist(), batch.converged.tolist()
     distance = np.sqrt(2.0 * batch.g_final).tolist()
@@ -216,7 +210,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, PatchFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -66,11 +66,11 @@ def _solve_design(points, weights, b, n_u: int, n_v: int, lam: float) -> BezierS
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     if lam < 0:
         raise ValueError(f"regularization strength must be nonnegative, got {lam}")
-    w2 = weights**2
-    bw = b * w2
-    gram = bw @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf and NaN
+        bw = b * weights**2
+        gram = bw @ b.T
+        rhs = bw @ points
     gram[np.diag_indices_from(gram)] += lam
-    rhs = bw @ points
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     try:

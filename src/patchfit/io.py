@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .bezier import BezierSurface, design_matrix
 from .errors import FileFormatError
-from .selection import FitModel, param_count
+from .selection import FitModel
 from .simulate import ExperimentSpec, StudyRow, TrialRecord
 from .voxel import PointCloud, VoxelGrid
 
@@ -243,7 +244,6 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
             v=v,
             sigma2=float(doc["sigma2"]),
             t=float(doc["t"]),
-            d=param_count(max(len(records), 1), n_u, n_v),
             centroid=np.array(doc["centroid"], dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -326,11 +326,8 @@ def load_study_config(name_or_path) -> list[ExperimentSpec]:
     raise FileFormatError(f"no such config file or bundled config: {name_or_path}")
 
 
-_TABLE_COLUMNS = ("name", "surface", "mode", "n_tr", "sigma2_y", "trials", "failures",
-                  "mean_iterations", "mean_size", "mean_sigma2_tr", "mean_sigma2_te",
-                  "test_failures")
-_LONG_COLUMNS = ("name", "trial", "surface", "mode", "n_tr", "sigma2_y", "iterations",
-                 "size", "n_u", "n_v", "sigma2_tr", "sigma2_te", "test_failures", "error")
+_TABLE_COLUMNS = tuple(f.name for f in fields(StudyRow) if f.name != "mean_ms")
+_LONG_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "ms")
 
 
 def _cell(value) -> str:

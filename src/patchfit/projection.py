@@ -39,14 +39,14 @@ from .voxel import PointCloud
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """The solver's constants; they are fixed, and the solver reads ``_SETTINGS``."""
+    """The solver's fixed constants; it takes no arguments, and the solver reads ``_SETTINGS``."""
 
-    max_newton_iters: int = 20
-    grad_tol: float = 1e-10
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 50
-    floor_ulp: int = 4
+    max_newton_iters: int = field(default=20, init=False)
+    grad_tol: float = field(default=1e-10, init=False)
+    armijo_c: float = field(default=1e-4, init=False)
+    backtrack_factor: float = field(default=0.5, init=False)
+    max_backtracks: int = field(default=50, init=False)
+    floor_ulp: int = field(default=4, init=False)
 
 
 _SETTINGS = ProjectionSettings()

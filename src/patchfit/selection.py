@@ -42,8 +42,12 @@ class FitModel:
     v: np.ndarray
     sigma2: float
     t: float
-    d: int
     centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    @property
+    def d(self) -> int:
+        """Free-parameter count of ``param_count``, from the point count and orders."""
+        return param_count(self.u.size, self.n_u, self.n_v)
 
     @property
     def n_u(self) -> int:
@@ -139,7 +143,7 @@ def _search_orders(
             t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
             key = _rank_key(t, d, cand_u, cand_v)
             if best is None or key < best[0]:
-                best = (key, FitModel(surface, u.copy(), v.copy(), sigma2, t, d), 0.5 * total)
+                best = (key, FitModel(surface, u.copy(), v.copy(), sigma2, t), 0.5 * total)
     if best is None:
         if len(us) * len(vs) == 1:  # e.g. fixed orders: the solve's own message
             raise last_error

@@ -15,6 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from .bezier import design_matrix
+from .control import DEFAULT_LAMBDA
 from .errors import PatchFitError
 from .pipeline import FitSettings, FitTrace, fit_surface, outer_iterations
 from .projection import project_nearest
@@ -22,47 +23,34 @@ from .projection import project_point  # noqa: F401  kept bound for perfbench's 
 from .selection import FitModel, _rank_key
 from .voxel import PointCloud
 
-ROSENBROCK_DOMAIN = ((-1.0, 1.0), (-0.5, 1.5))
-PLANE_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
+_DOMAINS = {"plane": ((-1.0, 1.0), (-1.0, 1.0)), "rosenbrock": ((-1.0, 1.0), (-0.5, 1.5))}
 
 
 @dataclass
 class LatentSurface:
-    """Reference surface: height field over a rectangle, then rigidly rotated."""
+    """Reference surface: the height field of ``kind`` ("plane" or
+    "rosenbrock") over its ``domain`` rectangle, then rigidly rotated."""
 
     kind: str
-    alpha: float = 0.01
-    a: float = 1.0
-    b: float = 100.0
-    domain: tuple[tuple[float, float], tuple[float, float]] = PLANE_DOMAIN
     rotation: np.ndarray | None = None
 
-    @classmethod
-    def plane(cls, rotation=None) -> "LatentSurface":
-        return cls(kind="plane", domain=PLANE_DOMAIN, rotation=rotation)
+    def __post_init__(self):
+        if self.kind not in _DOMAINS:
+            raise ValueError(f"unknown latent surface kind: {self.kind!r}")
 
-    @classmethod
-    def rosenbrock(cls, rotation=None) -> "LatentSurface":
-        return cls(kind="rosenbrock", domain=ROSENBROCK_DOMAIN, rotation=rotation)
-
-    @classmethod
-    def for_kind(cls, kind: str, rotation=None) -> "LatentSurface":
-        if kind == "plane":
-            return cls.plane(rotation)
-        if kind == "rosenbrock":
-            return cls.rosenbrock(rotation)
-        raise ValueError(f"unknown latent surface kind: {kind!r}")
+    @property
+    def domain(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return _DOMAINS[self.kind]
 
 
 def latent_height(surface: LatentSurface, x, y):
-    """Height field before rotation; zero for the plane."""
+    """Height field before rotation: zero for the plane, and the scaled
+    Rosenbrock sheet 0.01 ((1 - x)^2 + 100 (y - x^2)^2)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if surface.kind == "plane":
         return np.zeros(np.broadcast(x, y).shape)
-    if surface.kind == "rosenbrock":
-        return surface.alpha * ((surface.a - x) ** 2 + surface.b * (y - x**2) ** 2)
-    raise ValueError(f"unknown latent surface kind: {surface.kind!r}")
+    return 0.01 * ((1.0 - x) ** 2 + 100.0 * (y - x**2) ** 2)
 
 
 def latent_eval(surface: LatentSurface, xy: np.ndarray) -> np.ndarray:
@@ -98,7 +86,7 @@ class ExperimentSpec:
     mode: str = "auto"
     orders: tuple[int, int] = (1, 1)
     brute_cap: tuple[int, int] = (4, 4)
-    lam: float = 1e-3
+    lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
         if self.mode not in ("auto", "fixed", "brute"):
@@ -113,7 +101,7 @@ class ExperimentSpec:
             raise ValueError("orders and brute_cap must be at least 1")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and nonnegative")
-        LatentSurface.for_kind(self.surface)  # rejects an unknown kind
+        LatentSurface(self.surface)  # rejects an unknown kind
         if not self.name:
             self.name = f"{self.surface}_n{self.n_tr}_s{self.sigma2_y:g}_{self.mode}"
 
@@ -123,7 +111,6 @@ class Dataset:
     x_tr: np.ndarray
     s_tr: np.ndarray
     s_te: np.ndarray
-    rotation: np.ndarray
 
 
 def make_dataset(spec: ExperimentSpec, trial: int = 0) -> Dataset:
@@ -133,8 +120,7 @@ def make_dataset(spec: ExperimentSpec, trial: int = 0) -> Dataset:
     copy receives additive Gaussian noise of variance sigma2_y per coordinate.
     """
     rng = np.random.default_rng([spec.seed, trial])
-    rotation = random_rotation(rng)
-    surface = LatentSurface.for_kind(spec.surface, rotation)
+    surface = LatentSurface(spec.surface, random_rotation(rng))
     (x_lo, x_hi), (y_lo, y_hi) = surface.domain
     total = spec.n_tr + spec.n_te
     xy = np.column_stack([
@@ -145,7 +131,7 @@ def make_dataset(spec: ExperimentSpec, trial: int = 0) -> Dataset:
     s_tr = latent[: spec.n_tr]
     s_te = latent[spec.n_tr:]
     noise = rng.normal(0.0, math.sqrt(spec.sigma2_y), size=(spec.n_tr, 3))
-    return Dataset(s_tr + noise, s_tr, s_te, rotation)
+    return Dataset(s_tr + noise, s_tr, s_te)
 
 
 @dataclass

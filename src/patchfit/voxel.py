@@ -237,14 +237,13 @@ def select_points(
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    kernel = ones_kernel(l)
     _require_binary(grid)
     laplacian = laplacian_kernel()
     _check_kernel_fits(laplacian, grid.dims)
     seed = tuple(int(s) for s in seed)
     margin = (l - 1) // 2
-    # At least 1, so that the mask at the seed is exact even for an l that
-    # ones_kernel rejects only after the snap.
-    reach = max(l + max_iters * margin + 1, 1)
+    reach = l + max_iters * margin + 1
     window = _window(seed, reach, grid.dims, max(laplacian.dims[0], l))
     lo = tuple(w.start for w in window)
     crop = VoxelGrid(grid.data[window], grid.spacing, grid.origin)
@@ -255,7 +254,6 @@ def select_points(
         seed = _snap_to_mask(mask, lo, seed, l, grid.spacing)
         local = tuple(s - o for s, o in zip(seed, lo))
 
-    kernel = ones_kernel(l)
     _check_kernel_fits(kernel, grid.dims)
     delta = np.zeros_like(mask)
     delta[local] = 1

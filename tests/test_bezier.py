@@ -1,6 +1,7 @@
 """Basis evaluation and surface derivative tests against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -78,6 +79,10 @@ class TestBernstein:
                 bernstein_loggamma(u, i, n), rel=1e-11, abs=1e-300
             )
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match=re.escape("order must be nonnegative, got -1")):
+            bernstein(0.5, 0, -1)
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             bernstein(0.5, -1, 3)
@@ -140,6 +145,11 @@ class TestBezierSurface:
         npt.assert_array_equal(surface.flat[0], control[0, 0])
         npt.assert_array_equal(surface.flat[1], control[1, 0])
         npt.assert_array_equal(surface.flat[2], control[0, 1])
+
+    def test_from_flat_rejects_wrong_shape(self):
+        message = "flat control must have shape (4, 3), got (6, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BezierSurface.from_flat(np.zeros((6, 3)), 1, 1)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -210,6 +220,10 @@ class TestDesignMatrix:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             design_matrix([0.1, 0.2], [0.3], 1, 1)
+
+    def test_no_parameter_pairs(self):
+        with pytest.raises(ValueError, match="need at least one parameter pair"):
+            design_matrix([], [], 1, 1)
 
 
 def planar_surface(origin, a, b):

@@ -103,6 +103,14 @@ class TestSelect:
         assert result.returncode == 4
         assert "error" in result.stderr
 
+    @pytest.mark.parametrize("l", ["0", "2", "-3"])
+    def test_bad_neighborhood_is_a_usage_error(self, tmp_path, half_space_grid, l):
+        # the seed lies inside the solid, off the boundary mask
+        result = run_cli("select", str(half_space_grid), "-o", str(tmp_path / "cloud.csv"),
+                         "--seed-voxel", "10", "10", "5", "--l", l)
+        assert result.returncode == 2
+        assert result.stderr == f"error: neighborhood size must be odd and positive, got {l}\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.vox"
         bad.write_text("not a grid\n")
@@ -146,7 +154,7 @@ def reference_row(point, model):
             j = int(np.argmin(np.sum((point - records) ** 2, axis=1)))
             u0, v0 = model.u[j], model.v[j]
         else:
-            grid = np.linspace(0.0, 1.0, 5)  # the default --init-grid
+            grid = np.linspace(0.0, 1.0, 5)  # the fixed start lattice of record-less documents
             starts = [(u, v) for u in grid for v in grid]
             values = [g_value(point, u, v, model.surface) for u, v in starts]
             u0, v0 = starts[int(np.argmin(values))]
@@ -202,6 +210,13 @@ class TestFit:
         assert result.returncode == 2
         assert f"error: {message}" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_too_few_points_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "two.csv"
+        write_point_cloud(PointCloud(np.eye(2, 3), np.ones(2)), path)
+        result = run_cli("fit", str(path), "-o", str(tmp_path / "s.json"))
+        assert result.returncode == 2
+        assert result.stderr == "error: need at least 3 points to fit, got 2\n"
 
     def test_rank_deficiency_exit_code(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -435,7 +450,7 @@ class TestHelpDefaults:
     @pytest.mark.parametrize("command", [["fit", "c.csv"], ["project", "s.json", "c.csv"]],
                              ids=["fit", "project"])
     @pytest.mark.parametrize("flag", ["--max-newton-iters", "--grad-tol", "--armijo-c",
-                                      "--backtrack-factor", "--max-backtracks"])
+                                      "--backtrack-factor", "--max-backtracks", "--init-grid"])
     def test_projection_constants_are_not_flags(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args([*command, "-o", "out", flag, "1"])

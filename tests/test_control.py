@@ -89,6 +89,14 @@ class TestSolveControlPoints:
             solve_control_points(points, np.ones(3), [0.1, 0.5, 0.9], [0.2, 0.4, 0.8],
                                  1, 1, lam=0.0)
 
+    def test_tiny_pivot_without_regularization(self):
+        # v spans 2e-8, so the v direction passes Cholesky with a tiny pivot
+        rng = np.random.default_rng(5)
+        u = np.linspace(0.0, 1.0, 20)
+        v = 0.5 + 1e-9 * np.arange(20)
+        with pytest.raises(RankDeficiencyError, match="numerically singular at lam=0"):
+            solve_control_points(rng.normal(size=(20, 3)), np.ones(20), u, v, 1, 1, lam=0.0)
+
     def test_optimality_residual(self):
         rng = np.random.default_rng(6)
         n = 40
@@ -119,14 +127,13 @@ class TestSolveControlPoints:
 
     @pytest.mark.parametrize("lam", [1e-3, 0.0])
     def test_overflowing_system_rejected(self, lam):
-        # w^2 = 1e400 overflows the normal equations to inf; the overflow
-        # warning itself is not under test
+        # w^2 = 1e400 overflows the normal equations to inf; the solve rejects
+        # them without a RuntimeWarning, which the test config makes an error
         rng = np.random.default_rng(8)
         truth = BezierSurface(rng.normal(size=(2, 2, 3)))
         points, u, v = synth_points(rng, truth, 20)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                solve_control_points(points, np.full(20, 1e200), u, v, 1, 1, lam=lam)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_control_points(points, np.full(20, 1e200), u, v, 1, 1, lam=lam)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

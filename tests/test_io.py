@@ -69,6 +69,18 @@ class TestVoxelGridFormat:
         with pytest.raises(FileFormatError, match="bad.vox:1"):
             read_voxel_grid(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file"),
+        ("VOX1 2 x 2 1 1 1 0 0 0\n1 1 1 1\n",
+         ":1: bad header value (invalid literal for int() with base 10: 'x')"),
+    ], ids=["empty", "bad_value"])
+    def test_header_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.vox"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_voxel_grid(path)
+        assert str(err.value) == f"{path}{message}"
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.vox"
         path.write_text("VOX1 1 1 2 1 1 1 0 0 0\n1\nx\n")
@@ -316,6 +328,20 @@ class TestPointCloudFormat:
         with pytest.raises(FileFormatError, match="cloud.csv:3"):
             read_point_cloud(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x,y,z,w\n1,2,3,1\n\n  \n4,5,6,0.5\n")
+        points, weights = read_xyzw(path)
+        npt.assert_array_equal(points, [[1, 2, 3], [4, 5, 6]])
+        npt.assert_array_equal(weights, [1, 0.5])
+
+    def test_non_numeric_field_reports_line(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x,y,z,w\n1,2,3,1\n1,two,3,1\n")
+        with pytest.raises(FileFormatError) as err:
+            read_xyzw(path)
+        assert str(err.value) == f"{path}:3: bad value (could not convert string to float: 'two')"
+
     @pytest.mark.parametrize("row", ["nan,2,3,1", "1,inf,3,1", "1,2,3,inf"])
     def test_non_finite_row_is_a_format_error(self, tmp_path, row):
         path = tmp_path / "cloud.csv"
@@ -421,6 +447,7 @@ class TestStudyConfig:
         ("orders = 2", "field orders needs two integers"),
         ("orders = 1 2 3", "field orders needs two integers"),
         ("orders = 1 x", "field orders needs two integers"),
+        ("n_tr 10", "expected 'key = value'"),
     ])
     def test_bad_value_message_per_field_type(self, line, message):
         with pytest.raises(FileFormatError) as err:
@@ -440,6 +467,11 @@ class TestStudyConfig:
         with pytest.raises(FileFormatError) as err:
             parse_study_config(spec + spec + line + "\n", "cfg")
         assert str(err.value) == f"cfg: spec 2: {message}"
+
+    def test_no_spec_sections(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_study_config("# a comment only\n", "cfg")
+        assert str(err.value) == "cfg: no [spec] sections found"
 
     def test_bundled_configs_load(self):
         for name in ("table1_trends", "fig4_plane"):

@@ -13,11 +13,14 @@ from patchfit import (
     DegenerateGeometryError,
     FitSettings,
     PointCloud,
+    VoxelGrid,
     design_matrix,
+    extract_cloud,
     fit_surface,
     init_uv,
     outer_iterations,
     random_rotation,
+    select_points,
     surface_eval,
 )
 
@@ -239,3 +242,39 @@ class TestFitSurface:
     def test_bad_settings_rejected_at_construction(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(**{name: value})
+
+
+# Known heights over an 80^3 grid of unit voxels whose index is the coordinate.
+KNOWN_HEIGHTS = {
+    "tilted plane": lambda x, y: 30.0 + 0.25 * x + 0.15 * y,
+    "flat floor": lambda x, y: 40.5 + 0.0 * x + 0.0 * y,
+    "sphere cap": lambda x, y: 10.0 + np.sqrt(60.0**2 - (x - 40.0) ** 2 - (y - 40.0) ** 2),
+}
+
+
+class TestVoxelPathOnKnownSurfaces:
+    """select_points, extract_cloud and fit_surface on grids occupied at and
+    below an analytic height h: voxel (i, j, k) is occupied when k <= h(i, j)."""
+
+    # The cap's pole, (40, 40), is one flat terrace of voxels and fits (1, 1).
+    @pytest.mark.parametrize("name, query", [
+        *((name, query) for name in ("tilted plane", "flat floor")
+          for query in [(25, 30), (40, 40), (55, 48)]),
+        ("sphere cap", (25, 30)), ("sphere cap", (55, 48)),
+    ])
+    def test_orders_and_half_voxel_bias(self, name, query):
+        height = KNOWN_HEIGHTS[name]
+        idx = np.arange(80, dtype=np.float64)
+        occupied = idx[None, None, :] <= height(idx[:, None], idx[None, :])[:, :, None]
+        grid = VoxelGrid(occupied.astype(np.int64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        i, j = query
+        region = select_points(grid, (i, j, math.floor(height(i, j))), epsilon=6)
+        model, _ = fit_surface(extract_cloud(region))
+        if name == "sphere cap":
+            assert min(model.n_u, model.n_v) >= 2
+        else:
+            assert (model.n_u, model.n_v) == (1, 1)
+        # Boundary voxel centres sit on average half a voxel below h.
+        fitted = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
+        bias = np.mean(height(fitted[:, 0], fitted[:, 1]) - fitted[:, 2])
+        assert 0.25 <= bias <= 0.75

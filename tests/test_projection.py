@@ -1,6 +1,7 @@
 """Foot-point search: closed-form oracles, descent, and determinism."""
 
-from dataclasses import replace
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -38,7 +39,7 @@ def rosenbrock_batch(seed, n=60, spread=0.3):
     """A patch of order (4, 2) fitted to a rotated Rosenbrock sheet, noisy
     points on the sheet, and starts ``spread`` away from their parameters."""
     rng = np.random.default_rng(seed)
-    sheet = LatentSurface.rosenbrock(random_rotation(rng))
+    sheet = LatentSurface("rosenbrock", random_rotation(rng))
     (x0, x1), (y0, y1) = sheet.domain
 
     def on_sheet(u, v):
@@ -146,7 +147,9 @@ class TestProjectPoint:
         values = []
         for k in range(12):
             with monkeypatch.context() as m:
-                truncated = replace(projection._SETTINGS, max_newton_iters=k)
+                # the settings fields are not constructor arguments, so copy them
+                truncated = SimpleNamespace(**{**asdict(projection._SETTINGS),
+                                               "max_newton_iters": k})
                 m.setattr(projection, "_SETTINGS", truncated)
                 res = project_point(x, surface, 0.35, 0.65)
             values.append(res.g)
@@ -160,6 +163,16 @@ class TestProjectPoint:
         surface = random_surface(rng, 3, 3)
         with pytest.raises(ProjectionError):
             project_point(np.zeros(3), surface, 1e200, 0.5)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("name", ["max_newton_iters", "grad_tol", "armijo_c",
+                                      "backtrack_factor", "max_backtracks", "floor_ulp"])
+    def test_constants_are_not_constructor_arguments(self, name):
+        settings = projection.ProjectionSettings()
+        assert settings == projection._SETTINGS
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            projection.ProjectionSettings(**{name: getattr(settings, name)})
 
 
 class TestPrecisionFloor:

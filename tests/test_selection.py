@@ -187,6 +187,14 @@ class TestMdlSelect:
         model = mdl_select(cloud, u, v, 2, 2, lam=1e-3, order_cap=(2, 2))
         assert (model.n_u, model.n_v) == (2, 2)
 
+    def test_single_failing_candidate_keeps_the_solve_message(self):
+        # order_cap at the start order leaves one candidate, as fixed orders do
+        rng = np.random.default_rng(5)
+        cloud = PointCloud(rng.normal(size=(20, 3)), np.ones(20))
+        u, v = np.linspace(0.0, 1.0, 20), 0.5 + 1e-9 * np.arange(20)
+        with pytest.raises(RankDeficiencyError, match="^control-point system is numerically"):
+            mdl_select(cloud, u, v, 1, 1, lam=0.0, order_cap=(1, 1))
+
     def test_all_candidates_failing_raises(self):
         rng = np.random.default_rng(9)
         cloud = PointCloud(rng.normal(size=(3, 3)), np.ones(3))

@@ -34,16 +34,16 @@ def rosenbrock_oracle(x, y, alpha=0.01, a=1.0, b=100.0):
 
 class TestLatentSurfaces:
     def test_plane_height_zero(self):
-        surface = LatentSurface.plane()
+        surface = LatentSurface("plane")
         assert latent_height(surface, 0.3, -0.8) == 0.0
 
     def test_rosenbrock_minimum(self):
-        surface = LatentSurface.rosenbrock()
-        assert latent_height(surface, surface.a, surface.a**2) == 0.0
+        surface = LatentSurface("rosenbrock")
+        assert latent_height(surface, 1.0, 1.0) == 0.0
 
     def test_duplicate_formula_oracle(self):
         rng = np.random.default_rng(0)
-        surface = LatentSurface.rosenbrock()
+        surface = LatentSurface("rosenbrock")
         xs = rng.uniform(-1, 1, 50)
         ys = rng.uniform(-0.5, 1.5, 50)
         values = latent_height(surface, xs, ys)
@@ -53,14 +53,23 @@ class TestLatentSurfaces:
     def test_rotation_applied_after_height(self):
         rng = np.random.default_rng(1)
         rot = random_rotation(rng)
-        surface = LatentSurface.rosenbrock(rotation=rot)
-        flat = LatentSurface.rosenbrock()
+        surface = LatentSurface("rosenbrock", rotation=rot)
+        flat = LatentSurface("rosenbrock")
         xy = rng.uniform(0, 1, (10, 2))
         npt.assert_allclose(latent_eval(surface, xy), latent_eval(flat, xy) @ rot.T, rtol=1e-13)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LatentSurface.for_kind("sphere")
+        with pytest.raises(ValueError, match="unknown latent surface kind: 'sphere'"):
+            LatentSurface("sphere")
+
+    def test_domain_follows_kind(self):
+        assert LatentSurface("plane").domain == ((-1.0, 1.0), (-1.0, 1.0))
+        assert LatentSurface("rosenbrock").domain == ((-1.0, 1.0), (-0.5, 1.5))
+
+    @pytest.mark.parametrize("name", ["alpha", "a", "b", "domain"])
+    def test_only_kind_and_rotation_are_arguments(self, name):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            LatentSurface("rosenbrock", **{name: 1.0})
 
 
 class TestRandomRotation:
@@ -262,7 +271,7 @@ class TestStudies:
                     sample_rng.uniform(-1, 1, 130),
                     sample_rng.uniform(-0.5, 1.5, 130),
                 ])
-                flat = latent_eval(LatentSurface.rosenbrock(), xy)
+                flat = latent_eval(LatentSurface("rosenbrock"), xy)
                 noise = np.zeros((130, 3))
                 noise[:100] = sample_rng.normal(0, 0.1, (100, 3))
                 rotated = (flat + noise) @ rot.T

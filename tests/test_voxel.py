@@ -404,6 +404,13 @@ class TestWindowedSelection:
         with pytest.raises(EmptySelectionError, match=re.escape(message)):
             select_points(half_space(dim=20, z_top=5), query, max_iters=1)
 
+    @pytest.mark.parametrize("l", [0, 2, -3])
+    def test_bad_neighborhood_is_rejected_before_the_snap(self, l):
+        # (10, 10, 5) lies inside the solid, off the boundary mask
+        message = f"neighborhood size must be odd and positive, got {l}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_points(half_space(dim=20, z_top=9), (10, 10, 5), l=l, max_iters=1)
+
     def test_region_far_from_the_edge_leaves_the_rest_zero(self):
         grid = half_space(dim=64, z_top=31)
         with warnings.catch_warnings():
@@ -465,6 +472,15 @@ class TestExtractCloud:
         bad = VoxelGrid(np.zeros((5, 5, 5)), (1, 1, 1), (0, 0, 0))
         with pytest.raises(ValueError):
             extract_cloud(region, "external-map", bad)
+
+    def test_external_map_dims_must_match(self):
+        data = np.zeros((5, 5, 5), dtype=np.int64)
+        data[1, 1, 1] = 1
+        region = VoxelGrid(data, (1, 1, 1), (0, 0, 0))
+        wmap = VoxelGrid(np.ones((5, 5, 4)), (1, 1, 1), (0, 0, 0))
+        message = "weight grid dims (5, 5, 4) do not match region dims (5, 5, 5)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_cloud(region, "external-map", wmap)
 
     def test_empty_region(self):
         region = VoxelGrid(np.zeros((4, 4, 4), dtype=np.int64), (1, 1, 1), (0, 0, 0))
