@@ -4,8 +4,10 @@ Each point is an independent 2D minimization of the half squared distance,
 solved by Newton's method with Armijo backtracking; when the Hessian is not
 positive definite the step falls back to steepest descent, so every accepted
 step decreases the objective. A point stops once its gradient norm is at most
-``grad_tol``, or at the precision floor: when its accepted step is at most
-``floor_ulp`` ulp of max(1, |(u, v)|), or when its backtracking ladder
+``grad_tol``, or at the precision floor: when its Hessian is positive
+definite and its Newton decrement -g.p is at most ``floor_ulp`` eps |r|
+(|x| + |r|), the rounding noise of the objective with |r| = sqrt(2 g), in
+which case it stops without taking the step; or when its backtracking ladder
 reaches a trial that no longer moves (u, v) before an Armijo point. Both
 stops count as converged.
 
@@ -50,6 +52,7 @@ class ProjectionSettings:
 
 
 _SETTINGS = ProjectionSettings()
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -70,7 +73,9 @@ class BatchProjection:
     """Per-point foot points for a cloud; failed points keep their inputs.
 
     ``converged`` marks the points that stopped at ``grad_tol`` or at the
-    precision floor. ``grad_norm`` holds each point's final gradient norm; a
+    precision floor: a Newton decrement within ``floor_ulp`` eps |r|
+    (|x| + |r|), or a backtracking ladder that stopped moving (u, v) before
+    an Armijo point. ``grad_norm`` holds each point's final gradient norm; a
     point that failed after a step keeps the norm of its last finite
     derivatives. ``iterations`` counts each point's accepted Newton steps and
     ``kernel_calls`` the batched objective-kernel calls of the solve.
@@ -102,11 +107,10 @@ def _solve_batch(points, control, u0, v0):
     iterations = np.zeros(u.size, dtype=np.int64)
     active = ~failed & (np.hypot(derivs[:, 0], derivs[:, 1]) > _SETTINGS.grad_tol)
     floored = np.zeros(u.size, dtype=bool)
+    x_norm = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
 
     for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
         gu, gv, a, b, d = derivs[idx].T
         det = a * d - b * b
         newton = (det > 0.0) & (a + d > 0.0)
@@ -114,6 +118,17 @@ def _solve_batch(points, control, u0, v0):
         p0 = np.where(newton, -(d * gu - b * gv) / det_safe, -gu)
         p1 = np.where(newton, -(a * gv - b * gu) / det_safe, -gv)
         dirderiv = gu * p0 + gv * p1
+
+        # A Newton lane whose decrement -g.p is within the rounding noise of
+        # its objective, floor_ulp eps |r| (|x| + |r|), stops without the step.
+        r_norm = np.sqrt(2.0 * value[idx])
+        noise = _SETTINGS.floor_ulp * _EPS * r_norm * (x_norm[idx] + r_norm)
+        done = newton & (-dirderiv <= noise)
+        stop = idx[done]
+        floored[stop], active[stop] = True, False
+        idx, p0, p1, dirderiv = idx[~done], p0[~done], p1[~done], dirderiv[~done]
+        if idx.size == 0:
+            break
 
         cur_u, cur_v, cur_val = u[idx], v[idx], value[idx]
         cand_u, cand_v = cur_u + p0, cur_v + p1
@@ -154,7 +169,6 @@ def _solve_batch(points, control, u0, v0):
         moved = idx[accepted]
         if moved.size == 0:
             continue
-        prev_u, prev_v = cur_u[accepted], cur_v[accepted]
         new_u, new_v = cand_u[accepted], cand_v[accepted]
         u[moved], v[moved] = new_u, new_v
         value[moved] = cand_val[accepted]
@@ -165,13 +179,7 @@ def _solve_batch(points, control, u0, v0):
         finite = np.isfinite(fresh).all(axis=1)
         failed[moved[~finite]] = True
         derivs[moved[finite]] = fresh[finite]
-        going = finite & (np.hypot(fresh[:, 0], fresh[:, 1]) > _SETTINGS.grad_tol)
-        # A lane whose step was at most floor_ulp ulp of max(1, |(u, v)|) stops.
-        du, dv = new_u - prev_u, new_v - prev_v
-        scale = np.sqrt(np.maximum(1.0, prev_u * prev_u + prev_v * prev_v))
-        tiny = going & (np.sqrt(du * du + dv * dv) <= _SETTINGS.floor_ulp * np.spacing(scale))
-        floored[moved[tiny]] = True
-        active[moved] = going & ~tiny
+        active[moved] = finite & (np.hypot(fresh[:, 0], fresh[:, 1]) > _SETTINGS.grad_tol)
 
     u[failed], v[failed], value[failed] = u0[failed], v0[failed], g_start[failed]
     grad_norm = np.hypot(derivs[:, 0], derivs[:, 1])

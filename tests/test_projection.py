@@ -17,9 +17,10 @@ from patchfit import (
     project_point,
     surface_eval,
 )
-from patchfit import design_matrix, projection
+from patchfit import design_matrix, fit_surface, projection
 from patchfit.bezier import _values_grads_hessians, _values_only
-from patchfit.simulate import LatentSurface, latent_eval, random_rotation
+from patchfit.simulate import (ExperimentSpec, LatentSurface, latent_eval, make_dataset,
+                               random_rotation)
 
 
 def planar_surface(origin, a, b):
@@ -58,13 +59,16 @@ def sequential_solve(points, control, u0, v0):
 
     Same stop rule as the batched solver: a lane stops at ``grad_tol``, when
     the line search finds no Armijo point (at the precision floor when its
-    ladder reached a trial that no longer moves (u, v)), or when its accepted
-    step is at most ``floor_ulp`` ulp of max(1, |(u, v)|).
+    ladder reached a trial that no longer moves (u, v)), or, without taking
+    the step, when its Newton decrement -g.p is at most ``floor_ulp`` eps
+    |r| (|x| + |r|), the rounding noise of its objective.
     """
     s = projection._SETTINGS
+    eps = np.finfo(np.float64).eps
     lanes = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x, u, v in zip(points, u0, v0):
+            x_norm = np.hypot(np.hypot(x[0], x[1]), x[2])
             x, u, v = x[None, :], np.array([u]), np.array([v])
             value, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
             g_start, norm, iterations = value, np.hypot(gu, gv), 0
@@ -74,11 +78,16 @@ def sequential_solve(points, control, u0, v0):
                 if failed or floored or norm[0] <= s.grad_tol:
                     break
                 det = a * d - b * b
-                if det[0] > 0.0 and (a + d)[0] > 0.0:
+                newton = det[0] > 0.0 and (a + d)[0] > 0.0
+                if newton:
                     p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
                 else:
                     p0, p1 = -gu, -gv
                 slope = gu * p0 + gv * p1
+                r_norm = np.sqrt(2.0 * value)
+                if newton and -slope[0] <= (s.floor_ulp * eps * r_norm * (x_norm + r_norm))[0]:
+                    floored = True
+                    break
                 alpha, step = 1.0, None
                 for k in range(s.max_backtracks):
                     tu, tv = u + alpha * p0, v + alpha * p1
@@ -92,17 +101,13 @@ def sequential_solve(points, control, u0, v0):
                     alpha *= s.backtrack_factor
                 if step is None:
                     break
-                (pu, pv), (u, v, value) = (u, v), step
+                u, v, value = step
                 iterations += 1
                 _, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
                 if not np.isfinite([gu, gv, a, b, d]).all():
                     failed = True
                     break
                 norm = np.hypot(gu, gv)
-                if norm[0] > s.grad_tol:
-                    du, dv = u - pu, v - pv
-                    scale = np.sqrt(np.maximum(1.0, pu * pu + pv * pv))
-                    floored = np.sqrt(du * du + dv * dv)[0] <= s.floor_ulp * np.spacing(scale)[0]
             lanes.append((u[0], v[0], value[0], g_start[0], norm[0], iterations, failed,
                           not failed and (norm[0] <= s.grad_tol or floored)))
     return lanes
@@ -197,17 +202,40 @@ class TestPrecisionFloor:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_far_foot_point_stops_at_the_floor(self, seed):
-        # At u = 1e8 one ulp of u moves the surface by about 1e-8, so the
-        # gradient cannot fall to grad_tol; the lane stops at the floor.
+        # Started at its exact foot point far out on a plane, the lane takes
+        # no step: the rounding noise of the objective, about eps |r| |x|,
+        # swamps the decrease Newton predicts. From u = 1e8 on, one ulp of u
+        # moves the surface by about 1e-8, so the gradient cannot fall to
+        # grad_tol either.
         rng = np.random.default_rng(seed)
         a, b = rng.normal(size=3), rng.normal(size=3)
         surface = planar_surface(np.zeros(3), a, b)
         normal = np.cross(a, b) / np.linalg.norm(np.cross(a, b))
-        res = project_point(1e8 * a + 0.5 * b + normal, surface, 1e8, 0.5)
-        assert res.grad_norm > projection._SETTINGS.grad_tol
-        assert res.converged
-        assert res.iterations <= 2
-        assert res.g <= res.g_start
+        for far in (1e6, 1e8, 1e9):
+            res = project_point(far * a + 0.5 * b + normal, surface, far, 0.5)
+            assert res.iterations == 0, far
+            assert (res.u, res.v, res.g) == (far, 0.5, res.g_start)
+            assert res.converged
+            if far >= 1e8:
+                assert res.grad_norm > projection._SETTINGS.grad_tol
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_converged_foot_points_are_a_fixed_point(self, trial):
+        # Re-projecting the lanes that converged onto the fitted surface
+        # takes no step and makes only the first kernel call.
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=300, sigma2_y=1e-2, seed=0)
+        data = make_dataset(spec, trial)
+        cloud = PointCloud(data.x_tr, np.ones(spec.n_tr))
+        model, _ = fit_surface(cloud)
+        first = project_all(cloud, model.surface, model.u, model.v)
+        ok = first.converged
+        again = project_all(PointCloud(data.x_tr[ok], np.ones(ok.sum())), model.surface,
+                            first.u[ok], first.v[ok])
+        assert again.iterations.sum() == 0
+        assert again.kernel_calls == 1
+        npt.assert_array_equal(again.u, first.u[ok])
+        npt.assert_array_equal(again.v, first.v[ok])
+        assert again.converged.all()
 
     def test_at_most_two_line_search_calls_per_newton_iteration(self, monkeypatch):
         log = []
