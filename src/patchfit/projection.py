@@ -1,15 +1,15 @@
 """Foot-point location on a fixed surface.
 
 Each point is an independent 2D minimization of the half squared distance,
-solved by Newton's method with Armijo backtracking; when the Hessian is not
-positive definite the step falls back to steepest descent, so every accepted
-step decreases the objective. A point stops once its gradient norm is at most
-``grad_tol``, or at the precision floor: when its Hessian is positive
-definite and its Newton decrement -g.p is at most ``floor_ulp`` eps |r|
-(|x| + |r|), the rounding noise of the objective with |r| = sqrt(2 g), in
-which case it stops without taking the step; or when its backtracking ladder
-reaches a trial that no longer moves (u, v) before an Armijo point. Both
-stops count as converged.
+solved by Newton's method on a modified Hessian with Armijo backtracking:
+(H + mu I) p = -g, with mu = 0 when H is positive definite and otherwise
+mu = |g| - 2 lambda_min(H), so every step descends. A point stops once its
+gradient norm is at most ``grad_tol``, or at the precision floor: when no
+step length alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is
+above the rounding noise ``floor_ulp`` eps |r| (|x| + |r|) of the objective,
+|r| = sqrt(2 g), is an Armijo point; a point whose decrement -g.p is within
+that noise stops without the step. Both stops count as converged; a
+non-finite step is never at the floor.
 
 A Newton iteration makes at most two ``_values_only`` calls: one for the
 full step of every active point, and one for the remaining backtracking
@@ -73,12 +73,12 @@ class BatchProjection:
     """Per-point foot points for a cloud; failed points keep their inputs.
 
     ``converged`` marks the points that stopped at ``grad_tol`` or at the
-    precision floor: a Newton decrement within ``floor_ulp`` eps |r|
-    (|x| + |r|), or a backtracking ladder that stopped moving (u, v) before
-    an Armijo point. ``grad_norm`` holds each point's final gradient norm; a
-    point that failed after a step keeps the norm of its last finite
-    derivatives. ``iterations`` counts each point's accepted Newton steps and
-    ``kernel_calls`` the batched objective-kernel calls of the solve.
+    precision floor: no Armijo point among the step lengths whose predicted
+    decrease is above ``floor_ulp`` eps |r| (|x| + |r|). ``grad_norm`` holds
+    each point's final gradient norm; a point that failed after a step keeps
+    the norm of its last finite derivatives. ``iterations`` counts each
+    point's accepted Newton steps and ``kernel_calls`` the batched
+    objective-kernel calls of the solve.
     """
 
     u: np.ndarray
@@ -112,21 +112,23 @@ def _solve_batch(points, control, u0, v0):
     for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
         gu, gv, a, b, d = derivs[idx].T
+        # Lanes not positive definite shift H by mu to smallest eigenvalue |g| + |lambda_min|.
+        convex = (a * d - b * b > 0.0) & (a + d > 0.0)
+        lam_min = (a + d) / 2 - np.hypot((a - d) / 2, b)
+        mu = np.where(convex, 0.0, np.hypot(gu, gv) - 2.0 * lam_min)
+        a, d = a + mu, d + mu
         det = a * d - b * b
-        newton = (det > 0.0) & (a + d > 0.0)
-        det_safe = np.where(newton, det, 1.0)
-        p0 = np.where(newton, -(d * gu - b * gv) / det_safe, -gu)
-        p1 = np.where(newton, -(a * gv - b * gu) / det_safe, -gv)
+        p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
         dirderiv = gu * p0 + gv * p1
 
-        # A Newton lane whose decrement -g.p is within the rounding noise of
-        # its objective, floor_ulp eps |r| (|x| + |r|), stops without the step.
+        # A lane whose decrement -g.p is within the rounding noise of its
+        # objective, floor_ulp eps |r| (|x| + |r|), stops without the step.
         r_norm = np.sqrt(2.0 * value[idx])
         noise = _SETTINGS.floor_ulp * _EPS * r_norm * (x_norm[idx] + r_norm)
-        done = newton & (-dirderiv <= noise)
+        done = -dirderiv <= noise
         stop = idx[done]
         floored[stop], active[stop] = True, False
-        idx, p0, p1, dirderiv = idx[~done], p0[~done], p1[~done], dirderiv[~done]
+        idx, p0, p1, dirderiv, noise = (y[~done] for y in (idx, p0, p1, dirderiv, noise))
         if idx.size == 0:
             break
 
@@ -137,18 +139,16 @@ def _solve_batch(points, control, u0, v0):
         accepted = np.isfinite(cand_val) & (cand_val <= cur_val + _SETTINGS.armijo_c * dirderiv)
 
         # Lanes that reject alpha = 1 evaluate the rest of their ladder in one
-        # call: alpha = 1/2, 1/4, ... up to the first trial that no longer
-        # moves (u, v). Each takes its first Armijo point; a lane with none
-        # whose ladder ran into that floor has stalled at the precision floor.
+        # call: alpha = 1/2, 1/4, ... while alpha (-g.p) is above the noise,
+        # which a NaN step always is. Each takes its first Armijo point; a lane
+        # with none whose ladder reached the noise stops at the floor.
         back = np.flatnonzero(~accepted)
         if back.size:
             alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
-            bu, bv = cur_u[back, None], cur_v[back, None]
-            trial_u = bu + alphas * p0[back, None]
-            trial_v = bv + alphas * p1[back, None]
-            moves = (trial_u != bu) | (trial_v != bv)
-            length = np.where(moves.all(axis=1), alphas.size, moves.argmin(axis=1))
-            rungs = np.arange(alphas.size) < length[:, None]
+            rungs = ~(-alphas * dirderiv[back, None] <= noise[back, None])
+            length = rungs.sum(axis=1)
+            trial_u = cur_u[back, None] + alphas * p0[back, None]
+            trial_v = cur_v[back, None] + alphas * p1[back, None]
             trial_val = np.full(rungs.shape, np.nan)
             if length.any():
                 trial_val[rungs] = _values_only(points[np.repeat(idx[back], length)],
@@ -196,11 +196,11 @@ def project_point(
 ) -> ProjectionResult:
     """Locally minimize the half squared distance from x to the surface.
 
-    Returns once the gradient norm falls to ``grad_tol``, the point reaches
-    the precision floor (both count as ``converged``), the line search finds
-    no decrease, or the Newton budget is spent; the final objective never
-    exceeds the starting one.
-    Raises ProjectionError when the objective or its derivatives stop
+    Takes shifted Newton steps (see the module docstring) until the gradient
+    norm falls to ``grad_tol`` or the point reaches the precision floor (both
+    count as ``converged``), the line search finds no Armijo point, or the
+    Newton budget is spent; the final objective never exceeds the starting
+    one. Raises ProjectionError when the objective or its derivatives stop
     being finite.
     """
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)

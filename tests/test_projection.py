@@ -17,7 +17,7 @@ from patchfit import (
     project_point,
     surface_eval,
 )
-from patchfit import design_matrix, fit_surface, projection
+from patchfit import design_matrix, fit_surface, pipeline, projection
 from patchfit.bezier import _values_grads_hessians, _values_only
 from patchfit.simulate import (ExperimentSpec, LatentSurface, latent_eval, make_dataset,
                                random_rotation)
@@ -54,14 +54,30 @@ def rosenbrock_batch(seed, n=60, spread=0.3):
             u + spread * rng.normal(size=n), v + spread * rng.normal(size=n))
 
 
+def far_plane_batch(seed, n=60):
+    """Noisy points (sd 1e-3) on a random planar bilinear patch at |u|, |v| up
+    to 1e6, with starts 1e-8 relative off their parameters. Far out, the
+    rounding noise of the objective's Bernstein sums exceeds the floor, so
+    nearly every lane ends at the ladder floor."""
+    rng = np.random.default_rng(seed)
+    surface = planar_surface(*rng.normal(size=(3, 3)))
+    u, v = rng.uniform(-1e6, 1e6, n), rng.uniform(-1e6, 1e6, n)
+    points = np.array([surface_eval(ui, vi, surface) for ui, vi in zip(u, v)])
+    points += 1e-3 * rng.normal(size=points.shape)
+    return (surface, points,
+            u * (1 + 1e-8 * rng.normal(size=n)), v * (1 + 1e-8 * rng.normal(size=n)))
+
+
 def sequential_solve(points, control, u0, v0):
     """Reference solver: lane by lane, one backtracking trial per kernel call.
 
-    Same stop rule as the batched solver: a lane stops at ``grad_tol``, when
-    the line search finds no Armijo point (at the precision floor when its
-    ladder reached a trial that no longer moves (u, v)), or, without taking
-    the step, when its Newton decrement -g.p is at most ``floor_ulp`` eps
-    |r| (|x| + |r|), the rounding noise of its objective.
+    Same step and stop rule as the batched solver: a lane solves
+    (H + mu I) p = -g, with mu = |g| - 2 lambda_min when H is not positive
+    definite. It stops at ``grad_tol``, when the line search finds no Armijo
+    point, or at the precision floor: without taking the step when its
+    decrement -g.p is at most ``floor_ulp`` eps |r| (|x| + |r|), the rounding
+    noise of its objective, or when its ladder reaches a step length alpha
+    whose predicted decrease alpha (-g.p) is within that noise.
     """
     s = projection._SETTINGS
     eps = np.finfo(np.float64).eps
@@ -77,23 +93,25 @@ def sequential_solve(points, control, u0, v0):
             for _ in range(s.max_newton_iters):
                 if failed or floored or norm[0] <= s.grad_tol:
                     break
-                det = a * d - b * b
-                newton = det[0] > 0.0 and (a + d)[0] > 0.0
-                if newton:
-                    p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
-                else:
-                    p0, p1 = -gu, -gv
+                ha, hd = a, d
+                if not ((a * d - b * b)[0] > 0.0 and (a + d)[0] > 0.0):
+                    lam_min = (a + d) / 2 - np.hypot((a - d) / 2, b)
+                    mu = norm - 2.0 * lam_min
+                    ha, hd = a + mu, d + mu
+                det = ha * hd - b * b
+                p0, p1 = -(hd * gu - b * gv) / det, -(ha * gv - b * gu) / det
                 slope = gu * p0 + gv * p1
                 r_norm = np.sqrt(2.0 * value)
-                if newton and -slope[0] <= (s.floor_ulp * eps * r_norm * (x_norm + r_norm))[0]:
+                noise = (s.floor_ulp * eps * r_norm * (x_norm + r_norm))[0]
+                if -slope[0] <= noise:
                     floored = True
                     break
                 alpha, step = 1.0, None
                 for k in range(s.max_backtracks):
-                    tu, tv = u + alpha * p0, v + alpha * p1
-                    if k > 0 and tu[0] == u[0] and tv[0] == v[0]:
+                    if k > 0 and -alpha * slope[0] <= noise:
                         floored = True
                         break
+                    tu, tv = u + alpha * p0, v + alpha * p1
                     tval = _values_only(x, tu, tv, control)
                     if np.isfinite(tval[0]) and tval[0] <= (value + s.armijo_c * alpha * slope)[0]:
                         step = tu, tv, tval
@@ -181,9 +199,10 @@ class TestSettings:
 
 
 class TestPrecisionFloor:
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, "far-plane"])
     def test_batch_equals_sequential_backtracking_bitwise(self, seed):
-        surface, points, u0, v0 = rosenbrock_batch(seed)
+        surface, points, u0, v0 = (far_plane_batch(0) if seed == "far-plane"
+                                   else rosenbrock_batch(seed))
         u0[0] = 1e200  # a lane that fails at its start
         batch = projection._solve_batch(points, surface.control, u0, v0)
         norms = batch.grad_norm
@@ -236,6 +255,34 @@ class TestPrecisionFloor:
         npt.assert_array_equal(again.u, first.u[ok])
         npt.assert_array_equal(again.v, first.v[ok])
         assert again.converged.all()
+
+    def test_every_lane_of_a_fit_converges(self, monkeypatch):
+        # Lanes whose Hessian is indefinite take a shifted Newton step, so
+        # none of them creeps through the whole Newton budget.
+        batches = []
+
+        def recording(*args):
+            batches.append(project_all(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(pipeline, "project_all", recording)
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=1000, sigma2_y=1e-2, seed=0)
+        data = make_dataset(spec, 0)
+        fit_surface(PointCloud(data.x_tr, np.ones(spec.n_tr)))
+        assert batches
+        for batch in batches:
+            assert batch.converged.all()
+            assert batch.iterations.max() < projection._SETTINGS.max_newton_iters
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_non_finite_step_is_not_a_floor(self, seed):
+        # On a patch scaled by 1e100, a d - b^2 overflows and the step is NaN:
+        # its decrease is never within the rounding noise, so the lane takes
+        # no step and is not converged.
+        surface = random_surface(np.random.default_rng(seed), 3, 3, scale=1e100)
+        res = project_point(surface_eval(0.4, 0.6, surface) * 1.5, surface, 0.3, 0.7)
+        assert not res.converged
+        assert res.iterations == 0
 
     def test_at_most_two_line_search_calls_per_newton_iteration(self, monkeypatch):
         log = []

@@ -16,7 +16,10 @@ Outputs:
   ``select`` on a seeded VOX1 grid; ``fit`` on its cloud with default
   settings, with ``--fixed-orders 2 3`` and with ``--lam 0``; ``project``
   onto a document with records and onto one with ``"points": []``, each
-  with a NaN probe and a ``1e300`` probe; ``study table1_trends --trials 2``.
+  with a NaN probe and a ``1e300`` probe, and onto the first document from
+  probes lifted 10-30 mm off the surface (``project_far``), where foot-point
+  lanes with an indefinite Hessian take the shifted Newton step;
+  ``study table1_trends --trials 2``.
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
   ``--weight-mode inverse-distance``, ``external-map`` with
@@ -105,6 +108,19 @@ def write_probes(cloud_path: Path, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_far_probes(cloud_path: Path, path: Path) -> None:
+    """Every fifth cloud point, lifted 10-30 mm along z with a random sign,
+    beyond the wavy surface's radius of curvature (about 12 mm)."""
+    rows = cloud_path.read_text().splitlines()[1:]
+    rng = np.random.default_rng(5)
+    lines = ["x,y,z,w"]
+    for row in rows[::5]:
+        x, y, z, _ = row.split(",")
+        lift = float(rng.choice((-1.0, 1.0)) * rng.uniform(10.0, 30.0))
+        lines.append(f"{x},{y},{float(z) + lift!r},1.0")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def mask_warning_sites(stderr: str) -> str:
     return re.sub(r"^\S.*?:\d+: (\w+Warning): ", r"<where>: \1: ", stderr, flags=re.M)
 
@@ -153,6 +169,9 @@ def cli_outputs(outdir: Path, src: Path) -> None:
                                 "-o", "foot_records.csv"], outdir, env)
     run_cli("project_norecords", ["project", "surface_norecords.json", "probes.csv",
                                   "-o", "foot_norecords.csv"], outdir, env)
+    write_far_probes(outdir / "cloud.csv", outdir / "probes_far.csv")
+    run_cli("project_far", ["project", "surface.json", "probes_far.csv",
+                            "-o", "foot_far.csv"], outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
     help_env = dict(env, COLUMNS="80")
     for command in ("select", "fit", "project", "study"):
