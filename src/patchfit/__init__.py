@@ -52,14 +52,11 @@ from .simulate import (
     run_trial,
 )
 from .voxel import (
-    Kernel3,
     PointCloud,
     VoxelGrid,
     boundary_mask,
     convolve3,
     extract_cloud,
-    laplacian_kernel,
-    ones_kernel,
     select_points,
 )
 

@@ -9,7 +9,8 @@ step length alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is
 above the rounding noise ``floor_ulp`` eps |r| (|x| + |r|) of the objective,
 |r| = sqrt(2 g), is an Armijo point; a point whose decrement -g.p is within
 that noise stops without the step. Both stops count as converged; a
-non-finite step is never at the floor.
+non-finite step, such as that of a system whose determinant overflows, is
+never at the floor.
 
 A Newton iteration makes at most two ``_values_only`` calls: one for the
 full step of every active point, and one for the remaining backtracking
@@ -118,6 +119,7 @@ def _solve_batch(points, control, u0, v0):
         mu = np.where(convex, 0.0, np.hypot(gu, gv) - 2.0 * lam_min)
         a, d = a + mu, d + mu
         det = a * d - b * b
+        det[~np.isfinite(det)] = np.nan  # an overflowed system gives a NaN step, not 0
         p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
         dirderiv = gu * p0 + gv * p1
 

@@ -1,9 +1,10 @@
 """Point selection from binary occupancy grids.
 
 The pipeline is: mark interior boundary voxels by thresholding a Laplacian
-convolution, grow a connected region outward from a query voxel by repeated
+response, grow a connected region outward from a query voxel by repeated
 box-kernel convolution, then turn the grown region into a weighted point
-cloud at voxel centers.
+cloud at voxel centers. Both steps are box sums: at an occupied voxel the
+Laplacian (26 at the center, -1 elsewhere) equals 27 - box_3(occupancy).
 """
 
 from __future__ import annotations
@@ -65,25 +66,6 @@ class VoxelGrid:
 
 
 @dataclass
-class Kernel3:
-    """Odd-sized integer convolution kernel."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 3:
-            raise ValueError("kernel must be 3D")
-        if any(d % 2 == 0 or d < 1 for d in w.shape):
-            raise ValueError(f"kernel dims must be odd and positive, got {w.shape}")
-        self.weights = w.astype(np.int64)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.weights.shape
-
-
-@dataclass
 class PointCloud:
     """Indexed finite points in R^3 with finite, strictly positive weights."""
 
@@ -107,43 +89,29 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def laplacian_kernel() -> Kernel3:
-    """3x3x3 kernel with 26 at the center and -1 elsewhere.
-
-    Convolved with a binary grid, the response at an occupied voxel equals
-    the number of exterior voxels in its 3x3x3 neighborhood (out-of-grid
-    counts as exterior via zero padding).
-    """
-    w = np.full((3, 3, 3), -1, dtype=np.int64)
-    w[1, 1, 1] = 26
-    return Kernel3(w)
-
-
-def ones_kernel(l: int = DEFAULT_NEIGHBORHOOD) -> Kernel3:
-    """l x l x l all-ones box kernel used for region growth."""
+def _box_size(l: int, dims: tuple[int, int, int] | None = None) -> int:
+    """``l`` as an int, checked odd and positive and, given ``dims``, within them."""
     l = int(l)
     if l < 1 or l % 2 == 0:
         raise ValueError(f"neighborhood size must be odd and positive, got {l}")
-    return Kernel3(np.ones((l, l, l), dtype=np.int64))
+    if dims is not None and any(l > d for d in dims):
+        raise ValueError(f"kernel dims {(l, l, l)} exceed grid dims {dims}")
+    return l
 
 
-def _check_kernel_fits(kernel: Kernel3, dims: tuple[int, int, int]) -> None:
-    if any(k > g for k, g in zip(kernel.dims, dims)):
-        raise ValueError(f"kernel dims {kernel.dims} exceed grid dims {dims}")
+def convolve3(grid: VoxelGrid, l: int) -> VoxelGrid:
+    """Zero-padded l x l x l box sum, exact while every sum fits in int64.
 
-
-def convolve3(grid: VoxelGrid, kernel: Kernel3) -> VoxelGrid:
-    """Direct 3D convolution with zero padding, exact while every sum fits in int64.
-
-    Each nonzero tap of the flipped kernel adds one shifted slice of the padded
-    grid. Output has the same dims, spacing and origin as the input.
+    The box is separable: along each axis in turn, l shifted slices of the
+    padded array are added. Output has the same dims, spacing and origin as
+    the input.
     """
-    _check_kernel_fits(kernel, grid.dims)
-    flipped = kernel.weights[::-1, ::-1, ::-1]
-    padded = np.pad(grid.data.astype(np.int64, copy=False), [(k // 2, k // 2) for k in kernel.dims])
-    (n, m, p), out = grid.dims, np.zeros(grid.dims, dtype=np.int64)
-    for a, b, c in np.argwhere(flipped):
-        out += flipped[a, b, c] * padded[a:a + n, b:b + m, c:c + p]
+    l = _box_size(l, grid.dims)
+    out = grid.data.astype(np.int64, copy=False)
+    for axis in range(3):
+        n = out.shape[axis]
+        padded = np.pad(out, [(l // 2, l // 2) if a == axis else (0, 0) for a in range(3)])
+        out = sum(padded[(slice(None),) * axis + (slice(s, s + n),)] for s in range(l))
     return VoxelGrid(out, grid.spacing, grid.origin)
 
 
@@ -156,13 +124,14 @@ def boundary_mask(grid: VoxelGrid, epsilon: int = DEFAULT_EPSILON) -> VoxelGrid:
     """Binary mask of interior boundary voxels.
 
     A voxel is kept when it is occupied and has at least ``epsilon`` exterior
-    voxels in its 3x3x3 neighborhood. The occupancy requirement excludes
-    exterior voxels adjacent to the volume, which would otherwise pass the
-    threshold.
+    voxels in its 3x3x3 neighborhood, out-of-grid voxels counting as
+    exterior. That count, 27 - box_3(occupancy), is the Laplacian response
+    at an occupied voxel. The occupancy requirement excludes exterior voxels
+    adjacent to the volume, which would otherwise pass the threshold.
     """
     _require_binary(grid)
-    response = convolve3(grid, laplacian_kernel()).data
-    mask = ((response >= int(epsilon)) & (grid.data == 1)).astype(np.int64)
+    exterior = 27 - convolve3(grid, 3).data
+    mask = ((exterior >= int(epsilon)) & (grid.data == 1)).astype(np.int64)
     return VoxelGrid(mask, grid.spacing, grid.origin)
 
 
@@ -226,25 +195,23 @@ def select_points(
 
     The support thus lies within Chebyshev distance
     ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
-    run only in a window one voxel wider than that (the Laplacian's context)
-    and the result is scattered back into a grid of the input's dims. The
-    binary and kernel-size checks still cover the whole grid.
+    run only in a window one voxel wider than that (the mask's 3x3x3
+    context) and the result is scattered back into a grid of the input's
+    dims. The binary and box-size checks still cover the whole grid.
 
     Emits PerimeterTruncationWarning when the grown region comes close enough
     to the grid perimeter that the next dilation would leave the grid.
     """
-    l = int(l)
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    kernel = ones_kernel(l)
+    l = _box_size(l)
     _require_binary(grid)
-    laplacian = laplacian_kernel()
-    _check_kernel_fits(laplacian, grid.dims)
+    _box_size(3, grid.dims)
     seed = tuple(int(s) for s in seed)
     margin = (l - 1) // 2
     reach = l + max_iters * margin + 1
-    window = _window(seed, reach, grid.dims, max(laplacian.dims[0], l))
+    window = _window(seed, reach, grid.dims, max(3, l))
     lo = tuple(w.start for w in window)
     crop = VoxelGrid(grid.data[window], grid.spacing, grid.origin)
     mask = boundary_mask(crop, epsilon).data
@@ -254,24 +221,21 @@ def select_points(
         seed = _snap_to_mask(mask, lo, seed, l, grid.spacing)
         local = tuple(s - o for s, o in zip(seed, lo))
 
-    _check_kernel_fits(kernel, grid.dims)
+    _box_size(l, grid.dims)
     delta = np.zeros_like(mask)
     delta[local] = 1
-    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), kernel).data * mask
+    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), l).data * mask
     for _ in range(max_iters - 1):
-        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), kernel).data * mask
+        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), l).data * mask
         region = np.minimum(region + grown, _SATURATION)
 
     support = np.argwhere(region > 0) + np.array(lo)
-    if support.size:
-        near_low = (support <= margin).any()
-        near_high = (support >= np.array(grid.dims) - 1 - margin).any()
-        if near_low or near_high:
-            warnings.warn(
-                "region growth reached the grid perimeter; selection may be truncated",
-                PerimeterTruncationWarning,
-                stacklevel=2,
-            )
+    if ((support <= margin) | (support >= np.array(grid.dims) - 1 - margin)).any():
+        warnings.warn(
+            "region growth reached the grid perimeter; selection may be truncated",
+            PerimeterTruncationWarning,
+            stacklevel=2,
+        )
     full = np.zeros(grid.dims, dtype=np.int64)
     full[window] = region
     return VoxelGrid(full, grid.spacing, grid.origin)
@@ -287,7 +251,8 @@ def extract_cloud(
     Weight modes:
         uniform: all weights 1.
         inverse-distance: region value divided by the region maximum, in (0, 1].
-        external-map: weights read from ``weight_grid`` at the same voxels.
+        external-map: weights read from ``weight_grid`` at the same voxels;
+            its dims, spacing and origin must match the region's.
     """
     indices = np.argwhere(region.data > 0)
     if indices.shape[0] == 0:
@@ -305,6 +270,11 @@ def extract_cloud(
             raise ValueError(
                 f"weight grid dims {weight_grid.dims} do not match region dims {region.dims}"
             )
+        if not (np.array_equal(weight_grid.spacing, region.spacing)
+                and np.array_equal(weight_grid.origin, region.origin)):
+            raise ValueError(f"weight grid spacing {weight_grid.spacing}, origin "
+                             f"{weight_grid.origin} do not match region spacing "
+                             f"{region.spacing}, origin {region.origin}")
         weights = weight_grid.data[tuple(indices.T)].astype(np.float64)
         if not (weights > 0).all():
             raise ValueError("external weight map must be strictly positive on selected voxels")

@@ -99,6 +99,7 @@ def sequential_solve(points, control, u0, v0):
                     mu = norm - 2.0 * lam_min
                     ha, hd = a + mu, d + mu
                 det = ha * hd - b * b
+                det[~np.isfinite(det)] = np.nan
                 p0, p1 = -(hd * gu - b * gv) / det, -(ha * gv - b * gu) / det
                 slope = gu * p0 + gv * p1
                 r_norm = np.sqrt(2.0 * value)
@@ -276,13 +277,14 @@ class TestPrecisionFloor:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_finite_step_is_not_a_floor(self, seed):
-        # On a patch scaled by 1e100, a d - b^2 overflows and the step is NaN:
-        # its decrease is never within the rounding noise, so the lane takes
-        # no step and is not converged.
-        surface = random_surface(np.random.default_rng(seed), 3, 3, scale=1e100)
-        res = project_point(surface_eval(0.4, 0.6, surface) * 1.5, surface, 0.3, 0.7)
-        assert not res.converged
-        assert res.iterations == 0
+        # On a patch scaled by 1e100 or 1e77, a d - b^2 overflows and the step
+        # is NaN: its decrease is never within the rounding noise, so the lane
+        # takes no step and is not converged.
+        for scale in (1e100, 1e77):
+            surface = random_surface(np.random.default_rng(seed), 3, 3, scale=scale)
+            res = project_point(surface_eval(0.4, 0.6, surface) * 1.5, surface, 0.3, 0.7)
+            assert not res.converged, scale
+            assert res.iterations == 0, scale
 
     def test_at_most_two_line_search_calls_per_newton_iteration(self, monkeypatch):
         log = []

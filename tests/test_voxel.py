@@ -12,15 +12,12 @@ from hypothesis import strategies as st
 
 from patchfit import (
     EmptySelectionError,
-    Kernel3,
     PerimeterTruncationWarning,
     PointCloud,
     VoxelGrid,
     boundary_mask,
     convolve3,
     extract_cloud,
-    laplacian_kernel,
-    ones_kernel,
     select_points,
 )
 
@@ -48,6 +45,17 @@ def exterior_neighbor_count(data, i, j, k):
                 if not inside or data[p] == 0:
                     count += 1
     return count
+
+
+def box_sum(data, l):
+    """Oracle: the zero-padded l x l x l box sum, one shifted slice per tap."""
+    data = np.asarray(data, dtype=np.int64)
+    padded = np.pad(data, l // 2)
+    n, m, p = data.shape
+    out = np.zeros(data.shape, dtype=np.int64)
+    for a, b, c in np.ndindex(l, l, l):
+        out += padded[a:a + n, b:b + m, c:c + p]
+    return out
 
 
 def bfs_support(mask, seed, radius, max_depth):
@@ -97,20 +105,20 @@ def reference_snap(mask, seed, radius, spacing):
 
 
 def reference_select(grid, seed, l, max_iters, epsilon):
-    """Oracle: the boundary mask and every growth convolution over the whole grid."""
+    """Oracle: the boundary mask and every growth box sum over the whole grid."""
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     mask = boundary_mask(grid, epsilon).data
     seed = tuple(int(s) for s in seed)
     if not all(0 <= seed[a] < mask.shape[a] for a in range(3)) or mask[seed] == 0:
         seed = reference_snap(mask, seed, l, grid.spacing)
-    kernel = ones_kernel(l)
+    if any(l > d for d in mask.shape):
+        raise ValueError(f"kernel dims {(l, l, l)} exceed grid dims {mask.shape}")
     delta = np.zeros_like(mask)
     delta[seed] = 1
-    region = convolve3(VoxelGrid(delta, grid.spacing, grid.origin), kernel).data * mask
+    region = box_sum(delta, l) * mask
     for _ in range(max_iters - 1):
-        grown = convolve3(VoxelGrid(region, grid.spacing, grid.origin), kernel).data * mask
-        region = np.minimum(region + grown, 2**52)
+        region = np.minimum(region + box_sum(region, l) * mask, 2**52)
     margin = (l - 1) // 2
     support = np.argwhere(region > 0)
     if ((support <= margin).any()
@@ -182,71 +190,55 @@ def random_blob_grid(rng, dim=20):
     return unit_grid(data)
 
 
-class TestKernels:
-    def test_laplacian_entries(self):
-        w = laplacian_kernel().weights
-        assert w[1, 1, 1] == 26
-        assert w.sum() == 0
-        off_center = w.copy()
-        off_center[1, 1, 1] = -1
-        assert (off_center == -1).all()
-
-    def test_ones_kernel_validation(self):
-        assert ones_kernel(3).weights.sum() == 27
-        with pytest.raises(ValueError):
-            ones_kernel(4)
-
-    def test_kernel_requires_odd_dims(self):
-        with pytest.raises(ValueError):
-            Kernel3(np.ones((2, 3, 3), dtype=int))
-
-
 class TestConvolve3:
     def test_identity_kernel(self):
+        # the 1x1x1 box is the identity
         rng = np.random.default_rng(0)
         grid = unit_grid(rng.integers(0, 5, (6, 7, 8)))
-        kernel = np.zeros((3, 3, 3), dtype=np.int64)
-        kernel[1, 1, 1] = 1
-        out = convolve3(grid, Kernel3(kernel))
+        out = convolve3(grid, 1)
         npt.assert_array_equal(out.data, grid.data)
 
     def test_laplacian_on_all_ones_interior(self):
-        grid = unit_grid(np.ones((9, 9, 9)))
-        out = convolve3(grid, laplacian_kernel())
-        assert out.data[4, 4, 4] == 0
+        # the Laplacian response 27 x - box_3(x) vanishes inside a solid
+        out = convolve3(unit_grid(np.ones((9, 9, 9))), 3)
+        assert 27 - out.data[4, 4, 4] == 0
 
     def test_laplacian_single_voxel(self):
         data = np.zeros((7, 7, 7), dtype=np.int64)
         data[3, 3, 3] = 1
-        out = convolve3(unit_grid(data), laplacian_kernel())
-        assert out.data[3, 3, 3] == 26
+        out = convolve3(unit_grid(data), 3)
+        assert 27 * data[3, 3, 3] - out.data[3, 3, 3] == 26
 
     def test_matches_direct_sum(self):
-        # oracle: out[i] = sum_k w[k] data[i - k + c], zero outside the grid
         rng = np.random.default_rng(1)
-        data = rng.integers(-9, 10, (5, 6, 7))
-        weights = rng.integers(-3, 4, (3, 1, 5))
-        out = convolve3(unit_grid(data), Kernel3(weights)).data
-        expected = np.zeros_like(out)
-        for i in np.ndindex(data.shape):
-            for k in np.ndindex(weights.shape):
-                j = tuple(a - b + d // 2 for a, b, d in zip(i, k, weights.shape))
-                if all(0 <= x < n for x, n in zip(j, data.shape)):
-                    expected[i] += weights[k] * data[j]
-        npt.assert_array_equal(out, expected)
+        data = 2**40 + rng.integers(-1000, 1000, (5, 6, 7))
+        grid = VoxelGrid(data, (0.5, 1.0, 2.0), (1.5, -2.0, 0.25))
+        for l in (1, 3, 5):
+            out = convolve3(grid, l)
+            assert out.data.dtype == np.int64
+            npt.assert_array_equal(out.data, box_sum(data, l), err_msg=f"{l=}")
+            npt.assert_array_equal(out.spacing, grid.spacing)
+            npt.assert_array_equal(out.origin, grid.origin)
 
     def test_integer_exact_beyond_double(self):
         data = np.zeros((3, 3, 3), dtype=np.int64)
         data[0, 0, 0] = 2**53 + 1
         data[2, 1, 0] = 2**60 + 3
-        out = convolve3(unit_grid(data), ones_kernel(3)).data
+        out = convolve3(unit_grid(data), 3).data
         assert out.dtype == np.int64
         assert out[1, 1, 1] == 2**60 + 2**53 + 4
 
     def test_kernel_larger_than_grid(self):
-        grid = unit_grid(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError):
-            convolve3(grid, laplacian_kernel())
+        message = "kernel dims (3, 3, 3) exceed grid dims (2, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convolve3(unit_grid(np.ones((2, 2, 2))), 3)
+
+    def test_box_size_must_be_odd_and_positive(self):
+        grid = unit_grid(np.ones((5, 5, 5)))
+        for l in (0, 2, 4, -3):
+            message = f"neighborhood size must be odd and positive, got {l}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                convolve3(grid, l)
 
 
 class TestBoundaryMask:
@@ -283,6 +275,21 @@ class TestBoundaryMask:
                 assert exterior_neighbor_count(grid.data, i, j, k) >= 9
             for i, j, k in np.argwhere((mask == 0) & (grid.data == 1))[::31]:
                 assert exterior_neighbor_count(grid.data, i, j, k) < 9
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(3, 8)] * 3), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.1, 0.95))
+    def test_matches_exterior_count_for_every_epsilon(self, dims, seed, density):
+        # every voxel, faces and corners included, against the brute-force count
+        data = (np.random.default_rng(seed).random(dims) < density).astype(np.int64)
+        counts = np.zeros(dims, dtype=np.int64)
+        for index in np.ndindex(dims):
+            counts[index] = exterior_neighbor_count(data, *index)
+        grid = unit_grid(data)
+        for epsilon in range(28):
+            expected = ((data == 1) & (counts >= epsilon)).astype(np.int64)
+            npt.assert_array_equal(boundary_mask(grid, epsilon).data, expected,
+                                   err_msg=f"{epsilon=}")
 
 
 class TestSelectPoints:
@@ -481,6 +488,11 @@ class TestExtractCloud:
         message = "weight grid dims (5, 5, 4) do not match region dims (5, 5, 5)"
         with pytest.raises(ValueError, match=re.escape(message)):
             extract_cloud(region, "external-map", wmap)
+        # same dims on other voxels: a shifted origin, a different spacing
+        for spacing, origin in (((1, 1, 1), (0, 0, 0.5)), ((1, 2, 1), (0, 0, 0))):
+            wmap = VoxelGrid(np.ones((5, 5, 5)), spacing, origin)
+            with pytest.raises(ValueError, match="do not match region spacing"):
+                extract_cloud(region, "external-map", wmap)
 
     def test_empty_region(self):
         region = VoxelGrid(np.zeros((4, 4, 4), dtype=np.int64), (1, 1, 1), (0, 0, 0))

@@ -22,7 +22,9 @@ Outputs:
   ``study table1_trends --trials 2``.
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
-  ``--weight-mode inverse-distance``, ``external-map`` with
+  ``--weight-mode inverse-distance``, the growth box sizes ``--l 5`` (with
+  inverse-distance weights, so region values are compared, not just the
+  support) and ``--l 1``, ``external-map`` with
   ``--weight-grid``, the grid written with CRLF line breaks, a grid with a
   bad token, and grids on each side of the bytewise 0/1 reading: separated
   only by tabs and form feeds, with one ``1`` written ``1.0``, separated by
@@ -35,7 +37,7 @@ Outputs:
   and Rosenbrock, automatic and fixed orders, several training sizes and
   noise levels), floats written with ``float.hex``. ``ms`` is left out.
 
-Not part of the test suite: a full run takes a few minutes.
+Not part of the test suite: a full run takes about 12 s (2-core Xeon).
 """
 
 from __future__ import annotations
@@ -190,6 +192,11 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
     run_cli("select_inverse", ["select", "grid.vox", "-o", "cloud_inverse.csv", *common,
                                "--seed-voxel", *map(str, seed),
                                "--weight-mode", "inverse-distance"], outdir, env)
+    run_cli("select_l5", ["select", "grid.vox", "-o", "cloud_l5.csv", *common,
+                          "--seed-voxel", *map(str, seed), "--l", "5",
+                          "--weight-mode", "inverse-distance"], outdir, env)
+    run_cli("select_l1", ["select", "grid.vox", "-o", "cloud_l1.csv", *common,
+                          "--seed-voxel", *map(str, seed), "--l", "1"], outdir, env)
     (outdir / "weights.vox").write_text(weight_grid_text(GRID_N))
     run_cli("select_external", ["select", "grid.vox", "-o", "cloud_external.csv", *common,
                                 "--seed-voxel", *map(str, seed), "--weight-mode",
