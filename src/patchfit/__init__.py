@@ -53,6 +53,7 @@ from .simulate import (
 )
 from .voxel import (
     PointCloud,
+    Region,
     VoxelGrid,
     boundary_mask,
     convolve3,

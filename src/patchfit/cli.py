@@ -108,6 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_select(args) -> int:
+    if args.weight_grid is not None and args.weight_mode != "external-map":
+        print("error: --weight-grid is read only with --weight-mode external-map",
+              file=sys.stderr)
+        return EXIT_USAGE
     grid = io.read_voxel_grid(args.grid)
     if args.seed_voxel is not None:
         seed = tuple(args.seed_voxel)

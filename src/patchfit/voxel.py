@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,11 +59,11 @@ class VoxelGrid:
         return self.data.shape
 
     def is_binary(self) -> bool:
-        return bool(((self.data == 0) | (self.data == 1)).all())
-
-    def voxel_centers(self, indices: np.ndarray) -> np.ndarray:
-        """Physical centers (mm) for an (n, 3) array of voxel indices."""
-        return self.origin + np.asarray(indices, dtype=np.float64) * self.spacing
+        data = self.data
+        if data.dtype.kind in "iu":
+            # One pass: read as unsigned, a negative value wraps above 1.
+            return bool(data.view(data.dtype.str.replace("i", "u")).max() <= 1)
+        return bool(((data == 0) | (data == 1)).all())
 
 
 @dataclass
@@ -89,6 +90,30 @@ class PointCloud:
         return self.points.shape[0]
 
 
+@dataclass
+class Region:
+    """A grown region: values in a window of a parent grid.
+
+    ``window[i, j, k]`` is the value of parent voxel ``offset + (i, j, k)``;
+    every parent voxel outside the window is 0. ``dims``, ``spacing`` and
+    ``origin`` are the parent grid's.
+    """
+
+    window: np.ndarray
+    offset: tuple[int, int, int]
+    dims: tuple[int, int, int]
+    spacing: np.ndarray
+    origin: np.ndarray
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The region as a read-only grid of the parent's dims, built on first read."""
+        full = np.zeros(self.dims, dtype=self.window.dtype)
+        full[tuple(slice(o, o + n) for o, n in zip(self.offset, self.window.shape))] = self.window
+        full.flags.writeable = False
+        return full
+
+
 def _box_size(l: int, dims: tuple[int, int, int] | None = None) -> int:
     """``l`` as an int, checked odd and positive and, given ``dims``, within them."""
     l = int(l)
@@ -102,16 +127,20 @@ def _box_size(l: int, dims: tuple[int, int, int] | None = None) -> int:
 def convolve3(grid: VoxelGrid, l: int) -> VoxelGrid:
     """Zero-padded l x l x l box sum, exact while every sum fits in int64.
 
-    The box is separable: along each axis in turn, l shifted slices of the
-    padded array are added. Output has the same dims, spacing and origin as
-    the input.
+    The box is separable: along each axis in turn, the array shifted by
+    each of -(l-1)/2 .. (l-1)/2 voxels is added into a copy of itself, the
+    voxels shifted in from outside counting 0. Output has the same dims,
+    spacing and origin as the input.
     """
     l = _box_size(l, grid.dims)
     out = grid.data.astype(np.int64, copy=False)
     for axis in range(3):
-        n = out.shape[axis]
-        padded = np.pad(out, [(l // 2, l // 2) if a == axis else (0, 0) for a in range(3)])
-        out = sum(padded[(slice(None),) * axis + (slice(s, s + n),)] for s in range(l))
+        acc = out.copy()
+        lead = (slice(None),) * axis
+        for s in range(1, l // 2 + 1):
+            acc[lead + (slice(s, None),)] += out[lead + (slice(None, -s),)]
+            acc[lead + (slice(None, -s),)] += out[lead + (slice(s, None),)]
+        out = acc
     return VoxelGrid(out, grid.spacing, grid.origin)
 
 
@@ -183,7 +212,7 @@ def select_points(
     l: int = DEFAULT_NEIGHBORHOOD,
     max_iters: int = DEFAULT_MAX_ITERS,
     epsilon: int = DEFAULT_EPSILON,
-) -> VoxelGrid:
+) -> Region:
     """Grow a single-surface region of boundary voxels around a query voxel.
 
     Starting from the seed (snapped to the nearest boundary voxel within
@@ -196,8 +225,8 @@ def select_points(
     The support thus lies within Chebyshev distance
     ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
     run only in a window one voxel wider than that (the mask's 3x3x3
-    context) and the result is scattered back into a grid of the input's
-    dims. The binary and box-size checks still cover the whole grid.
+    context), and the result is that window with its offset into the grid.
+    Only the binary check covers the whole grid.
 
     Emits PerimeterTruncationWarning when the grown region comes close enough
     to the grid perimeter that the next dilation would leave the grid.
@@ -224,10 +253,13 @@ def select_points(
     _box_size(l, grid.dims)
     delta = np.zeros_like(mask)
     delta[local] = 1
-    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), l).data * mask
+    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), l).data
+    region *= mask
     for _ in range(max_iters - 1):
-        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), l).data * mask
-        region = np.minimum(region + grown, _SATURATION)
+        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), l).data
+        grown *= mask
+        grown += region
+        region = np.minimum(grown, _SATURATION, out=grown)
 
     support = np.argwhere(region > 0) + np.array(lo)
     if ((support <= margin) | (support >= np.array(grid.dims) - 1 - margin)).any():
@@ -236,17 +268,18 @@ def select_points(
             PerimeterTruncationWarning,
             stacklevel=2,
         )
-    full = np.zeros(grid.dims, dtype=np.int64)
-    full[window] = region
-    return VoxelGrid(full, grid.spacing, grid.origin)
+    return Region(region, lo, grid.dims, grid.spacing, grid.origin)
 
 
 def extract_cloud(
-    region: VoxelGrid,
+    region: Region | VoxelGrid,
     weight_mode: str = "uniform",
     weight_grid: VoxelGrid | None = None,
 ) -> PointCloud:
     """One point per nonzero region voxel, at its physical center.
+
+    Only the region's window is read; a plain ``VoxelGrid`` is its own
+    window, at offset 0.
 
     Weight modes:
         uniform: all weights 1.
@@ -254,14 +287,17 @@ def extract_cloud(
         external-map: weights read from ``weight_grid`` at the same voxels;
             its dims, spacing and origin must match the region's.
     """
-    indices = np.argwhere(region.data > 0)
-    if indices.shape[0] == 0:
+    if isinstance(region, VoxelGrid):
+        region = Region(region.data, (0, 0, 0), region.dims, region.spacing, region.origin)
+    local = np.argwhere(region.window > 0)
+    if local.shape[0] == 0:
         raise EmptySelectionError("region grid has no nonzero voxels")
-    points = region.voxel_centers(indices)
+    indices = local + np.array(region.offset)
+    points = region.origin + indices.astype(np.float64) * region.spacing
     if weight_mode == "uniform":
         weights = np.ones(indices.shape[0])
     elif weight_mode == "inverse-distance":
-        values = region.data[tuple(indices.T)].astype(np.float64)
+        values = region.window[tuple(local.T)].astype(np.float64)
         weights = values / values.max()
     elif weight_mode == "external-map":
         if weight_grid is None:

@@ -111,6 +111,17 @@ class TestSelect:
         assert result.returncode == 2
         assert result.stderr == f"error: neighborhood size must be odd and positive, got {l}\n"
 
+    @pytest.mark.parametrize("mode", [None, "uniform", "inverse-distance"])
+    def test_weight_grid_needs_external_map(self, tmp_path, mode):
+        # neither grid exists: the flags are rejected before either is read
+        args = ["select", str(tmp_path / "missing.vox"), "-o", str(tmp_path / "cloud.csv"),
+                "--seed-voxel", "0", "0", "0", "--weight-grid", str(tmp_path / "w.vox")]
+        result = run_cli(*args, *(["--weight-mode", mode] if mode else []))
+        assert result.returncode == 2
+        assert result.stderr == ("error: --weight-grid is read only with "
+                                 "--weight-mode external-map\n")
+        assert not (tmp_path / "cloud.csv").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.vox"
         bad.write_text("not a grid\n")

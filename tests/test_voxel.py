@@ -1,6 +1,7 @@
 """Boundary detection and region growth against counting and BFS oracles."""
 
 import re
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -148,6 +149,21 @@ def slab(dims, top):
     return data
 
 
+def random_occupancy(rng, dims, kind):
+    """A random binary grid: noise, a union of balls, or a slab along k."""
+    if kind == "noise":
+        return (rng.random(dims) < rng.uniform(0.2, 0.9)).astype(np.int64)
+    if kind == "blobs":
+        idx = np.indices(dims)
+        data = np.zeros(dims, dtype=np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            center = rng.uniform(0, dims)
+            dist2 = sum((idx[a] - center[a]) ** 2 for a in range(3))
+            data[dist2 <= rng.uniform(2, 10) ** 2] = 1
+        return data
+    return slab(dims, int(rng.integers(0, dims[2])))
+
+
 @st.composite
 def selection_cases(draw):
     """Random binary grids 3-40 voxels a side (one in ten with a stray 2), and
@@ -157,18 +173,7 @@ def selection_cases(draw):
     max_iters = draw(st.integers(1, 6))
     epsilon = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("noise", "blobs", "slab")))
-    if kind == "noise":
-        data = (rng.random(dims) < rng.uniform(0.2, 0.9)).astype(np.int64)
-    elif kind == "blobs":
-        idx = np.indices(dims)
-        data = np.zeros(dims, dtype=np.int64)
-        for _ in range(int(rng.integers(1, 4))):
-            center = rng.uniform(0, dims)
-            dist2 = sum((idx[a] - center[a]) ** 2 for a in range(3))
-            data[dist2 <= rng.uniform(2, 10) ** 2] = 1
-    else:
-        data = slab(dims, int(rng.integers(0, dims[2])))
+    data = random_occupancy(rng, dims, draw(st.sampled_from(("noise", "blobs", "slab"))))
     if rng.random() < 0.1:
         data[tuple(int(rng.integers(0, d)) for d in dims)] = 2
     reach = l + max_iters * (l - 1) // 2 + 1
@@ -176,6 +181,84 @@ def selection_cases(draw):
         draw(st.sampled_from(("inside", "near", "outside")))]
     query = tuple(draw(st.integers(-pad, d - 1 + pad)) for d in dims)
     return data, query, l, max_iters, epsilon
+
+
+@st.composite
+def cloud_cases(draw):
+    """Random binary grids 3-32 voxels a side with anisotropic spacing and an
+    offset origin, a seed on, off or beside a face of the boundary mask, a
+    weight mode and a weight grid (sometimes 0 on a few voxels)."""
+    dims = tuple(draw(st.integers(3, 32)) for _ in range(3))
+    l = draw(st.sampled_from((1, 3, 5)))
+    max_iters = draw(st.integers(1, 4))
+    epsilon = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = random_occupancy(rng, dims, draw(st.sampled_from(("noise", "blobs", "slab"))))
+    spacing = tuple(draw(st.sampled_from((0.3, 0.5, 1.25, 2.0))) for _ in range(3))
+    origin = tuple(draw(st.floats(-100, 100, allow_nan=False)) for _ in range(3))
+    grid = VoxelGrid(data, spacing, origin)
+    on_mask = np.argwhere(boundary_mask(grid, epsilon).data == 1)
+    kind = draw(st.sampled_from(("on", "off", "face")))
+    if kind == "face":
+        near_face = ((on_mask <= 1) | (on_mask >= np.array(dims) - 2)).any(axis=1)
+        on_mask = on_mask[near_face]
+    if len(on_mask) == 0:
+        seed = tuple(int(rng.integers(0, d)) for d in dims)
+    else:
+        seed = tuple(int(c) for c in on_mask[rng.integers(len(on_mask))])
+    if kind == "off":
+        seed = tuple(c + int(rng.integers(-l - 1, l + 2)) for c in seed)
+    weights = rng.uniform(0.1, 2.0, dims)
+    if rng.random() < 0.2:
+        weights[rng.random(dims) < 0.05] = 0.0
+    mode = draw(st.sampled_from(("uniform", "inverse-distance", "external-map")))
+    return grid, seed, l, max_iters, epsilon, mode, VoxelGrid(weights, spacing, origin)
+
+
+def cloud_outcome(select, as_grid, grid, seed, l, max_iters, epsilon, mode, weight_grid):
+    """Cloud bytes (or exception type and message) of ``select`` then
+    ``extract_cloud``, and the warnings raised; ``as_grid`` passes the
+    region's full ``.data`` as a plain ``VoxelGrid``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            region = select(grid, seed, l, max_iters, epsilon)
+            if as_grid:
+                region = VoxelGrid(region.data, region.spacing, region.origin)
+            cloud = extract_cloud(region, mode, weight_grid)
+        except Exception as exc:  # the type and message are compared, not handled
+            result = (type(exc), str(exc))
+        else:
+            result = (cloud.points.shape, cloud.points.tobytes(), cloud.weights.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# Values beside 0 and 1 in each dtype: negatives that wrap to large unsigned
+# values, 2 and the extremes; for floats also 0.5, -0.0, NaN and the doubles
+# next to 1.
+ODD_VALUES = {
+    "int8": [-1, 2, -128, 127],
+    "int64": [-1, 2, -2**63, 2**63 - 1, 2**32 + 1],
+    ">i8": [-1, 2, -2**63, 2**32 + 1],
+    "uint8": [2, 255],
+    "float64": [-1.0, 2.0, 0.5, -0.0, np.nan, np.inf, 1 + 2**-52, 1 - 2**-53],
+    "bool": [],
+}
+
+
+@st.composite
+def near_binary_arrays(draw):
+    """A 0/1 array of a drawn dtype, with a few entries set to odd values,
+    sometimes transposed so that it is not C-contiguous."""
+    name = draw(st.sampled_from(sorted(ODD_VALUES)))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    bits = draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    data = np.array(bits).reshape(shape).astype(name)
+    for _ in range(draw(st.integers(0, 2)) if ODD_VALUES[name] else 0):
+        index = tuple(draw(st.integers(0, d - 1)) for d in shape)
+        data[index] = draw(st.sampled_from(ODD_VALUES[name]))
+    return data.transpose(2, 0, 1) if draw(st.booleans()) else data
 
 
 def random_blob_grid(rng, dim=20):
@@ -389,6 +472,15 @@ class TestWindowedSelection:
         assert (selection_outcome(select_points, grid, query, l, max_iters, epsilon)
                 == selection_outcome(reference_select, grid, query, l, max_iters, epsilon))
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=cloud_cases())
+    def test_window_cloud_equals_full_grid_cloud(self, case):
+        # the window read at its offset gives the cloud of the full grid, and
+        # both give the cloud of the whole-grid oracle
+        window = cloud_outcome(select_points, False, *case)
+        assert window == cloud_outcome(select_points, True, *case)
+        assert window == cloud_outcome(reference_select, True, *case)
+
     def test_non_binary_value_outside_window(self):
         data = slab((30, 30, 30), 9)
         data[29, 29, 29] = 2
@@ -426,6 +518,42 @@ class TestWindowedSelection:
         assert region.dims == grid.dims and region.data.dtype == np.int64
         support = np.argwhere(region.data > 0)
         assert np.abs(support - [32, 32, 31]).max() == 2
+
+
+class TestRegion:
+    def test_window_offset_and_parent_geometry(self):
+        grid = VoxelGrid(slab((64, 64, 64), 31), (0.5, 1.0, 2.0), (1.5, -2.0, 0.25))
+        region = select_points(grid, (32, 32, 31), max_iters=2)
+        assert region.dims == grid.dims
+        npt.assert_array_equal(region.spacing, grid.spacing)
+        npt.assert_array_equal(region.origin, grid.origin)
+        # the window spans Chebyshev radius l + max_iters + 1 = 6 around the seed
+        assert region.offset == (26, 26, 25) and region.window.shape == (13, 13, 13)
+        full = region.data
+        npt.assert_array_equal(full[26:39, 26:39, 25:38], region.window)
+        assert full.sum() == region.window.sum()
+
+    def test_data_is_built_once_and_read_only(self):
+        region = select_points(half_space(dim=24, z_top=11), (12, 12, 11), max_iters=2)
+        assert region.data is region.data
+        with pytest.raises(ValueError, match="read-only"):
+            region.data[0, 0, 0] = 1
+
+    def test_selection_allocates_well_below_the_grid(self):
+        # Peak traced allocation of the default selection and extraction on a
+        # 64^3 grid: measured 0.33 of grid.data.nbytes (686 416 bytes, about
+        # 7 window-sized 23^3 int64 arrays, ufunc buffers included). With a
+        # full-size region grid and the three-pass binary check it was 1.19.
+        grid = half_space(dim=64, z_top=31)
+        extract_cloud(select_points(grid, (32, 32, 31)))
+        tracemalloc.start()
+        try:
+            cloud = extract_cloud(select_points(grid, (32, 32, 31)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.n_x == 225
+        assert peak < 0.5 * grid.data.nbytes, peak
 
 
 class TestExtractCloud:
@@ -532,3 +660,9 @@ class TestVoxelGridType:
     def test_rejects_empty_axes(self, shape):
         with pytest.raises(ValueError, match="non-empty"):
             VoxelGrid(np.zeros(shape, dtype=np.int64), (1, 1, 1), (0, 0, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=near_binary_arrays())
+    def test_is_binary_matches_the_elementwise_check(self, data):
+        grid = VoxelGrid(data, (1, 1, 1), (0, 0, 0))
+        assert grid.is_binary() == bool(((data == 0) | (data == 1)).all())

@@ -25,7 +25,12 @@ Outputs:
   ``--weight-mode inverse-distance``, the growth box sizes ``--l 5`` (with
   inverse-distance weights, so region values are compared, not just the
   support) and ``--l 1``, ``external-map`` with
-  ``--weight-grid``, the grid written with CRLF line breaks, a grid with a
+  ``--weight-grid``, the grid with anisotropic, non-unit spacing and a
+  non-zero origin (``select_aniso`` with uniform weights, and
+  ``select_aniso_external``: a ``--query`` above the surface that snaps
+  onto it, with ``external-map`` weights), so that the voxel index offset
+  of the selection window shows up in the point bytes,
+  the grid written with CRLF line breaks, a grid with a
   bad token, and grids on each side of the bytewise 0/1 reading: separated
   only by tabs and form feeds, with one ``1`` written ``1.0``, separated by
   ``\\x1c``, and holding a byte that is not UTF-8.
@@ -60,6 +65,11 @@ TRIAL_MODES = ("auto", "fixed")
 TRIAL_SIZES = (30, 60, 100)
 TRIAL_NOISE = (1e-4, 1e-2, 0.25)
 TRIALS_PER_SPEC = 2
+# Voxel spacing and origin (mm) of the anisotropic copy of the test grid. They
+# are not dyadic, so origin + (local + offset) * spacing and
+# (origin + offset * spacing) + local * spacing round differently.
+ANISO_SPACING = (0.3, 1.1, 0.7)
+ANISO_ORIGIN = (-3.7, 12.9, 0.1)
 
 
 def wavy_height(n: int) -> np.ndarray:
@@ -94,6 +104,13 @@ def weight_grid_text(n: int) -> str:
     weights = 0.5 + 0.25 * np.sin(i / 3.0) * np.cos(j / 4.0) + 0.01 * k
     header = f"VOX1 {n} {n} {n} 1.0 1.0 1.0 0.0 0.0 0.0"
     return header + "\n" + " ".join(repr(float(w)) for w in weights.ravel(order="F")) + "\n"
+
+
+def with_geometry(text: str, spacing: tuple, origin: tuple) -> str:
+    """The same VOX1 grid with the given voxel spacing and origin in its header."""
+    header, body = text.split("\n", 1)
+    tokens = header.split()[:4] + [repr(float(x)) for x in (*spacing, *origin)]
+    return " ".join(tokens) + "\n" + body
 
 
 def write_probes(cloud_path: Path, path: Path) -> None:
@@ -201,6 +218,16 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
     run_cli("select_external", ["select", "grid.vox", "-o", "cloud_external.csv", *common,
                                 "--seed-voxel", *map(str, seed), "--weight-mode",
                                 "external-map", "--weight-grid", "weights.vox"], outdir, env)
+    (outdir / "grid_aniso.vox").write_text(with_geometry(text, ANISO_SPACING, ANISO_ORIGIN))
+    run_cli("select_aniso", ["select", "grid_aniso.vox", "-o", "cloud_aniso.csv", *common,
+                             "--seed-voxel", *map(str, seed)], outdir, env)
+    (outdir / "weights_aniso.vox").write_text(
+        with_geometry(weight_grid_text(GRID_N), ANISO_SPACING, ANISO_ORIGIN))
+    above = np.array(ANISO_ORIGIN) + np.array(ANISO_SPACING) * (c + 0.2, c - 0.3, seed[2] + 1.4)
+    run_cli("select_aniso_external", ["select", "grid_aniso.vox", "-o",
+                                      "cloud_aniso_external.csv", *common, "--query",
+                                      *map(repr, above.tolist()), "--weight-mode", "external-map",
+                                      "--weight-grid", "weights_aniso.vox"], outdir, env)
     (outdir / "grid_crlf.vox").write_bytes(rows_text(text, GRID_N, "\r\n").encode())
     run_cli("select_crlf", ["select", "grid_crlf.vox", "-o", "cloud_crlf.csv", *common,
                             "--seed-voxel", *map(str, seed)], outdir, env)
