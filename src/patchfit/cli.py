@@ -112,6 +112,9 @@ def cmd_select(args) -> int:
         print("error: --weight-grid is read only with --weight-mode external-map",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.weight_grid is None and args.weight_mode == "external-map":
+        print("error: external-map mode requires a weight grid", file=sys.stderr)
+        return EXIT_USAGE
     grid = io.read_voxel_grid(args.grid)
     if args.seed_voxel is not None:
         seed = tuple(args.seed_voxel)

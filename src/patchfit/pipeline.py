@@ -18,7 +18,7 @@ from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
-from .selection import FitModel, _search_orders
+from .selection import FitModel, _search_orders, weight_scale
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
@@ -26,6 +26,9 @@ _DEGENERATE_RATIO = 1e-10
 
 @dataclass
 class FitSettings:
+    """Settings of ``fit_surface``; ``lam`` is the ridge strength per unit of
+    mean(w^2), so it acts the same at any overall scale of the weights."""
+
     max_outer_iters: int = 10
     rel_sigma2_tol: float = 1e-6
     lam: float = DEFAULT_LAMBDA
@@ -116,6 +119,10 @@ def fit_surface(
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
 
+    The ridge strength and the ranking floor scale with mean(w^2), so
+    multiplying every weight by c changes only sigma2, by c^2. This holds
+    while sigma2 stays above 1e-300, the floor of the relative-change test.
+
     Raises ValueError, before any solve, when the weighted squared spread
     sum_i w_i^2 |x_i - mean(x)|^2 overflows or is zero: such magnitudes
     would overflow or vanish inside the solves.
@@ -136,6 +143,7 @@ def fit_surface(
     inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)
     lam = settings.lam
+    ridge = lam * weight_scale(inner.weights)  # the order search's ridge strength
     if settings.fixed_orders is not None:
         start = cap = settings.fixed_orders
     else:
@@ -156,7 +164,7 @@ def fit_surface(
         u, v = batch.u, batch.v
         f_before = float(np.sum(inner.weights**2 * batch.g_start))
         f_after = float(np.sum(inner.weights**2 * batch.g_final))
-        f_reg_before = f_after + _ridge_penalty(model.surface, lam)
+        f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
         model, f, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, lam, cap)
         trace.append(
             FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f,

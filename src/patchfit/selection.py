@@ -26,6 +26,11 @@ from .voxel import PointCloud
 _REL_FLOOR = 1e-13
 
 
+def weight_scale(weights: np.ndarray) -> float:
+    """mean(w^2), the data term's scale per point: exactly 1.0 for unit weights."""
+    return float(np.mean(weights**2))
+
+
 def ranking_floor(points: np.ndarray) -> float:
     """Variance floor used when ranking candidate fits of these points."""
     centered = points - points.mean(axis=0)
@@ -112,17 +117,21 @@ def _search_orders(
     """``mdl_select`` with one design matrix and one solve per candidate order.
 
     A candidate's weighted residual sum gives both its noise variance
-    (sum / 3n) and its weighted objective (sum / 2). Returns the winning
-    model, its weighted objective, and the regularized objective of the
-    refit at the start order, NaN when that refit is rank deficient.
+    (sum / 3n) and its weighted objective (sum / 2). The ridge strength
+    ``lam`` and the ranking floor are multiplied by ``weight_scale``.
+    Returns the winning model, its weighted objective, and the regularized
+    objective of the refit at the start order, NaN when that refit is rank
+    deficient.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     cap_u, cap_v = order_cap if order_cap is not None else (None, None)
     us = [n_u] if (cap_u is not None and n_u >= cap_u) else [n_u, n_u + 1]
     vs = [n_v] if (cap_v is not None and n_v >= cap_v) else [n_v, n_v + 1]
-    floor = ranking_floor(cloud.points)
     points, weights = cloud.points, cloud.weights
+    scale = weight_scale(weights)
+    lam = lam * scale
+    floor = ranking_floor(points) * scale
 
     best = None
     f_reg_same = math.nan

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import EmptySelectionError, PerimeterTruncationWarning
 
-# Region values are clamped here; only their relative magnitude is used.
-_SATURATION = 2**52
-
 DEFAULT_EPSILON = 9
 DEFAULT_NEIGHBORHOOD = 3
 DEFAULT_MAX_ITERS = 7
@@ -92,11 +89,12 @@ class PointCloud:
 
 @dataclass
 class Region:
-    """A grown region: values in a window of a parent grid.
+    """A grown region: hop counts in a window of a parent grid.
 
     ``window[i, j, k]`` is the value of parent voxel ``offset + (i, j, k)``;
-    every parent voxel outside the window is 0. ``dims``, ``spacing`` and
-    ``origin`` are the parent grid's.
+    every parent voxel outside the window is 0. From ``select_points`` a
+    selected voxel h hops from the seed holds max_iters + 1 - h. ``dims``,
+    ``spacing`` and ``origin`` are the parent grid's.
     """
 
     window: np.ndarray
@@ -216,11 +214,13 @@ def select_points(
     """Grow a single-surface region of boundary voxels around a query voxel.
 
     Starting from the seed (snapped to the nearest boundary voxel within
-    Chebyshev radius ``l`` if needed), the region expands one box-kernel
-    neighborhood per step, restricted to the boundary mask. After growth the
-    support equals the set of mask voxels within ``max_iters`` hops of the
-    seed, where one hop spans Chebyshev distance (l-1)/2. Accumulated values
-    are larger near the seed and approximate an inverse surface distance.
+    Chebyshev radius ``l`` if needed), the region is a masked dilation that
+    counts steps: reached_0 is the seed, reached_k is the mask voxels whose
+    l x l x l box meets reached_(k-1), and the region holds the sum of
+    reached_0 .. reached_max_iters. Its support is the set of mask voxels
+    within ``max_iters`` hops of the seed, where one hop spans Chebyshev
+    distance (l-1)/2, and a voxel first reached at hop h holds
+    max_iters + 1 - h: the seed holds max_iters + 1, the outermost voxels 1.
 
     The support thus lies within Chebyshev distance
     ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
@@ -251,15 +251,13 @@ def select_points(
         local = tuple(s - o for s, o in zip(seed, lo))
 
     _box_size(l, grid.dims)
-    delta = np.zeros_like(mask)
-    delta[local] = 1
-    region = convolve3(VoxelGrid(delta, crop.spacing, crop.origin), l).data
-    region *= mask
-    for _ in range(max_iters - 1):
-        grown = convolve3(VoxelGrid(region, crop.spacing, crop.origin), l).data
-        grown *= mask
-        grown += region
-        region = np.minimum(grown, _SATURATION, out=grown)
+    on_mask = mask > 0
+    reached = np.zeros(mask.shape, dtype=bool)
+    reached[local] = True
+    region = reached.astype(np.int64)
+    for _ in range(max_iters):
+        reached = (convolve3(VoxelGrid(reached, crop.spacing, crop.origin), l).data > 0) & on_mask
+        region += reached
 
     support = np.argwhere(region > 0) + np.array(lo)
     if ((support <= margin) | (support >= np.array(grid.dims) - 1 - margin)).any():
@@ -284,6 +282,8 @@ def extract_cloud(
     Weight modes:
         uniform: all weights 1.
         inverse-distance: region value divided by the region maximum, in (0, 1].
+            For a ``select_points`` region that is (max_iters + 1 - h) /
+            (max_iters + 1) at hop h, so in [1 / (max_iters + 1), 1].
         external-map: weights read from ``weight_grid`` at the same voxels;
             its dims, spacing and origin must match the region's.
     """

@@ -122,6 +122,14 @@ class TestSelect:
                                  "--weight-mode external-map\n")
         assert not (tmp_path / "cloud.csv").exists()
 
+    def test_external_map_needs_weight_grid(self, tmp_path):
+        # the occupancy grid does not exist: the mode is rejected before it is read
+        result = run_cli("select", str(tmp_path / "missing.vox"), "-o", str(tmp_path / "cloud.csv"),
+                         "--seed-voxel", "0", "0", "0", "--weight-mode", "external-map")
+        assert result.returncode == 2
+        assert result.stderr == "error: external-map mode requires a weight grid\n"
+        assert not (tmp_path / "cloud.csv").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.vox"
         bad.write_text("not a grid\n")

@@ -118,6 +118,23 @@ class TestFitSurface:
         assert model.size > 4
         assert 4e-4 * 0.1 <= model.sigma2 <= 4e-4 * 10
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varying"])
+    @pytest.mark.parametrize("c", [2.0**-300, 2.0**-10, 2.0**300], ids=["2^-300", "2^-10", "2^300"])
+    def test_weight_scale_changes_only_sigma2(self, uniform, c):
+        # powers of two rescale every product exactly, so the fits agree bit for bit
+        rng = np.random.default_rng(11)
+        xy = rng.uniform(-1.0, 1.0, (80, 2))
+        points = np.column_stack([xy, 0.3 * (xy[:, 0] ** 2 - xy[:, 1] ** 2)])
+        points += rng.normal(0.0, 0.01, points.shape)
+        w = np.ones(80) if uniform else rng.uniform(0.5, 2.0, 80)
+        base, _ = fit_surface(PointCloud(points, w))
+        scaled, _ = fit_surface(PointCloud(points, c * w))
+        assert (scaled.n_u, scaled.n_v) == (base.n_u, base.n_v)
+        for name in ("u", "v"):
+            npt.assert_array_equal(getattr(scaled, name), getattr(base, name))
+        npt.assert_array_equal(scaled.surface.control, base.surface.control)
+        assert scaled.sigma2 == c**2 * base.sigma2
+
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(5)
         cloud, _ = heightfield_cloud(rng, n=100, noise=0.05)
@@ -257,19 +274,25 @@ class TestVoxelPathOnKnownSurfaces:
     below an analytic height h: voxel (i, j, k) is occupied when k <= h(i, j)."""
 
     # The cap's pole, (40, 40), is one flat terrace of voxels and fits (1, 1).
-    @pytest.mark.parametrize("name, query", [
-        *((name, query) for name in ("tilted plane", "flat floor")
-          for query in [(25, 30), (40, 40), (55, 48)]),
-        ("sphere cap", (25, 30)), ("sphere cap", (55, 48)),
+    # A uniform case's id is its surface and query alone.
+    @pytest.mark.parametrize("name, query, weight_mode", [
+        pytest.param(name, query, mode,
+                     id=f"{name}-query{k}" + ("" if mode == "uniform" else f"-{mode}"))
+        for mode in ("uniform", "inverse-distance")
+        for k, (name, query) in enumerate([
+            *((name, query) for name in ("tilted plane", "flat floor")
+              for query in [(25, 30), (40, 40), (55, 48)]),
+            ("sphere cap", (25, 30)), ("sphere cap", (55, 48)),
+        ])
     ])
-    def test_orders_and_half_voxel_bias(self, name, query):
+    def test_orders_and_half_voxel_bias(self, name, query, weight_mode):
         height = KNOWN_HEIGHTS[name]
         idx = np.arange(80, dtype=np.float64)
         occupied = idx[None, None, :] <= height(idx[:, None], idx[None, :])[:, :, None]
         grid = VoxelGrid(occupied.astype(np.int64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         i, j = query
         region = select_points(grid, (i, j, math.floor(height(i, j))), epsilon=6)
-        model, _ = fit_surface(extract_cloud(region))
+        model, _ = fit_surface(extract_cloud(region, weight_mode))
         if name == "sphere cap":
             assert min(model.n_u, model.n_v) >= 2
         else:
@@ -278,3 +301,35 @@ class TestVoxelPathOnKnownSurfaces:
         fitted = design_matrix(model.u, model.v, model.n_u, model.n_v).T @ model.surface.flat
         bias = np.mean(height(fitted[:, 0], fitted[:, 1]) - fitted[:, 2])
         assert 0.25 <= bias <= 0.75
+
+    def test_wavy_volumes_bias_and_spread(self):
+        # Four seeded 128^3 volumes below h = 64 + 5.12 sin(2 pi x / 64 + a) cos(2 pi y / 64 + b),
+        # six queries each. Spread is the standard deviation of h - z over one
+        # fit's samples. Measured mean bias / mean spread (voxels): uniform
+        # 0.467 / 0.083, inverse-distance 0.465 / 0.124.
+        n = 128
+        idx = np.arange(n, dtype=np.float64)
+        stats = {"uniform": [], "inverse-distance": []}
+        for seed in range(1, 5):
+            a, b = np.random.default_rng([seed, 0]).uniform(0.0, 2.0 * math.pi, size=2)
+
+            def height(x, y):
+                return (0.5 * n + 0.04 * n * np.sin(2.0 * math.pi * x / (0.5 * n) + a)
+                        * np.cos(2.0 * math.pi * y / (0.5 * n) + b))
+
+            occupied = idx[None, None, :] <= height(idx[:, None], idx[None, :])[:, :, None]
+            grid = VoxelGrid(occupied.astype(np.int64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+            rng = np.random.default_rng([seed, 9])
+            for _ in range(6):
+                i, j = (int(c) for c in rng.integers(24, 104, size=2))
+                region = select_points(grid, (i, j, math.floor(height(i, j))), epsilon=6)
+                for mode, rows in stats.items():
+                    model, _ = fit_surface(extract_cloud(region, mode))
+                    fitted = (design_matrix(model.u, model.v, model.n_u, model.n_v).T
+                              @ model.surface.flat)
+                    below = height(fitted[:, 0], fitted[:, 1]) - fitted[:, 2]
+                    rows.append((below.mean(), below.std()))
+        for mode, rows in stats.items():
+            bias, spread = np.mean(rows, axis=0)
+            assert 0.25 <= bias <= 0.75, mode
+            assert spread < 0.15, mode

@@ -115,11 +115,12 @@ def reference_select(grid, seed, l, max_iters, epsilon):
         seed = reference_snap(mask, seed, l, grid.spacing)
     if any(l > d for d in mask.shape):
         raise ValueError(f"kernel dims {(l, l, l)} exceed grid dims {mask.shape}")
-    delta = np.zeros_like(mask)
-    delta[seed] = 1
-    region = box_sum(delta, l) * mask
-    for _ in range(max_iters - 1):
-        region = np.minimum(region + box_sum(region, l) * mask, 2**52)
+    reached = np.zeros(mask.shape, dtype=bool)
+    reached[seed] = True
+    region = reached.astype(np.int64)
+    for _ in range(max_iters):
+        reached = (box_sum(reached, l) > 0) & (mask == 1)
+        region += reached
     margin = (l - 1) // 2
     support = np.argwhere(region > 0)
     if ((support <= margin).any()
@@ -451,6 +452,17 @@ class TestSelectPoints:
         grid = half_space(dim=24, z_top=11)
         region = select_points(grid, (12, 12, 11), max_iters=4)
         assert region.data[12, 12, 11] == region.data.max()
+
+    @pytest.mark.parametrize("l, max_iters", [(1, 3), (3, 4), (5, 2)])
+    def test_values_count_hops(self, l, max_iters):
+        # on a flat face a voxel h hops out holds max_iters + 1 - h
+        grid = half_space(dim=24, z_top=11)
+        region = select_points(grid, (12, 12, 11), l=l, max_iters=max_iters)
+        support = np.argwhere(region.data > 0)
+        hops = -(-np.abs(support[:, :2] - 12).max(axis=1) // (l // 2 or 1))
+        npt.assert_array_equal(region.data[tuple(support.T)], max_iters + 1 - hops)
+        weights = extract_cloud(region, "inverse-distance").weights
+        assert weights.min() == (1.0 if l == 1 else 1.0 / (max_iters + 1))
 
 
 class TestWindowedSelection:

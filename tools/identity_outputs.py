@@ -14,7 +14,11 @@ the code under test, so both sides see the same bytes.
 Outputs:
 - ``cli/``: the files, stdout and stderr of a fixed set of CLI runs:
   ``select`` on a seeded VOX1 grid; ``fit`` on its cloud with default
-  settings, with ``--fixed-orders 2 3`` and with ``--lam 0``; ``project``
+  settings, with ``--fixed-orders 2 3`` and with ``--lam 0``, and with
+  default settings on two weighted clouds of the ``select`` runs below
+  (``cloud_l5.csv``, inverse-distance weights, and ``cloud_external.csv``,
+  external-map weights), so that a change to how weights enter a fit shows
+  up in a surface document; ``project``
   onto a document with records and onto one with ``"points": []``, each
   with a NaN probe and a ``1e300`` probe, and onto the first document from
   probes lifted 10-30 mm off the surface (``project_far``), where foot-point
@@ -179,6 +183,10 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     run_cli("fit_fixed", ["fit", "cloud.csv", "-o", "surface_fixed.json",
                           "--fixed-orders", "2", "3"], outdir, env)
     run_cli("fit_lam0", ["fit", "cloud.csv", "-o", "surface_lam0.json", "--lam", "0"],
+            outdir, env)
+    # clouds whose weights are not all 1
+    run_cli("fit_l5", ["fit", "cloud_l5.csv", "-o", "surface_l5.json"], outdir, env)
+    run_cli("fit_external", ["fit", "cloud_external.csv", "-o", "surface_external.json"],
             outdir, env)
     write_probes(outdir / "cloud.csv", outdir / "probes.csv")
     doc = json.loads((outdir / "surface.json").read_text())
