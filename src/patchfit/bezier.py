@@ -16,10 +16,11 @@ u index fastest (Fortran order over the first two axes), so that
 Every module in the package relies on this ordering.
 
 All evaluation runs through one batched kernel: ``_basis_rows`` and
-``_basis_rows_derivs`` build basis rows for a vector of parameters, and
-``_values_only`` / ``_values_grads_hessians`` contract them with the control
-tensor into the half squared point-to-surface distance and its derivatives.
-``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
+``_basis_rows_derivs`` build basis rows for a vector of parameters,
+``_surface_derivs`` contracts them with the control tensor into surface
+points and their derivatives, and ``_values_grads_hessians`` turns those
+into the half squared point-to-surface distance with its gradient and
+Hessian. ``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
 ``g_eval`` are one-row calls of the same code. Contractions use einsum,
 whose per-lane results do not depend on which other lanes share the batch,
 so evaluating a batch is bit-identical to evaluating its lanes one by one
@@ -128,14 +129,6 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return np.ascontiguousarray(b0), np.ascontiguousarray(b1), np.ascontiguousarray(b2)
 
 
-def _surface_points(u, v, control):
-    """Surface points for a batch of parameter pairs, shape (len, 3)."""
-    bu = _basis_rows(u, control.shape[0] - 1)
-    bv = _basis_rows(v, control.shape[1] - 1)
-    t0 = np.einsum("mi,ijk->mjk", bu, control)
-    return np.einsum("mj,mjk->mk", bv, t0)
-
-
 def _surface_derivs(u, v, control):
     """Batched s, s_u, s_v, s_uu, s_vv, s_uv, each of shape (len, 3)."""
     bu0, bu1, bu2 = _basis_rows_derivs(u, control.shape[0] - 1)
@@ -150,12 +143,6 @@ def _surface_derivs(u, v, control):
     svv = np.einsum("mj,mjk->mk", bv2, t0)
     suv = np.einsum("mj,mjk->mk", bv1, t1)
     return s, su, sv, suu, svv, suv
-
-
-def _values_only(points, u, v, control):
-    """Batched half squared distances; same einsum path as the full variant."""
-    r = points - _surface_points(u, v, control)
-    return 0.5 * (r * r).sum(axis=1)
 
 
 def _values_grads_hessians(points, u, v, control):
@@ -220,7 +207,7 @@ def _one(value: float) -> np.ndarray:
 
 def surface_eval(u: float, v: float, surface: BezierSurface) -> np.ndarray:
     """Point on the surface at (u, v), shape (3,)."""
-    return _surface_points(_one(u), _one(v), surface.control)[0]
+    return _surface_derivs(_one(u), _one(v), surface.control)[0][0]
 
 
 def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarray:
@@ -251,7 +238,7 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
 def g_value(x: np.ndarray, u: float, v: float, surface: BezierSurface) -> float:
     """Half squared distance between x and the surface point at (u, v)."""
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    return float(_values_only(point, _one(u), _one(v), surface.control)[0])
+    return float(_values_grads_hessians(point, _one(u), _one(v), surface.control)[0][0])
 
 
 def g_eval(

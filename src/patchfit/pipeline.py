@@ -121,7 +121,8 @@ def fit_surface(
 
     The ridge strength and the ranking floor scale with mean(w^2), so
     multiplying every weight by c changes only sigma2, by c^2. This holds
-    while sigma2 stays above 1e-300, the floor of the relative-change test.
+    while sigma2 * c^2 does not underflow: at weights near 1e-160, sigma2
+    underflows to 0.
 
     Raises ValueError, before any solve, when the weighted squared spread
     sum_i w_i^2 |x_i - mean(x)|^2 overflows or is zero: such magnitudes
@@ -172,9 +173,9 @@ def fit_surface(
                          len(batch.failed), perf_counter() - tic)
         )
 
-        rel = abs(model.sigma2 - prev_sigma2) / max(prev_sigma2, 1e-300)
+        settled = abs(model.sigma2 - prev_sigma2) < settings.rel_sigma2_tol * prev_sigma2
         prev_sigma2 = model.sigma2
-        if rel < settings.rel_sigma2_tol:
+        if settled:
             break
 
     final = replace(model, surface=translate_surface(model.surface, centroid), centroid=centroid)

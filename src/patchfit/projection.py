@@ -12,16 +12,16 @@ that noise stops without the step. Both stops count as converged; a
 non-finite step, such as that of a system whose determinant overflows, is
 never at the floor.
 
-A Newton iteration makes at most two ``_values_only`` calls: one for the
-full step of every active point, and one for the remaining backtracking
-ladders (alpha = 1/2, 1/4, ...) of the points that reject it.
-
-All points are advanced in lockstep on batched arrays. The objective and
-its derivatives come from the batched kernel in ``bezier``, whose per-lane
-results do not depend on the rest of the batch, so projecting a cloud is
-bit-identical to projecting its points one by one. Accepted line-search
-values are carried forward rather than recomputed, which makes the per-point
-objective sequence monotone by construction. The solve returns one
+All points are advanced in lockstep on batched arrays, and every
+evaluation is one call of the objective kernel ``_values_grads_hessians`` in
+``bezier``, which returns a trial's value with its gradient and Hessian. A
+Newton iteration makes at most two calls: one for the full step of every
+active point, and one for the remaining backtracking ladders (alpha = 1/2,
+1/4, ...) of the points that reject it. A point that accepts a step keeps
+that step's row, so nothing is evaluated twice and the per-point objective
+sequence is monotone by construction. The kernel's per-lane results do not
+depend on the rest of the batch, so projecting a cloud is bit-identical to
+projecting its points one by one. The solve returns one
 ``BatchProjection``, with each point's final gradient norm in ``grad_norm``.
 A point whose objective or derivatives stop being finite fails: it is not
 advanced again and ends at its start with its starting objective, and
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierSurface, _values_grads_hessians, _values_only
+from .bezier import BezierSurface, _values_grads_hessians
 from .bezier import _basis_rows, _basis_rows_derivs  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import ProjectionError
 from .voxel import PointCloud
@@ -78,8 +78,9 @@ class BatchProjection:
     decrease is above ``floor_ulp`` eps |r| (|x| + |r|). ``grad_norm`` holds
     each point's final gradient norm; a point that failed after a step keeps
     the norm of its last finite derivatives. ``iterations`` counts each
-    point's accepted Newton steps and ``kernel_calls`` the batched
-    objective-kernel calls of the solve.
+    point's accepted Newton steps and ``kernel_calls`` the solve's calls of
+    the batched objective kernel: one for the starts, then at most two per
+    Newton iteration.
     """
 
     u: np.ndarray
@@ -93,26 +94,32 @@ class BatchProjection:
     failed: tuple[int, ...] = field(default=())
 
 
+def _rows(points, u, v, control):
+    """Kernel rows (u, v, g, g_u, g_v, h11, h12, h22) of a batch, one per lane."""
+    return np.column_stack((u, v, *_values_grads_hessians(points, u, v, control)))
+
+
 # Overflow and invalid-value warnings are expected when trial parameters run
 # away; non-finite lanes are rejected or marked failed explicitly.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_batch(points, control, u0, v0):
-    """Foot points of a batch. Row k of ``derivs`` holds lane k's (grad_u, grad_v,
-    h11, h12, h22); a non-finite refresh fails the lane instead of overwriting it."""
-    u, v = u0.astype(np.float64), v0.astype(np.float64)
-    value, *rest = _values_grads_hessians(points, u, v, control)
-    derivs = np.column_stack(rest)
+    """Foot points of a batch. Row k of ``state`` is lane k's kernel row at its
+    current point; a lane that accepts a trial takes the trial's row, unless its
+    derivatives are not finite, which fails the lane and keeps its last finite row."""
+    state = _rows(points, u0, v0, control)
     calls = 1
-    failed = ~(np.isfinite(value) & np.isfinite(derivs).all(axis=1))
-    g_start = value.copy()
-    iterations = np.zeros(u.size, dtype=np.int64)
-    active = ~failed & (np.hypot(derivs[:, 0], derivs[:, 1]) > _SETTINGS.grad_tol)
-    floored = np.zeros(u.size, dtype=bool)
+    failed = ~np.isfinite(state[:, 2:]).all(axis=1)
+    g_start = state[:, 2].copy()
+    iterations = np.zeros(len(state), dtype=np.int64)
+    active = ~failed & (np.hypot(state[:, 3], state[:, 4]) > _SETTINGS.grad_tol)
+    floored = np.zeros(len(state), dtype=bool)
     x_norm = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
+    alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
 
     for _ in range(_SETTINGS.max_newton_iters):
         idx = np.flatnonzero(active)
-        gu, gv, a, b, d = derivs[idx].T
+        cur = state[idx]
+        _, _, val, gu, gv, a, b, d = cur.T
         # Lanes not positive definite shift H by mu to smallest eigenvalue |g| + |lambda_min|.
         convex = (a * d - b * b > 0.0) & (a + d > 0.0)
         lam_min = (a + d) / 2 - np.hypot((a - d) / 2, b)
@@ -125,66 +132,54 @@ def _solve_batch(points, control, u0, v0):
 
         # A lane whose decrement -g.p is within the rounding noise of its
         # objective, floor_ulp eps |r| (|x| + |r|), stops without the step.
-        r_norm = np.sqrt(2.0 * value[idx])
+        r_norm = np.sqrt(2.0 * val)
         noise = _SETTINGS.floor_ulp * _EPS * r_norm * (x_norm[idx] + r_norm)
         done = -dirderiv <= noise
         stop = idx[done]
         floored[stop], active[stop] = True, False
-        idx, p0, p1, dirderiv, noise = (y[~done] for y in (idx, p0, p1, dirderiv, noise))
+        idx, cur, p0, p1, dirderiv, noise = (y[~done] for y in (idx, cur, p0, p1, dirderiv, noise))
         if idx.size == 0:
             break
 
-        cur_u, cur_v, cur_val = u[idx], v[idx], value[idx]
-        cand_u, cand_v = cur_u + p0, cur_v + p1
-        cand_val = _values_only(points[idx], cand_u, cand_v, control)
+        cand = _rows(points[idx], cur[:, 0] + p0, cur[:, 1] + p1, control)
         calls += 1
-        accepted = np.isfinite(cand_val) & (cand_val <= cur_val + _SETTINGS.armijo_c * dirderiv)
+        cand_val = cand[:, 2]
+        accepted = np.isfinite(cand_val) & (cand_val <= cur[:, 2] + _SETTINGS.armijo_c * dirderiv)
 
         # Lanes that reject alpha = 1 evaluate the rest of their ladder in one
         # call: alpha = 1/2, 1/4, ... while alpha (-g.p) is above the noise,
-        # which a NaN step always is. Each takes its first Armijo point; a lane
-        # with none whose ladder reached the noise stops at the floor.
+        # which a NaN step always is. Each ladder is a prefix, so its rows lie
+        # flat from the lane's offset on. Each lane takes its first Armijo
+        # rung; a lane with none whose ladder reached the noise stops at the floor.
         back = np.flatnonzero(~accepted)
-        if back.size:
-            alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
-            rungs = ~(-alphas * dirderiv[back, None] <= noise[back, None])
-            length = rungs.sum(axis=1)
-            trial_u = cur_u[back, None] + alphas * p0[back, None]
-            trial_v = cur_v[back, None] + alphas * p1[back, None]
-            trial_val = np.full(rungs.shape, np.nan)
-            if length.any():
-                trial_val[rungs] = _values_only(points[np.repeat(idx[back], length)],
-                                                trial_u[rungs], trial_v[rungs], control)
-                calls += 1
-            bound = cur_val[back, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
-            good = np.isfinite(trial_val) & (trial_val <= bound)
+        hit = np.zeros(back.size, dtype=bool)
+        rungs = ~(-alphas * dirderiv[back, None] <= noise[back, None])
+        length = rungs.sum(axis=1)
+        if length.any():
+            trial_u = cur[back, 0, None] + alphas * p0[back, None]
+            trial_v = cur[back, 1, None] + alphas * p1[back, None]
+            ladder = _rows(points[np.repeat(idx[back], length)], trial_u[rungs], trial_v[rungs],
+                           control)
+            calls += 1
+            bound = cur[back, 2, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
+            good = np.zeros(rungs.shape, dtype=bool)
+            good[rungs] = np.isfinite(ladder[:, 2]) & (ladder[:, 2] <= bound[rungs])
             hit = good.any(axis=1)
-            first = good.argmax(axis=1)[hit]
-            won = back[hit]
-            accepted[won] = True
-            cand_u[won] = trial_u[hit, first]
-            cand_v[won] = trial_v[hit, first]
-            cand_val[won] = trial_val[hit, first]
-            floored[idx[back[~hit & (length < alphas.size)]]] = True
+            accepted[back[hit]] = True
+            cand[back[hit]] = ladder[(np.cumsum(length) - length + good.argmax(axis=1))[hit]]
+        floored[idx[back[~hit & (length < alphas.size)]]] = True
 
         active[idx[~accepted]] = False
-        moved = idx[accepted]
-        if moved.size == 0:
-            continue
-        new_u, new_v = cand_u[accepted], cand_v[accepted]
-        u[moved], v[moved] = new_u, new_v
-        value[moved] = cand_val[accepted]
+        moved, rows = idx[accepted], cand[accepted]
         iterations[moved] += 1
-
-        fresh = np.column_stack(_values_grads_hessians(points[moved], new_u, new_v, control)[1:])
-        calls += 1
-        finite = np.isfinite(fresh).all(axis=1)
+        finite = np.isfinite(rows[:, 3:]).all(axis=1)
         failed[moved[~finite]] = True
-        derivs[moved[finite]] = fresh[finite]
-        active[moved] = finite & (np.hypot(fresh[:, 0], fresh[:, 1]) > _SETTINGS.grad_tol)
+        state[moved[finite]] = rows[finite]
+        active[moved] = finite & (np.hypot(rows[:, 3], rows[:, 4]) > _SETTINGS.grad_tol)
 
-    u[failed], v[failed], value[failed] = u0[failed], v0[failed], g_start[failed]
-    grad_norm = np.hypot(derivs[:, 0], derivs[:, 1])
+    state[failed, :3] = np.column_stack((u0, v0, g_start))[failed]
+    u, v, value, gu, gv = state[:, :5].T.copy()
+    grad_norm = np.hypot(gu, gv)
     converged = ~failed & ((grad_norm <= _SETTINGS.grad_tol) | floored)
     return BatchProjection(u, v, g_start, value, grad_norm, converged, iterations, calls,
                            tuple(int(i) for i in np.flatnonzero(failed)))

@@ -24,9 +24,7 @@ from patchfit.bezier import (
     _basis_rows,
     _basis_rows_derivs,
     _surface_derivs,
-    _surface_points,
     _values_grads_hessians,
-    _values_only,
 )
 
 
@@ -339,9 +337,9 @@ class TestOneKernel:
         values = _basis_rows_derivs(u, surface.n_u)[0]
         assert values.tobytes() == _basis_rows(u, surface.n_u).tobytes()
         npt.assert_array_equal(surface_eval(u[k], v[k], surface),
-                               _surface_points(u, v, control)[k])
-        assert g_value(points[k], u[k], v[k], surface) == _values_only(points, u, v, control)[k]
+                               _surface_derivs(u, v, control)[0][k])
         value, g_u, g_v, h11, h12, h22 = _values_grads_hessians(points, u, v, control)
+        assert g_value(points[k], u[k], v[k], surface) == value[k]
         g, grad, hess = g_eval(points[k], u[k], v[k], surface)
         assert g == value[k]
         npt.assert_array_equal(grad, [g_u[k], g_v[k]])

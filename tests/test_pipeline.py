@@ -119,7 +119,8 @@ class TestFitSurface:
         assert 4e-4 * 0.1 <= model.sigma2 <= 4e-4 * 10
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varying"])
-    @pytest.mark.parametrize("c", [2.0**-300, 2.0**-10, 2.0**300], ids=["2^-300", "2^-10", "2^300"])
+    @pytest.mark.parametrize("c", [2.0**-500, 2.0**-300, 2.0**-10, 2.0**300],
+                             ids=["2^-500", "2^-300", "2^-10", "2^300"])
     def test_weight_scale_changes_only_sigma2(self, uniform, c):
         # powers of two rescale every product exactly, so the fits agree bit for bit
         rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ from patchfit import (
     BezierSurface,
     PointCloud,
     ProjectionError,
+    g_eval,
     g_value,
     project_all,
     project_nearest,
@@ -18,7 +19,7 @@ from patchfit import (
     surface_eval,
 )
 from patchfit import design_matrix, fit_surface, pipeline, projection
-from patchfit.bezier import _values_grads_hessians, _values_only
+from patchfit.bezier import _values_grads_hessians
 from patchfit.simulate import (ExperimentSpec, LatentSurface, latent_eval, make_dataset,
                                random_rotation)
 
@@ -113,7 +114,7 @@ def sequential_solve(points, control, u0, v0):
                         floored = True
                         break
                     tu, tv = u + alpha * p0, v + alpha * p1
-                    tval = _values_only(x, tu, tv, control)
+                    tval = _values_grads_hessians(x, tu, tv, control)[0]
                     if np.isfinite(tval[0]) and tval[0] <= (value + s.armijo_c * alpha * slope)[0]:
                         step = tu, tv, tval
                         break
@@ -286,19 +287,18 @@ class TestPrecisionFloor:
             assert not res.converged, scale
             assert res.iterations == 0, scale
 
-    def test_at_most_two_line_search_calls_per_newton_iteration(self, monkeypatch):
+    def test_at_most_two_kernel_calls_per_newton_iteration(self, monkeypatch):
+        # The first call scores every start; after it, each Newton iteration
+        # scores its full steps and then the rest of the rejecting lanes'
+        # ladders, and an accepted step keeps its row, so nothing is refreshed.
         log = []
-        monkeypatch.setattr(projection, "_values_only",
-                            lambda *a: log.append("trial") or _values_only(*a))
         monkeypatch.setattr(projection, "_values_grads_hessians",
-                            lambda *a: log.append("newton") or _values_grads_hessians(*a))
+                            lambda *a: log.append(len(a[0])) or _values_grads_hessians(*a))
         surface, points, u, v = rosenbrock_batch(5, n=200, spread=1.0)
         batch = project_all(PointCloud(points, np.ones(len(points))), surface, u, v)
-        # Every Newton iteration starts from fresh derivatives.
-        runs = "".join("n" if c == "newton" else "t" for c in log).split("n")
-        assert runs[0] == "" and max(len(r) for r in runs) <= 2
-        assert log.count("trial") <= 2 * (batch.iterations.max() + 1)
+        assert log[0] == 200
         assert batch.kernel_calls == len(log)
+        assert len(log) <= 1 + 2 * (batch.iterations.max() + 1)
         assert batch.iterations.max() > 1
 
 
@@ -383,7 +383,7 @@ class TestProjectAll:
         def poisoned(pts, uu, vv, control):
             out = _values_grads_hessians(pts, uu, vv, control)
             calls.append(len(pts))
-            if len(calls) == 2:  # the refresh after the first accepted steps
+            if len(calls) == 2:  # the full steps of the first Newton iteration
                 hit = (pts == points[target]).all(axis=1)
                 assert hit.sum() == 1
                 out = (out[0], *(np.where(hit, np.nan, a) for a in out[1:]))
@@ -395,6 +395,9 @@ class TestProjectAll:
         assert batch.failed == (target,)
         assert (batch.u[target], batch.v[target]) == (u[target], v[target])
         assert batch.g_final[target] == batch.g_start[target]
+        # Its last finite row is its start, which gives its gradient norm.
+        _, grad, _ = g_eval(points[target], u[target], v[target], surface)
+        assert batch.grad_norm[target] == np.hypot(*grad)
         for i in range(len(points)):
             if i == target:
                 continue
