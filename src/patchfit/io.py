@@ -248,6 +248,10 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: malformed surface document ({exc})") from exc
+    for name, value in (("u", u), ("v", v), ("residual", residuals), ("sigma2", model.sigma2),
+                        ("t", model.t), ("centroid", model.centroid)):
+        if not np.isfinite(value).all():
+            raise FileFormatError(f"{path}: {name} values must be finite")
     if (surface.n_u, surface.n_v) != (n_u, n_v):
         raise FileFormatError(
             f"{path}: control tensor shape does not match recorded orders ({n_u}, {n_v})"

@@ -22,6 +22,7 @@ from .selection import FitModel, _search_orders, weight_scale
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
 @dataclass
@@ -120,13 +121,15 @@ def fit_surface(
     translated back to the original frame.
 
     The ridge strength and the ranking floor scale with mean(w^2), so
-    multiplying every weight by c changes only sigma2, by c^2. This holds
-    while sigma2 * c^2 does not underflow: at weights near 1e-160, sigma2
-    underflows to 0.
+    multiplying every weight by c changes only sigma2, by c^2, while that
+    stays a normal float. Scaling the points by 2^k scales only the control
+    points, by 2^k, and sigma2, by 4^k, while the foot-point solve's Newton
+    determinants, which scale by 16^k, stay normal floats.
 
-    Raises ValueError, before any solve, when the weighted squared spread
-    sum_i w_i^2 |x_i - mean(x)|^2 overflows or is zero: such magnitudes
-    would overflow or vanish inside the solves.
+    Raises ValueError, before any solve, when the mean weighted squared spread
+    sum_i w_i^2 |x_i - mean(x)|^2 / n is not finite or is below the smallest
+    normal float: such magnitudes would overflow inside the solves or make
+    sigma2 underflow.
     """
     if settings is None:
         settings = FitSettings()
@@ -136,10 +139,10 @@ def fit_surface(
         centroid = cloud.points.mean(axis=0)
         points = cloud.points - centroid
         spread = np.sum(cloud.weights**2 * np.sum(points**2, axis=1))
-    if not (np.isfinite(spread) and spread > 0):
+    if not (np.isfinite(spread) and spread / cloud.n_x >= _TINY):
         raise ValueError(
-            f"weighted squared spread of the cloud is {float(spread)!r}; it must be finite and "
-            "positive (rescale the points or the weights)"
+            f"weighted squared spread of the cloud is {float(spread)!r} over {cloud.n_x} points; "
+            f"its mean must be finite and at least {_TINY!r} (rescale the points or the weights)"
         )
     inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)

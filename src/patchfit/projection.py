@@ -3,13 +3,14 @@
 Each point is an independent 2D minimization of the half squared distance,
 solved by Newton's method on a modified Hessian with Armijo backtracking:
 (H + mu I) p = -g, with mu = 0 when H is positive definite and otherwise
-mu = |g| - 2 lambda_min(H), so every step descends. A point stops once its
-gradient norm is at most ``grad_tol``, or at the precision floor: when no
-step length alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is
-above the rounding noise ``floor_ulp`` eps |r| (|x| + |r|) of the objective,
-|r| = sqrt(2 g), is an Armijo point; a point whose decrement -g.p is within
-that noise stops without the step. Both stops count as converged; a
-non-finite step, such as that of a system whose determinant overflows, is
+mu = |g| - 2 lambda_min(H), so every step descends. The one stop rule is the
+precision floor, and a point that stops there is converged: its gradient is
+exactly zero, or its decrement -g.p is within the rounding noise ``floor_ulp``
+eps |r| (|x| + |r|) of its objective, |r| = sqrt(2 g), or no step length
+alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is above that noise
+is an Armijo point; the floor is checked once more after the last Newton
+step. No constant of the rule has a unit, so scaling the points by a power of
+two scales only the objectives and their derivatives. A non-finite step is
 never at the floor.
 
 All points are advanced in lockstep on batched arrays, and every
@@ -42,7 +43,7 @@ from .voxel import PointCloud
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """The solver's fixed constants; it takes no arguments, and the solver reads ``_SETTINGS``."""
+    """Fixed solver constants, no arguments; the solver reads ``_SETTINGS`` but not ``grad_tol``."""
 
     max_newton_iters: int = field(default=20, init=False)
     grad_tol: float = field(default=1e-10, init=False)
@@ -58,7 +59,7 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass
 class ProjectionResult:
-    """One point's foot point; ``converged`` as in ``BatchProjection``."""
+    """One point's foot point; ``converged``: it stopped at the precision floor."""
 
     u: float
     v: float
@@ -73,8 +74,8 @@ class ProjectionResult:
 class BatchProjection:
     """Per-point foot points for a cloud; failed points keep their inputs.
 
-    ``converged`` marks the points that stopped at ``grad_tol`` or at the
-    precision floor: no Armijo point among the step lengths whose predicted
+    ``converged`` marks the points that stopped at the precision floor: a zero
+    gradient, or no Armijo point among the step lengths whose predicted
     decrease is above ``floor_ulp`` eps |r| (|x| + |r|). ``grad_norm`` holds
     each point's final gradient norm; a point that failed after a step keeps
     the norm of its last finite derivatives. ``iterations`` counts each
@@ -111,12 +112,12 @@ def _solve_batch(points, control, u0, v0):
     failed = ~np.isfinite(state[:, 2:]).all(axis=1)
     g_start = state[:, 2].copy()
     iterations = np.zeros(len(state), dtype=np.int64)
-    active = ~failed & (np.hypot(state[:, 3], state[:, 4]) > _SETTINGS.grad_tol)
-    floored = np.zeros(len(state), dtype=bool)
+    active = ~failed
+    converged = np.zeros(len(state), dtype=bool)
     x_norm = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
     alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
 
-    for _ in range(_SETTINGS.max_newton_iters):
+    for it in range(_SETTINGS.max_newton_iters + 1):  # the last pass only checks the floor
         idx = np.flatnonzero(active)
         cur = state[idx]
         _, _, val, gu, gv, a, b, d = cur.T
@@ -130,15 +131,15 @@ def _solve_batch(points, control, u0, v0):
         p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
         dirderiv = gu * p0 + gv * p1
 
-        # A lane whose decrement -g.p is within the rounding noise of its
-        # objective, floor_ulp eps |r| (|x| + |r|), stops without the step.
+        # A lane whose decrement -g.p is within the rounding noise of its objective,
+        # floor_ulp eps |r| (|x| + |r|), or whose gradient is 0 (step 0/0) stops unmoved.
         r_norm = np.sqrt(2.0 * val)
         noise = _SETTINGS.floor_ulp * _EPS * r_norm * (x_norm[idx] + r_norm)
-        done = -dirderiv <= noise
+        done = (-dirderiv <= noise) | ((gu == 0.0) & (gv == 0.0))
         stop = idx[done]
-        floored[stop], active[stop] = True, False
+        converged[stop], active[stop] = True, False
         idx, cur, p0, p1, dirderiv, noise = (y[~done] for y in (idx, cur, p0, p1, dirderiv, noise))
-        if idx.size == 0:
+        if idx.size == 0 or it == _SETTINGS.max_newton_iters:
             break
 
         cand = _rows(points[idx], cur[:, 0] + p0, cur[:, 1] + p1, control)
@@ -167,7 +168,7 @@ def _solve_batch(points, control, u0, v0):
             hit = good.any(axis=1)
             accepted[back[hit]] = True
             cand[back[hit]] = ladder[(np.cumsum(length) - length + good.argmax(axis=1))[hit]]
-        floored[idx[back[~hit & (length < alphas.size)]]] = True
+        converged[idx[back[~hit & (length < alphas.size)]]] = True
 
         active[idx[~accepted]] = False
         moved, rows = idx[accepted], cand[accepted]
@@ -175,13 +176,11 @@ def _solve_batch(points, control, u0, v0):
         finite = np.isfinite(rows[:, 3:]).all(axis=1)
         failed[moved[~finite]] = True
         state[moved[finite]] = rows[finite]
-        active[moved] = finite & (np.hypot(rows[:, 3], rows[:, 4]) > _SETTINGS.grad_tol)
+        active[moved] = finite
 
     state[failed, :3] = np.column_stack((u0, v0, g_start))[failed]
     u, v, value, gu, gv = state[:, :5].T.copy()
-    grad_norm = np.hypot(gu, gv)
-    converged = ~failed & ((grad_norm <= _SETTINGS.grad_tol) | floored)
-    return BatchProjection(u, v, g_start, value, grad_norm, converged, iterations, calls,
+    return BatchProjection(u, v, g_start, value, np.hypot(gu, gv), converged, iterations, calls,
                            tuple(int(i) for i in np.flatnonzero(failed)))
 
 
@@ -193,12 +192,11 @@ def project_point(
 ) -> ProjectionResult:
     """Locally minimize the half squared distance from x to the surface.
 
-    Takes shifted Newton steps (see the module docstring) until the gradient
-    norm falls to ``grad_tol`` or the point reaches the precision floor (both
-    count as ``converged``), the line search finds no Armijo point, or the
-    Newton budget is spent; the final objective never exceeds the starting
-    one. Raises ProjectionError when the objective or its derivatives stop
-    being finite.
+    Takes shifted Newton steps (see the module docstring) until the point
+    reaches the precision floor (``converged``), the line search finds no
+    Armijo point, or the Newton budget is spent; the final objective never
+    exceeds the starting one. Raises ProjectionError when the objective or its
+    derivatives stop being finite.
     """
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
     batch = _solve_batch(point, surface.control, np.array([float(u0)]), np.array([float(v0)]))
@@ -225,8 +223,8 @@ def project_all(
 
     Each solve is independent and deterministic. Points whose solve fails
     keep their previous parameters; their indices are reported in ``failed``.
-    ``converged`` marks the points whose gradient norm reached ``grad_tol``
-    or that stopped at the precision floor (see the module docstring).
+    ``converged`` marks the points that stopped at the precision floor (see
+    the module docstring).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -203,7 +203,7 @@ class TestFit:
         assert "points and weights must be finite" in result.stderr
 
     @pytest.mark.parametrize("point_scale, weight", [
-        (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200),
+        (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200), (1.0, 1e-155), (1.0, 1e-160),
     ])
     def test_overflowing_magnitudes_are_a_usage_error(self, tmp_path, saddle_cloud,
                                                        point_scale, weight):
@@ -332,6 +332,19 @@ class TestProject:
         result = run_cli("project", str(surface_path), str(probes), "-o", str(out))
         assert result.returncode == 3
         assert out.read_text().splitlines()[1:] == ["nan,nan,nan,0"] * 2
+
+    def test_non_finite_record_is_a_format_error(self, tmp_path, saddle_cloud):
+        # a NaN u would start every probe at NaN, so the document is refused
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        doc = json.loads(surface_path.read_text())
+        doc["points"][0]["u"] = float("nan")
+        surface_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        result = run_cli("project", str(surface_path), str(saddle_cloud), "-o", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {surface_path}: u values must be finite\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("records", [True, False], ids=["records", "no_records"])
     def test_rows_equal_per_point_reference(self, tmp_path, saddle_cloud, records):

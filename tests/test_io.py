@@ -1,5 +1,6 @@
 """File format round trips and parse error reporting."""
 
+import json
 import re
 
 import numpy as np
@@ -381,6 +382,25 @@ class TestSurfaceDocument:
         path = tmp_path / "surface.json"
         path.write_text('{"n_u": 1}')
         with pytest.raises(FileFormatError):
+            read_surface_model(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("name", ["u", "v", "residual", "sigma2", "t", "centroid"])
+    def test_non_finite_value_is_a_format_error(self, tmp_path, name, value):
+        # Python's json reads the NaN and Infinity tokens that json.dumps writes
+        doc = {"n_u": 1, "n_v": 1, "control": np.zeros((2, 2, 3)).tolist(), "sigma2": 0.5,
+               "t": 1.0, "centroid": [0.0, 0.0, 0.0],
+               "points": [{"u": 0.1, "v": 0.2, "residual": 0.3}] * 3}
+        if name in ("sigma2", "t"):
+            doc[name] = value
+        elif name == "centroid":
+            doc[name] = [0.0, value, 0.0]
+        else:
+            doc["points"] = doc["points"][:2] + [{**doc["points"][0], name: value}]
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {name} values must "
+                                                  "be finite$"):
             read_surface_model(path)
 
     def test_invalid_json_reports_line(self, tmp_path):

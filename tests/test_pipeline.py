@@ -23,6 +23,7 @@ from patchfit import (
     select_points,
     surface_eval,
 )
+from patchfit.simulate import ExperimentSpec, make_dataset
 
 
 def planar_cloud(rng, n=60, rotation=None, offset=None):
@@ -136,6 +137,24 @@ class TestFitSurface:
         npt.assert_array_equal(scaled.surface.control, base.surface.control)
         assert scaled.sigma2 == c**2 * base.sigma2
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varying"])
+    @pytest.mark.parametrize("k", [-40, -20, -8, 8, 20, 40])
+    def test_point_scale_changes_only_control_and_sigma2(self, uniform, k):
+        # the foot-point stop has no constant with a unit, so a power of two
+        # rescales every quantity of the fit exactly
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
+        points = make_dataset(spec, 0).x_tr
+        rng = np.random.default_rng(12)
+        w = np.ones(100) if uniform else rng.uniform(0.5, 2.0, 100)
+        base, _ = fit_surface(PointCloud(points, w))
+        scaled, _ = fit_surface(PointCloud(2.0**k * points, w))
+        assert (scaled.n_u, scaled.n_v) == (base.n_u, base.n_v)
+        for name in ("u", "v"):
+            npt.assert_array_equal(getattr(scaled, name), getattr(base, name))
+        npt.assert_array_equal(scaled.surface.control, 2.0**k * base.surface.control)
+        npt.assert_array_equal(scaled.centroid, 2.0**k * base.centroid)
+        assert scaled.sigma2 == 4.0**k * base.sigma2
+
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(5)
         cloud, _ = heightfield_cloud(rng, n=100, noise=0.05)
@@ -210,6 +229,7 @@ class TestFitSurface:
 
     @pytest.mark.parametrize("point_scale, weight", [
         (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200),
+        (1.0, 1e-155), (1.0, 1e-160), (2.0**-521, 1.0),  # sigma2 would be subnormal or 0
     ])
     def test_overflowing_magnitudes_rejected_before_any_solve(self, point_scale, weight):
         rng = np.random.default_rng(13)

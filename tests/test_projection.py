@@ -74,11 +74,13 @@ def sequential_solve(points, control, u0, v0):
 
     Same step and stop rule as the batched solver: a lane solves
     (H + mu I) p = -g, with mu = |g| - 2 lambda_min when H is not positive
-    definite. It stops at ``grad_tol``, when the line search finds no Armijo
-    point, or at the precision floor: without taking the step when its
-    decrement -g.p is at most ``floor_ulp`` eps |r| (|x| + |r|), the rounding
-    noise of its objective, or when its ladder reaches a step length alpha
-    whose predicted decrease alpha (-g.p) is within that noise.
+    definite. It stops when the line search finds no Armijo point, or at the
+    precision floor, which alone counts as converged: without taking the step
+    when its gradient is exactly zero or its decrement -g.p is at most
+    ``floor_ulp`` eps |r| (|x| + |r|), the rounding noise of its objective, or
+    when its ladder reaches a step length alpha whose predicted decrease
+    alpha (-g.p) is within that noise. The floor is checked once more after
+    the last Newton step.
     """
     s = projection._SETTINGS
     eps = np.finfo(np.float64).eps
@@ -91,8 +93,8 @@ def sequential_solve(points, control, u0, v0):
             g_start, norm, iterations = value, np.hypot(gu, gv), 0
             failed = not np.isfinite([value, gu, gv, a, b, d]).all()
             floored = False
-            for _ in range(s.max_newton_iters):
-                if failed or floored or norm[0] <= s.grad_tol:
+            for it in range(s.max_newton_iters + 1):
+                if failed or floored:
                     break
                 ha, hd = a, d
                 if not ((a * d - b * b)[0] > 0.0 and (a + d)[0] > 0.0):
@@ -105,8 +107,10 @@ def sequential_solve(points, control, u0, v0):
                 slope = gu * p0 + gv * p1
                 r_norm = np.sqrt(2.0 * value)
                 noise = (s.floor_ulp * eps * r_norm * (x_norm + r_norm))[0]
-                if -slope[0] <= noise:
+                if -slope[0] <= noise or (gu[0] == 0.0 and gv[0] == 0.0):
                     floored = True
+                    break
+                if it == s.max_newton_iters:
                     break
                 alpha, step = 1.0, None
                 for k in range(s.max_backtracks):
@@ -129,7 +133,7 @@ def sequential_solve(points, control, u0, v0):
                     break
                 norm = np.hypot(gu, gv)
             lanes.append((u[0], v[0], value[0], g_start[0], norm[0], iterations, failed,
-                          not failed and (norm[0] <= s.grad_tol or floored)))
+                          not failed and floored))
     return lanes
 
 
@@ -226,8 +230,8 @@ class TestPrecisionFloor:
         # Started at its exact foot point far out on a plane, the lane takes
         # no step: the rounding noise of the objective, about eps |r| |x|,
         # swamps the decrease Newton predicts. From u = 1e8 on, one ulp of u
-        # moves the surface by about 1e-8, so the gradient cannot fall to
-        # grad_tol either.
+        # moves the surface by about 1e-8, so the gradient stays above 1e-10
+        # and only the floor, which has no unit, can stop the lane.
         rng = np.random.default_rng(seed)
         a, b = rng.normal(size=3), rng.normal(size=3)
         surface = planar_surface(np.zeros(3), a, b)
@@ -287,6 +291,34 @@ class TestPrecisionFloor:
             assert not res.converged, scale
             assert res.iterations == 0, scale
 
+    def test_zero_gradient_lane_stops_without_a_step(self):
+        # On a patch with s_v = 0 everywhere, H is singular and a point on the
+        # surface has the step 0/0; its exact zero gradient stops it.
+        rng = np.random.default_rng(17)
+        control = np.repeat(rng.normal(size=(4, 1, 3)), 3, axis=1)
+        surface = BezierSurface(control)
+        u, v = rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
+        points = np.array([surface_eval(ui, vi, surface) for ui, vi in zip(u, v)])
+        batch = project_all(PointCloud(points, np.ones(8)), surface, u, v)
+        npt.assert_array_equal(batch.grad_norm, 0.0)
+        assert batch.converged.all()
+        assert batch.iterations.sum() == 0
+        assert batch.kernel_calls == 1
+
+    def test_floor_is_checked_after_the_last_step(self, monkeypatch):
+        # With one Newton step allowed, the lanes at the floor after it are
+        # converged, and the check costs no kernel call.
+        surface, points, u0, v0 = far_plane_batch(0)
+        truncated = SimpleNamespace(**{**asdict(projection._SETTINGS), "max_newton_iters": 1})
+        monkeypatch.setattr(projection, "_SETTINGS", truncated)
+        batch = projection._solve_batch(points, surface.control, u0, v0)
+        expected = sequential_solve(points, surface.control, u0, v0)
+        npt.assert_array_equal(batch.converged, [lane[-1] for lane in expected])
+        npt.assert_array_equal(batch.iterations, [lane[5] for lane in expected])
+        assert batch.converged.sum() == 2
+        assert (batch.iterations[batch.converged] == 1).all()
+        assert batch.kernel_calls == 3
+
     def test_at_most_two_kernel_calls_per_newton_iteration(self, monkeypatch):
         # The first call scores every start; after it, each Newton iteration
         # scores its full steps and then the rest of the rejecting lanes'
@@ -300,6 +332,32 @@ class TestPrecisionFloor:
         assert batch.kernel_calls == len(log)
         assert len(log) <= 1 + 2 * (batch.iterations.max() + 1)
         assert batch.iterations.max() > 1
+
+
+class TestScaleEquivariance:
+    @pytest.mark.parametrize("instance", ["rosenbrock", "bicubic"])
+    @pytest.mark.parametrize("k", [-40, -20, -8, 8, 20, 40])
+    def test_power_of_two_scale_changes_only_the_objective(self, instance, k):
+        # The stop rule has no constant with a unit, so scaling the points and
+        # the patch by 2^k scales every objective by 4^k and changes nothing else.
+        if instance == "rosenbrock":
+            surface, points, u, v = rosenbrock_batch(3)
+        else:
+            rng = np.random.default_rng(18)
+            surface = random_surface(rng, 3, 3)
+            u, v = rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)
+            points = np.array([surface_eval(ui, vi, surface) for ui, vi in zip(u, v)])
+            points += 0.05 * rng.normal(size=points.shape)
+            u, v = u + 0.2 * rng.normal(size=60), v + 0.2 * rng.normal(size=60)
+        base = project_all(PointCloud(points, np.ones(60)), surface, u, v)
+        scaled = project_all(PointCloud(2.0**k * points, np.ones(60)),
+                             BezierSurface(2.0**k * surface.control), u, v)
+        for name in ("u", "v", "iterations", "converged"):
+            npt.assert_array_equal(getattr(scaled, name), getattr(base, name), err_msg=name)
+        assert scaled.kernel_calls == base.kernel_calls
+        npt.assert_array_equal(scaled.g_start, 4.0**k * base.g_start)
+        npt.assert_array_equal(scaled.g_final, 4.0**k * base.g_final)
+        assert base.converged.all()
 
 
 class TestProjectAll:

@@ -5,8 +5,10 @@ trials 0-4) at n = 100 and 1 000, and keeps the ``BatchProjection`` of every
 ``project_all`` call: those of the fit (``pipeline.project_all``) and those of
 the test points (``projection.project_all``, reached through
 ``project_nearest``). For each size and caller it prints the number of
-solves, the median, maximum and total ``kernel_calls``, and the median and
-maximum of ``iterations.max()`` per solve:
+solves, the median, maximum and total ``kernel_calls``, the median and
+maximum of ``iterations.max()`` per solve, and the total of unconverged lanes
+(``~converged``, failed lanes included), so that a change to a stop rule
+shows its converged counts beside its work:
 
     python3 tools/solver_counts.py
     python3 tools/solver_counts.py --src ../before/src
@@ -50,7 +52,8 @@ def summary(batches: list) -> str:
     iters = np.array([int(b.iterations.max()) for b in batches])
     return (f"{len(batches):3d} solves  kernel_calls median {np.median(calls):5.1f} "
             f"max {calls.max():3d} total {calls.sum():5d}  "
-            f"iterations.max() median {np.median(iters):4.1f} max {iters.max():2d}")
+            f"iterations.max() median {np.median(iters):4.1f} max {iters.max():2d}  "
+            f"unconverged {sum(int((~b.converged).sum()) for b in batches):3d}")
 
 
 def main(argv=None) -> int:
