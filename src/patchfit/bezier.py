@@ -25,6 +25,16 @@ Hessian. ``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
 whose per-lane results do not depend on which other lanes share the batch,
 so evaluating a batch is bit-identical to evaluating its lanes one by one
 (this is asserted in the test suite).
+
+Every per-point pass runs with the points as the long axis: the nine dot
+products of the kernel are taken at once over the stacked derivatives, and
+the design matrix is built along the points. Three conditions, each
+measured, keep the results bit for bit those of the plain row-wise numpy
+forms: dot products (``_dot3``) are summed left to right onto +0.0, as
+``(x * y).sum(axis=1)`` sums them; the basis rows given to einsum are
+C-contiguous; and ``design_matrix`` is F-ordered, since the control solve's
+Gram product sums in the matrix's memory order. F-ordered basis rows, or a
+C-ordered design matrix, change the last bits of fitted surfaces.
 """
 
 from __future__ import annotations
@@ -106,10 +116,15 @@ def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.nd
     return pu, qu[:, ::-1]
 
 
+def _basis_table(values: np.ndarray, n: int) -> np.ndarray:
+    """Basis values for a batch of parameters, shape (len, n+1), stored by column."""
+    pu, qrev = _batch_power_tables(values, n)
+    return _pascal_row(n) * pu * qrev
+
+
 def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
     """Basis values for a batch of parameters: C-ordered rows of shape (len, n+1)."""
-    pu, qrev = _batch_power_tables(values, n)
-    return np.ascontiguousarray(_pascal_row(n) * pu * qrev)
+    return np.ascontiguousarray(_basis_table(values, n))
 
 
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,32 +145,39 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _surface_derivs(u, v, control):
-    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, each of shape (len, 3)."""
+    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, stacked in one (6, len, 3) array."""
     bu0, bu1, bu2 = _basis_rows_derivs(u, control.shape[0] - 1)
     bv0, bv1, bv2 = _basis_rows_derivs(v, control.shape[1] - 1)
     t0 = np.einsum("mi,ijk->mjk", bu0, control)
     t1 = np.einsum("mi,ijk->mjk", bu1, control)
     t2 = np.einsum("mi,ijk->mjk", bu2, control)
-    s = np.einsum("mj,mjk->mk", bv0, t0)
-    su = np.einsum("mj,mjk->mk", bv0, t1)
-    sv = np.einsum("mj,mjk->mk", bv1, t0)
-    suu = np.einsum("mj,mjk->mk", bv0, t2)
-    svv = np.einsum("mj,mjk->mk", bv2, t0)
-    suv = np.einsum("mj,mjk->mk", bv1, t1)
-    return s, su, sv, suu, svv, suv
+    derivs = np.empty((6, len(u), 3))
+    for out, bv, t in zip(derivs, (bv0, bv0, bv1, bv0, bv2, bv1), (t0, t1, t0, t2, t0, t1)):
+        np.einsum("mj,mjk->mk", bv, t, out=out)
+    return derivs
+
+
+def _dot3(x, y):
+    """Dot products along the last axis, of length 3, of two broadcast arrays;
+    bit for bit ``(x * y).sum(axis=-1)`` but with the points as the long axis:
+    the products are summed left to right onto +0.0, so three -0.0 products
+    sum to +0.0, as in numpy's sum."""
+    total = x[..., 0] * y[..., 0]
+    total += 0.0
+    total += x[..., 1] * y[..., 1]
+    total += x[..., 2] * y[..., 2]
+    return total
 
 
 def _values_grads_hessians(points, u, v, control):
     """Batched objective values with gradients and Hessian entries."""
-    s, su, sv, suu, svv, suv = _surface_derivs(u, v, control)
-    r = points - s
-    value = 0.5 * (r * r).sum(axis=1)
-    grad_u = -(su * r).sum(axis=1)
-    grad_v = -(sv * r).sum(axis=1)
-    h11 = (su * su).sum(axis=1) - (suu * r).sum(axis=1)
-    h12 = (su * sv).sum(axis=1) - (suv * r).sum(axis=1)
-    h22 = (sv * sv).sum(axis=1) - (svv * r).sum(axis=1)
-    return value, grad_u, grad_v, h11, h12, h22
+    derivs = _surface_derivs(u, v, control)
+    np.subtract(points, derivs[0], out=derivs[0])  # the residual r = x - s
+    with_r = _dot3(derivs, derivs[0])  # r.r, s_u.r, s_v.r, s_uu.r, s_vv.r, s_uv.r
+    jac = derivs[1:3]
+    gram = _dot3(jac[:, None], jac)  # s_a.s_b for a, b in (u, v)
+    return (0.5 * with_r[0], -with_r[1], -with_r[2], gram[0, 0] - with_r[3],
+            gram[0, 1] - with_r[5], gram[1, 1] - with_r[4])
 
 
 @dataclass(frozen=True)
@@ -229,9 +251,12 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
         raise ValueError(f"u and v must be 1D vectors of equal length, got {u.shape} and {v.shape}")
     if u.size < 1:
         raise ValueError("need at least one parameter pair")
-    rows_u = _basis_rows(u, int(n_u))
-    rows_v = _basis_rows(v, int(n_v))
-    outer = rows_v[:, :, None] * rows_u[:, None, :]
+    cols_u = _basis_table(u, int(n_u)).T
+    cols_v = _basis_table(v, int(n_v)).T
+    # The product runs along the points; its (n_x, n_v+1, n_u+1) buffer makes
+    # the result F-ordered, the layout the Gram product is summed in.
+    outer = np.empty((u.size, cols_v.shape[0], cols_u.shape[0]))
+    np.multiply(cols_v[:, None, :], cols_u[None, :, :], out=outer.transpose(1, 2, 0))
     return outer.reshape(u.size, -1).T
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bezier import BezierSurface, design_matrix
+from .bezier import BezierSurface, _dot3, design_matrix
 from .errors import RankDeficiencyError
 
 DEFAULT_LAMBDA = 1e-3
@@ -20,7 +20,7 @@ DEFAULT_LAMBDA = 1e-3
 def _residual_sum(points, weights, b, surface: BezierSurface) -> float:
     """Weighted sum of squared residuals against the samples ``b.T @ surface.flat``."""
     residual = points - b.T @ surface.flat
-    return float(np.sum(weights**2 * np.sum(residual**2, axis=1)))
+    return float(np.sum(weights**2 * _dot3(residual, residual)))
 
 
 def _ridge_penalty(surface: BezierSurface, lam: float) -> float:

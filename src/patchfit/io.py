@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezier import BezierSurface, design_matrix
+from .bezier import BezierSurface, _dot3, design_matrix
 from .errors import FileFormatError
 from .selection import FitModel
 from .simulate import ExperimentSpec, StudyRow, TrialRecord
@@ -207,7 +207,8 @@ def write_surface_model(model: FitModel, cloud: PointCloud, path) -> None:
     """
     b = design_matrix(model.u, model.v, model.n_u, model.n_v)
     fitted = b.T @ model.surface.flat
-    residuals = np.sqrt(np.sum((cloud.points - fitted) ** 2, axis=1))
+    offsets = cloud.points - fitted
+    residuals = np.sqrt(_dot3(offsets, offsets))
     doc = {
         "n_u": model.n_u,
         "n_v": model.n_v,

@@ -14,11 +14,12 @@ from time import perf_counter
 
 import numpy as np
 
+from .bezier import _dot3
 from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
-from .selection import FitModel, _search_orders, weight_scale
+from .selection import FitModel, _search_orders, ranking_floor, weight_scale
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
@@ -58,6 +59,14 @@ class FitIteration:
     projector's own objective values, the solve pair compares the regularized
     objective of the previous surface (``f_after_projection`` plus its ridge
     penalty) against a refit at unchanged orders.
+
+    ``seconds`` is the iteration's wall time, of which ``projection_seconds``
+    went to the foot-point solve and ``search_seconds`` to the order search.
+    ``kernel_calls``, ``newton_steps`` (accepted Newton steps summed over the
+    points) and ``unconverged_lanes`` (points not at the precision floor,
+    failed ones included) describe the foot-point solve; iteration 0 has none.
+    ``stop`` is empty except on the last row, where it says why the loop
+    ended: ``"tolerance"`` or ``"iteration cap"``.
     """
 
     iteration: int
@@ -72,6 +81,12 @@ class FitIteration:
     f_reg_after_solve: float
     projection_failures: int
     seconds: float
+    projection_seconds: float = 0.0
+    search_seconds: float = 0.0
+    kernel_calls: int = 0
+    newton_steps: int = 0
+    unconverged_lanes: int = 0
+    stop: str = ""
 
 
 FitTrace = list[FitIteration]
@@ -123,8 +138,9 @@ def fit_surface(
     The ridge strength and the ranking floor scale with mean(w^2), so
     multiplying every weight by c changes only sigma2, by c^2, while that
     stays a normal float. Scaling the points by 2^k scales only the control
-    points, by 2^k, and sigma2, by 4^k, while the foot-point solve's Newton
-    determinants, which scale by 16^k, stay normal floats.
+    points, by 2^k, and sigma2, by 4^k: the foot-point solve takes each Newton
+    step at a power-of-two scale of its own, so its determinants, which scale
+    by 16^k, cannot overflow or underflow.
 
     Raises ValueError, before any solve, when the mean weighted squared spread
     sum_i w_i^2 |x_i - mean(x)|^2 / n is not finite or is below the smallest
@@ -138,7 +154,7 @@ def fit_surface(
     with np.errstate(over="ignore", invalid="ignore"):
         centroid = cloud.points.mean(axis=0)
         points = cloud.points - centroid
-        spread = np.sum(cloud.weights**2 * np.sum(points**2, axis=1))
+        spread = np.sum(cloud.weights**2 * _dot3(points, points))
     if not (np.isfinite(spread) and spread / cloud.n_x >= _TINY):
         raise ValueError(
             f"weighted squared spread of the cloud is {float(spread)!r} over {cloud.n_x} points; "
@@ -146,8 +162,9 @@ def fit_surface(
         )
     inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)
-    lam = settings.lam
-    ridge = lam * weight_scale(inner.weights)  # the order search's ridge strength
+    scale = weight_scale(inner.weights)
+    ridge = settings.lam * scale  # the order search's ridge strength
+    floor = ranking_floor(inner.points) * scale
     if settings.fixed_orders is not None:
         start = cap = settings.fixed_orders
     else:
@@ -155,31 +172,41 @@ def fit_surface(
 
     trace: FitTrace = []
     tic = perf_counter()
-    model, f, _ = _search_orders(inner, u, v, start[0], start[1], lam, cap)
+    model, f, _ = _search_orders(inner, u, v, start[0], start[1], ridge, cap, floor)
+    seconds = perf_counter() - tic
     trace.append(
         FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, f,
-                     math.nan, math.nan, math.nan, math.nan, 0, perf_counter() - tic)
+                     math.nan, math.nan, math.nan, math.nan, 0, seconds, search_seconds=seconds)
     )
 
     prev_sigma2 = model.sigma2
     for it in range(1, settings.max_outer_iters + 1):
         tic = perf_counter()
         batch = project_all(inner, model.surface, u, v)
+        projection_seconds = perf_counter() - tic
         u, v = batch.u, batch.v
         f_before = float(np.sum(inner.weights**2 * batch.g_start))
         f_after = float(np.sum(inner.weights**2 * batch.g_final))
         f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
-        model, f, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, lam, cap)
+        search_tic = perf_counter()
+        model, f, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, ridge, cap,
+                                               floor)
+        search_seconds = perf_counter() - search_tic
         trace.append(
             FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f,
                          f_before, f_after, f_reg_before, f_reg_after,
-                         len(batch.failed), perf_counter() - tic)
+                         len(batch.failed), perf_counter() - tic,
+                         projection_seconds=projection_seconds, search_seconds=search_seconds,
+                         kernel_calls=batch.kernel_calls,
+                         newton_steps=int(batch.iterations.sum()),
+                         unconverged_lanes=int(np.count_nonzero(~batch.converged)))
         )
 
         settled = abs(model.sigma2 - prev_sigma2) < settings.rel_sigma2_tol * prev_sigma2
         prev_sigma2 = model.sigma2
         if settled:
             break
+    trace[-1].stop = "tolerance" if settled else "iteration cap"
 
     final = replace(model, surface=translate_surface(model.surface, centroid), centroid=centroid)
     return final, trace

@@ -9,20 +9,22 @@ exactly zero, or its decrement -g.p is within the rounding noise ``floor_ulp``
 eps |r| (|x| + |r|) of its objective, |r| = sqrt(2 g), or no step length
 alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is above that noise
 is an Armijo point; the floor is checked once more after the last Newton
-step. No constant of the rule has a unit, so scaling the points by a power of
-two scales only the objectives and their derivatives. A non-finite step is
-never at the floor.
+step. No constant of the rule has a unit, and each step solves the point's
+(H, g) scaled by the power of two that brings their largest entry into
+[1/2, 1), so the 2x2 system neither overflows nor underflows: scaling the
+points by a power of two scales only the objectives and their derivatives.
+A non-finite step is never at the floor.
 
-All points are advanced in lockstep on batched arrays, and every
-evaluation is one call of the objective kernel ``_values_grads_hessians`` in
+All points are advanced in lockstep on batched arrays, and every evaluation
+is one call of the objective kernel ``_values_grads_hessians`` in
 ``bezier``, which returns a trial's value with its gradient and Hessian. A
 Newton iteration makes at most two calls: one for the full step of every
 active point, and one for the remaining backtracking ladders (alpha = 1/2,
 1/4, ...) of the points that reject it. A point that accepts a step keeps
-that step's row, so nothing is evaluated twice and the per-point objective
-sequence is monotone by construction. The kernel's per-lane results do not
-depend on the rest of the batch, so projecting a cloud is bit-identical to
-projecting its points one by one. The solve returns one
+that step's kernel values, so nothing is evaluated twice and the per-point
+objective sequence is monotone by construction. The kernel's per-lane
+results do not depend on the rest of the batch, so projecting a cloud is
+bit-identical to projecting its points one by one. The solve returns one
 ``BatchProjection``, with each point's final gradient norm in ``grad_norm``.
 A point whose objective or derivatives stop being finite fails: it is not
 advanced again and ends at its start with its starting objective, and
@@ -55,6 +57,7 @@ class ProjectionSettings:
 
 _SETTINGS = ProjectionSettings()
 _EPS = np.finfo(np.float64).eps
+_NEAREST_BLOCK = 256  # points per distance block of ``project_nearest``
 
 
 @dataclass
@@ -95,40 +98,46 @@ class BatchProjection:
     failed: tuple[int, ...] = field(default=())
 
 
-def _rows(points, u, v, control):
-    """Kernel rows (u, v, g, g_u, g_v, h11, h12, h22) of a batch, one per lane."""
-    return np.column_stack((u, v, *_values_grads_hessians(points, u, v, control)))
+def _lanes(points, u, v, control):
+    """Kernel values (u, v, g, g_u, g_v, h11, h12, h22) of a batch, as the rows
+    of an (8, len) array, so that each quantity is contiguous over the lanes."""
+    return np.stack((u, v, *_values_grads_hessians(points, u, v, control)))
 
 
 # Overflow and invalid-value warnings are expected when trial parameters run
 # away; non-finite lanes are rejected or marked failed explicitly.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_batch(points, control, u0, v0):
-    """Foot points of a batch. Row k of ``state`` is lane k's kernel row at its
-    current point; a lane that accepts a trial takes the trial's row, unless its
-    derivatives are not finite, which fails the lane and keeps its last finite row."""
-    state = _rows(points, u0, v0, control)
+    """Foot points of a batch. Column k of ``state`` holds lane k's kernel values
+    at its current point; a lane that accepts a trial takes the trial's column,
+    unless its derivatives are not finite, which fails the lane and keeps its
+    last finite column."""
+    state = _lanes(points, u0, v0, control)
     calls = 1
-    failed = ~np.isfinite(state[:, 2:]).all(axis=1)
-    g_start = state[:, 2].copy()
-    iterations = np.zeros(len(state), dtype=np.int64)
+    failed = ~np.isfinite(state[2:]).all(axis=0)
+    g_start = state[2].copy()
+    iterations = np.zeros(state.shape[1], dtype=np.int64)
     active = ~failed
-    converged = np.zeros(len(state), dtype=bool)
+    converged = np.zeros(state.shape[1], dtype=bool)
     x_norm = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
     alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
 
     for it in range(_SETTINGS.max_newton_iters + 1):  # the last pass only checks the floor
         idx = np.flatnonzero(active)
-        cur = state[idx]
-        _, _, val, gu, gv, a, b, d = cur.T
+        cur = state[:, idx]
+        _, _, val, gu, gv = cur[:5]
+        # The step solves the lane's (H, g) scaled by one power of two, which
+        # brings its largest entry into [1/2, 1): the step does not change, and
+        # the 2x2 system can neither overflow nor underflow at any point scale.
+        _, exponent = np.frexp(np.abs(cur[3:]).max(axis=0, initial=0.0))
+        sgu, sgv, a, b, d = np.ldexp(cur[3:], -exponent)
         # Lanes not positive definite shift H by mu to smallest eigenvalue |g| + |lambda_min|.
         convex = (a * d - b * b > 0.0) & (a + d > 0.0)
         lam_min = (a + d) / 2 - np.hypot((a - d) / 2, b)
-        mu = np.where(convex, 0.0, np.hypot(gu, gv) - 2.0 * lam_min)
+        mu = np.where(convex, 0.0, np.hypot(sgu, sgv) - 2.0 * lam_min)
         a, d = a + mu, d + mu
         det = a * d - b * b
-        det[~np.isfinite(det)] = np.nan  # an overflowed system gives a NaN step, not 0
-        p0, p1 = -(d * gu - b * gv) / det, -(a * gv - b * gu) / det
+        p0, p1 = -(d * sgu - b * sgv) / det, -(a * sgv - b * sgu) / det
         dirderiv = gu * p0 + gv * p1
 
         # A lane whose decrement -g.p is within the rounding noise of its objective,
@@ -138,48 +147,49 @@ def _solve_batch(points, control, u0, v0):
         done = (-dirderiv <= noise) | ((gu == 0.0) & (gv == 0.0))
         stop = idx[done]
         converged[stop], active[stop] = True, False
-        idx, cur, p0, p1, dirderiv, noise = (y[~done] for y in (idx, cur, p0, p1, dirderiv, noise))
+        idx, p0, p1, dirderiv, noise = (y[~done] for y in (idx, p0, p1, dirderiv, noise))
+        cur = cur[:, ~done]
         if idx.size == 0 or it == _SETTINGS.max_newton_iters:
             break
 
-        cand = _rows(points[idx], cur[:, 0] + p0, cur[:, 1] + p1, control)
+        cand = _lanes(points[idx], cur[0] + p0, cur[1] + p1, control)
         calls += 1
-        cand_val = cand[:, 2]
-        accepted = np.isfinite(cand_val) & (cand_val <= cur[:, 2] + _SETTINGS.armijo_c * dirderiv)
+        cand_val = cand[2]
+        accepted = np.isfinite(cand_val) & (cand_val <= cur[2] + _SETTINGS.armijo_c * dirderiv)
 
         # Lanes that reject alpha = 1 evaluate the rest of their ladder in one
         # call: alpha = 1/2, 1/4, ... while alpha (-g.p) is above the noise,
-        # which a NaN step always is. Each ladder is a prefix, so its rows lie
-        # flat from the lane's offset on. Each lane takes its first Armijo
+        # which a NaN step always is. Each ladder is a prefix, so its columns
+        # lie flat from the lane's offset on. Each lane takes its first Armijo
         # rung; a lane with none whose ladder reached the noise stops at the floor.
         back = np.flatnonzero(~accepted)
         hit = np.zeros(back.size, dtype=bool)
         rungs = ~(-alphas * dirderiv[back, None] <= noise[back, None])
         length = rungs.sum(axis=1)
         if length.any():
-            trial_u = cur[back, 0, None] + alphas * p0[back, None]
-            trial_v = cur[back, 1, None] + alphas * p1[back, None]
-            ladder = _rows(points[np.repeat(idx[back], length)], trial_u[rungs], trial_v[rungs],
-                           control)
+            trial_u = cur[0, back, None] + alphas * p0[back, None]
+            trial_v = cur[1, back, None] + alphas * p1[back, None]
+            ladder = _lanes(points[np.repeat(idx[back], length)], trial_u[rungs], trial_v[rungs],
+                            control)
             calls += 1
-            bound = cur[back, 2, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
+            bound = cur[2, back, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
             good = np.zeros(rungs.shape, dtype=bool)
-            good[rungs] = np.isfinite(ladder[:, 2]) & (ladder[:, 2] <= bound[rungs])
+            good[rungs] = np.isfinite(ladder[2]) & (ladder[2] <= bound[rungs])
             hit = good.any(axis=1)
             accepted[back[hit]] = True
-            cand[back[hit]] = ladder[(np.cumsum(length) - length + good.argmax(axis=1))[hit]]
+            cand[:, back[hit]] = ladder[:, (np.cumsum(length) - length + good.argmax(axis=1))[hit]]
         converged[idx[back[~hit & (length < alphas.size)]]] = True
 
         active[idx[~accepted]] = False
-        moved, rows = idx[accepted], cand[accepted]
+        moved, lanes = idx[accepted], cand[:, accepted]
         iterations[moved] += 1
-        finite = np.isfinite(rows[:, 3:]).all(axis=1)
+        finite = np.isfinite(lanes[3:]).all(axis=0)
         failed[moved[~finite]] = True
-        state[moved[finite]] = rows[finite]
+        state[:, moved[finite]] = lanes[:, finite]
         active[moved] = finite
 
-    state[failed, :3] = np.column_stack((u0, v0, g_start))[failed]
-    u, v, value, gu, gv = state[:, :5].T.copy()
+    state[:3, failed] = np.stack((u0, v0, g_start))[:, failed]
+    u, v, value, gu, gv = state[:5].copy()
     return BatchProjection(u, v, g_start, value, np.hypot(gu, gv), converged, iterations, calls,
                            tuple(int(i) for i in np.flatnonzero(failed)))
 
@@ -237,11 +247,20 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> Batch
     """Foot points for finite points, each started at its nearest reference.
 
     Point i starts at ``(ref_u[k], ref_v[k])`` for the ``refs[k]`` at least
-    exact squared distance, the first on ties, found one point at a time. A
-    point whose distances all overflow starts at k = 0 and its lane fails.
+    squared distance, its coordinates summed left to right, the first on ties.
+    A point whose distances all overflow starts at k = 0 and its lane fails.
+    The distances are taken ``_NEAREST_BLOCK`` points at a time, so memory
+    stays proportional to that block times the reference count.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cloud = PointCloud(points, np.ones(points.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        nearest = [np.argmin(np.sum((p - refs) ** 2, axis=1)) for p in cloud.points]
+    refs = np.asarray(refs, dtype=np.float64).reshape(-1, 3)
+    nearest = np.zeros(cloud.n_x, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, cloud.n_x, _NEAREST_BLOCK):
+            block = cloud.points[start:start + _NEAREST_BLOCK]
+            dist2 = (block[:, 0, None] - refs[:, 0]) ** 2
+            dist2 += (block[:, 1, None] - refs[:, 1]) ** 2
+            dist2 += (block[:, 2, None] - refs[:, 2]) ** 2
+            nearest[start:start + _NEAREST_BLOCK] = np.argmin(dist2, axis=1)
     return project_all(cloud, surface, ref_u[nearest], ref_v[nearest])

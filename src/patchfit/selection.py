@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierSurface, design_matrix
+from .bezier import BezierSurface, _dot3, design_matrix
 from .control import _residual_sum, _ridge_penalty, _solve_design, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import RankDeficiencyError
@@ -34,7 +34,7 @@ def weight_scale(weights: np.ndarray) -> float:
 def ranking_floor(points: np.ndarray) -> float:
     """Variance floor used when ranking candidate fits of these points."""
     centered = points - points.mean(axis=0)
-    rms2 = float(np.mean(np.sum(centered**2, axis=1)))
+    rms2 = float(np.mean(_dot3(centered, centered)))
     return max(_REL_FLOOR**2 * rms2, 1e-300)
 
 
@@ -111,17 +111,18 @@ def _search_orders(
     v: np.ndarray,
     n_u: int,
     n_v: int,
-    lam: float,
+    ridge: float,
     order_cap: tuple[int, int] | None,
+    floor: float,
 ) -> tuple[FitModel, float, float]:
     """``mdl_select`` with one design matrix and one solve per candidate order.
 
     A candidate's weighted residual sum gives both its noise variance
-    (sum / 3n) and its weighted objective (sum / 2). The ridge strength
-    ``lam`` and the ranking floor are multiplied by ``weight_scale``.
-    Returns the winning model, its weighted objective, and the regularized
-    objective of the refit at the start order, NaN when that refit is rank
-    deficient.
+    (sum / 3n) and its weighted objective (sum / 2). ``ridge`` and ``floor``
+    are the ridge strength and the ranking floor, both already multiplied by
+    ``weight_scale``, so a fit computes them once. Returns the winning model,
+    its weighted objective, and the regularized objective of the refit at the
+    start order, NaN when that refit is rank deficient.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -129,9 +130,6 @@ def _search_orders(
     us = [n_u] if (cap_u is not None and n_u >= cap_u) else [n_u, n_u + 1]
     vs = [n_v] if (cap_v is not None and n_v >= cap_v) else [n_v, n_v + 1]
     points, weights = cloud.points, cloud.weights
-    scale = weight_scale(weights)
-    lam = lam * scale
-    floor = ranking_floor(points) * scale
 
     best = None
     f_reg_same = math.nan
@@ -140,13 +138,13 @@ def _search_orders(
         for cand_v in vs:
             b = design_matrix(u, v, cand_u, cand_v)
             try:
-                surface = _solve_design(points, weights, b, cand_u, cand_v, lam)
+                surface = _solve_design(points, weights, b, cand_u, cand_v, ridge)
             except RankDeficiencyError as exc:
                 last_error = exc
                 continue
             total = _residual_sum(points, weights, b, surface)
             if (cand_u, cand_v) == (n_u, n_v):
-                f_reg_same = 0.5 * total + _ridge_penalty(surface, lam)
+                f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
             sigma2 = total / (3.0 * cloud.n_x)
             d = param_count(cloud.n_x, cand_u, cand_v)
             t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
@@ -176,4 +174,6 @@ def mdl_select(
     never decrease. A candidate whose solve is rank deficient is skipped; if
     every candidate fails the error propagates.
     """
-    return _search_orders(cloud, u, v, n_u, n_v, lam, order_cap)[0]
+    scale = weight_scale(cloud.weights)
+    floor = ranking_floor(cloud.points) * scale
+    return _search_orders(cloud, u, v, n_u, n_v, lam * scale, order_cap, floor)[0]

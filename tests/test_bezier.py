@@ -1,5 +1,6 @@
 """Basis evaluation and surface derivative tests against independent oracles."""
 
+import itertools
 import math
 import re
 
@@ -23,6 +24,7 @@ from patchfit import (
 from patchfit.bezier import (
     _basis_rows,
     _basis_rows_derivs,
+    _dot3,
     _surface_derivs,
     _values_grads_hessians,
 )
@@ -222,6 +224,38 @@ class TestDesignMatrix:
     def test_no_parameter_pairs(self):
         with pytest.raises(ValueError, match="need at least one parameter pair"):
             design_matrix([], [], 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 5000])
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
+    def test_equals_row_product_oracle_bytewise_and_f_ordered(self, n, orders):
+        # The Gram product of the control solve sums in the matrix's memory
+        # order, so the layout is part of the result: a C-ordered copy changes
+        # the last bits of the solve.
+        rng = np.random.default_rng(n)
+        u, v = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
+        rows_u, rows_v = _basis_rows(u, orders[0]), _basis_rows(v, orders[1])
+        oracle = (rows_v[:, :, None] * rows_u[:, None, :]).reshape(n, -1).T
+        b = design_matrix(u, v, *orders)
+        assert b.flags.f_contiguous and b.shape == oracle.shape
+        assert b.tobytes(order="F") == oracle.tobytes(order="F")
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("n", [8, 1000, 5000])
+    def test_dot3_equals_row_sum_bytewise(self, n):
+        # Every row of values from +-0, +-inf, NaNs of both signs and extremes
+        # against a shuffled copy, itself and its negation (rows of -0.0
+        # products), then random rows: the sum runs left to right onto +0.0,
+        # which fixes the sign of a zero and which NaN survives.
+        special = [0.0, -0.0, 1.0, -2.5, 1e308, 5e-324, np.inf, -np.inf, np.nan, -np.nan]
+        rows = np.array(list(itertools.product(special, repeat=3)))
+        rng = np.random.default_rng(n)
+        pairs = [(rows, rows[rng.permutation(len(rows))]), (rows, rows), (rows, -rows)]
+        pairs.append(tuple(rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-9, 9, (n, 3))
+                           for _ in range(2)))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for x, y in pairs:
+                assert _dot3(x, y).tobytes() == (x * y).sum(axis=1).tobytes()
 
 
 def planar_surface(origin, a, b):

@@ -19,6 +19,8 @@ from patchfit import (
     fit_surface,
     init_uv,
     outer_iterations,
+    pipeline,
+    project_all,
     random_rotation,
     select_points,
     surface_eval,
@@ -138,9 +140,10 @@ class TestFitSurface:
         assert scaled.sigma2 == c**2 * base.sigma2
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varying"])
-    @pytest.mark.parametrize("k", [-40, -20, -8, 8, 20, 40])
+    @pytest.mark.parametrize("k", [-300, -255, -40, -20, -8, 8, 20, 40, 255, 300])
     def test_point_scale_changes_only_control_and_sigma2(self, uniform, k):
-        # the foot-point stop has no constant with a unit, so a power of two
+        # the foot-point stop has no constant with a unit, and the Newton system
+        # is solved at a power-of-two scale of its own, so a power of two
         # rescales every quantity of the fit exactly
         spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
         points = make_dataset(spec, 0).x_tr
@@ -209,6 +212,41 @@ class TestFitSurface:
         cloud, _ = heightfield_cloud(rng, n=60, noise=0.05)
         model, trace = fit_surface(cloud, FitSettings(max_outer_iters=3))
         assert outer_iterations(trace) <= 3
+
+    def test_trace_reports_projection_work_and_a_tolerance_stop(self, monkeypatch):
+        batches = []
+
+        def recording(*args):
+            batches.append(project_all(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(pipeline, "project_all", recording)
+        rng = np.random.default_rng(21)
+        cloud, _ = planar_cloud(rng, n=200, rotation=random_rotation(rng))
+        cloud = PointCloud(cloud.points + rng.normal(0.0, 0.01, cloud.points.shape),
+                           cloud.weights)
+        model, trace = fit_surface(cloud)
+        assert outer_iterations(trace) < FitSettings().max_outer_iters
+        assert [row.stop for row in trace] == [""] * (len(trace) - 1) + ["tolerance"]
+        first = trace[0]
+        assert first.search_seconds == first.seconds > 0.0
+        assert (first.projection_seconds, first.kernel_calls, first.newton_steps,
+                first.unconverged_lanes) == (0.0, 0, 0, 0)
+        assert len(batches) == len(trace) - 1
+        for row, batch in zip(trace[1:], batches):
+            assert row.kernel_calls == batch.kernel_calls >= 1
+            assert row.newton_steps == batch.iterations.sum()
+            assert row.unconverged_lanes == np.count_nonzero(~batch.converged)
+            assert 0.0 < row.projection_seconds and 0.0 < row.search_seconds
+            assert row.projection_seconds + row.search_seconds <= row.seconds
+        assert sum(row.newton_steps for row in trace) > 0
+
+    def test_trace_reports_an_iteration_cap_stop(self):
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(100))
+        model, trace = fit_surface(cloud, FitSettings(max_outer_iters=2))
+        assert outer_iterations(trace) == 2
+        assert [row.stop for row in trace] == ["", "", "iteration cap"]
 
     def test_fixed_orders_mode(self):
         rng = np.random.default_rng(10)

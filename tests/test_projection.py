@@ -1,5 +1,6 @@
 """Foot-point search: closed-form oracles, descent, and determinism."""
 
+import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -33,8 +34,8 @@ def planar_surface(origin, a, b):
     return BezierSurface(control)
 
 
-def random_surface(rng, n_u, n_v, scale=1.0):
-    return BezierSurface(scale * rng.normal(size=(n_u + 1, n_v + 1, 3)))
+def random_surface(rng, n_u, n_v):
+    return BezierSurface(rng.normal(size=(n_u + 1, n_v + 1, 3)))
 
 
 def rosenbrock_batch(seed, n=60, spread=0.3):
@@ -73,14 +74,15 @@ def sequential_solve(points, control, u0, v0):
     """Reference solver: lane by lane, one backtracking trial per kernel call.
 
     Same step and stop rule as the batched solver: a lane solves
-    (H + mu I) p = -g, with mu = |g| - 2 lambda_min when H is not positive
-    definite. It stops when the line search finds no Armijo point, or at the
-    precision floor, which alone counts as converged: without taking the step
-    when its gradient is exactly zero or its decrement -g.p is at most
-    ``floor_ulp`` eps |r| (|x| + |r|), the rounding noise of its objective, or
-    when its ladder reaches a step length alpha whose predicted decrease
-    alpha (-g.p) is within that noise. The floor is checked once more after
-    the last Newton step.
+    (H + mu I) p = -g for its (H, g) scaled by the power of two that brings
+    their largest magnitude into [1/2, 1), with mu = |g| - 2 lambda_min when
+    H is not positive definite. It stops when the line search finds no Armijo
+    point, or at the precision floor, which alone counts as converged: without
+    taking the step when its gradient is exactly zero or its decrement -g.p is
+    at most ``floor_ulp`` eps |r| (|x| + |r|), the rounding noise of its
+    objective, or when its ladder reaches a step length alpha whose predicted
+    decrease alpha (-g.p) is within that noise. The floor is checked once more
+    after the last Newton step.
     """
     s = projection._SETTINGS
     eps = np.finfo(np.float64).eps
@@ -96,14 +98,15 @@ def sequential_solve(points, control, u0, v0):
             for it in range(s.max_newton_iters + 1):
                 if failed or floored:
                     break
-                ha, hd = a, d
-                if not ((a * d - b * b)[0] > 0.0 and (a + d)[0] > 0.0):
-                    lam_min = (a + d) / 2 - np.hypot((a - d) / 2, b)
-                    mu = norm - 2.0 * lam_min
-                    ha, hd = a + mu, d + mu
-                det = ha * hd - b * b
-                det[~np.isfinite(det)] = np.nan
-                p0, p1 = -(hd * gu - b * gv) / det, -(ha * gv - b * gu) / det
+                e = math.frexp(max(abs(float(t[0])) for t in (gu, gv, a, b, d)))[1]
+                sgu, sgv, sa, sb, sd = (np.ldexp(t, -e) for t in (gu, gv, a, b, d))
+                ha, hd = sa, sd
+                if not ((sa * sd - sb * sb)[0] > 0.0 and (sa + sd)[0] > 0.0):
+                    lam_min = (sa + sd) / 2 - np.hypot((sa - sd) / 2, sb)
+                    mu = np.hypot(sgu, sgv) - 2.0 * lam_min
+                    ha, hd = sa + mu, sd + mu
+                det = ha * hd - sb * sb
+                p0, p1 = -(hd * sgu - sb * sgv) / det, -(ha * sgv - sb * sgu) / det
                 slope = gu * p0 + gv * p1
                 r_norm = np.sqrt(2.0 * value)
                 noise = (s.floor_ulp * eps * r_norm * (x_norm + r_norm))[0]
@@ -282,14 +285,25 @@ class TestPrecisionFloor:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_finite_step_is_not_a_floor(self, seed):
-        # On a patch scaled by 1e100 or 1e77, a d - b^2 overflows and the step
-        # is NaN: its decrease is never within the rounding noise, so the lane
-        # takes no step and is not converged.
-        for scale in (1e100, 1e77):
-            surface = random_surface(np.random.default_rng(seed), 3, 3, scale=scale)
-            res = project_point(surface_eval(0.4, 0.6, surface) * 1.5, surface, 0.3, 0.7)
-            assert not res.converged, scale
-            assert res.iterations == 0, scale
+        # On the plane s = (c u, e v, 0) with e ~ 1e-157, the v curvature e^2 is
+        # subnormal, and a point 1e153 off along y has g_v / h22 beyond the
+        # largest float: the step overflows. Its decrease is never within the
+        # rounding noise, so the lane takes no step and is not converged.
+        rng = np.random.default_rng(seed)
+        control = np.zeros((2, 2, 3))
+        control[1, :, 0] = rng.uniform(0.5, 2.0) * 1e-2
+        control[:, 1, 1] = rng.uniform(0.5, 2.0) * 1e-157
+        surface = BezierSurface(control)
+        u0, v0 = rng.uniform(0.2, 0.8, 2)
+        point = surface_eval(u0, v0, surface) + [0.0, 1e153, 0.0]
+        _, gu, gv, h11, h12, h22 = _values_grads_hessians(point[None, :], np.array([u0]),
+                                                          np.array([v0]), control)
+        assert (gu, h12) == (0.0, 0.0) and 0.0 < h22[0] < np.finfo(np.float64).tiny
+        assert abs(gv[0]) > np.finfo(np.float64).max * h22[0]
+        res = project_point(point, surface, u0, v0)
+        assert not res.converged
+        assert res.iterations == 0
+        assert res.g == res.g_start
 
     def test_zero_gradient_lane_stops_without_a_step(self):
         # On a patch with s_v = 0 everywhere, H is singular and a point on the
@@ -336,10 +350,12 @@ class TestPrecisionFloor:
 
 class TestScaleEquivariance:
     @pytest.mark.parametrize("instance", ["rosenbrock", "bicubic"])
-    @pytest.mark.parametrize("k", [-40, -20, -8, 8, 20, 40])
+    @pytest.mark.parametrize("k", [-300, -255, -40, -20, -8, 8, 20, 40, 255, 300])
     def test_power_of_two_scale_changes_only_the_objective(self, instance, k):
         # The stop rule has no constant with a unit, so scaling the points and
         # the patch by 2^k scales every objective by 4^k and changes nothing else.
+        # The Newton system is solved at a power-of-two scale of its own, so its
+        # determinant, which scales by 16^k, neither overflows nor underflows.
         if instance == "rosenbrock":
             surface, points, u, v = rosenbrock_batch(3)
         else:
@@ -498,6 +514,26 @@ class TestProjectNearest:
         batch = project_nearest(points, surface, refs, ref_u, ref_v)
         assert batch.failed == (3,)
         assert batch.converged[:3].all()
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_blockwise_starts_equal_the_per_point_loop(self, monkeypatch, block):
+        # Ties (duplicated references, and a point equidistant from several)
+        # go to the first reference, and a point whose distances all overflow
+        # starts at k = 0, in every block and at the ragged end.
+        rng = np.random.default_rng(17)
+        _, refs, _, _ = self._instance(rng, n_refs=12)
+        far = np.array([50.0, 0.0, 0.0])
+        refs = np.vstack([refs, refs[3:6], far + [[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]]])
+        points = np.vstack([refs[[4, 13, 5]], [far, [1e300, 0, 0], [0, -1e200, 1e200]],
+                            rng.normal(0, 1.0, (4, 3))])
+        with np.errstate(over="ignore"):
+            expected = [int(np.argmin(np.sum((p - refs) ** 2, axis=1))) for p in points]
+        assert expected[:6] == [4, 4, 5, 15, 0, 0]
+        monkeypatch.setattr(projection, "_NEAREST_BLOCK", block)
+        monkeypatch.setattr(projection, "project_all", lambda cloud, surface, u, v: u)
+        ks = np.arange(len(refs), dtype=np.float64)
+        starts = project_nearest(points, None, refs, ks, ks)
+        npt.assert_array_equal(starts, expected)
 
     def test_no_points_give_an_empty_batch(self):
         rng = np.random.default_rng(14)

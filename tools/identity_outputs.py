@@ -18,7 +18,12 @@ Outputs:
   default settings on two weighted clouds of the ``select`` runs below
   (``cloud_l5.csv``, inverse-distance weights, and ``cloud_external.csv``,
   external-map weights), so that a change to how weights enter a fit shows
-  up in a surface document; ``project``
+  up in a surface document; ``fit`` on two seeded clouds of ``PLANE_N`` =
+  5 000 points on a rotated noisy plane, one with unit weights
+  (``fit_plane_uniform``) and one with weights in [0.5, 2]
+  (``fit_plane_varying``), so that the per-point passes also run at the size
+  where numpy picks other inner loops than at the grid's few hundred points;
+  ``project``
   onto a document with records and onto one with ``"points": []``, each
   with a NaN probe and a ``1e300`` probe, and onto the first document from
   probes lifted 10-30 mm off the surface (``project_far``), where foot-point
@@ -64,6 +69,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 GRID_N = 40
+PLANE_N = 5000
 TRIAL_SURFACES = ("plane", "rosenbrock")
 TRIAL_MODES = ("auto", "fixed")
 TRIAL_SIZES = (30, 60, 100)
@@ -115,6 +121,18 @@ def with_geometry(text: str, spacing: tuple, origin: tuple) -> str:
     header, body = text.split("\n", 1)
     tokens = header.split()[:4] + [repr(float(x)) for x in (*spacing, *origin)]
     return " ".join(tokens) + "\n" + body
+
+
+def write_plane_cloud(path: Path, varying: bool) -> None:
+    """PLANE_N points on a rotated plane with noise of sd 0.01, as x,y,z,w rows."""
+    rng = np.random.default_rng(20)
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    xy = rng.uniform(-1.0, 1.0, (PLANE_N, 2))
+    points = np.column_stack([xy, np.zeros(PLANE_N)]) @ rotation.T
+    points += rng.normal(0.0, 0.01, points.shape)
+    weights = rng.uniform(0.5, 2.0, PLANE_N) if varying else np.ones(PLANE_N)
+    rows = (",".join(map(repr, (*p, w))) for p, w in zip(points.tolist(), weights.tolist()))
+    path.write_text("x,y,z,w\n" + "\n".join(rows) + "\n")
 
 
 def write_probes(cloud_path: Path, path: Path) -> None:
@@ -188,6 +206,10 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     run_cli("fit_l5", ["fit", "cloud_l5.csv", "-o", "surface_l5.json"], outdir, env)
     run_cli("fit_external", ["fit", "cloud_external.csv", "-o", "surface_external.json"],
             outdir, env)
+    for name in ("uniform", "varying"):
+        write_plane_cloud(outdir / f"plane_{name}.csv", varying=name == "varying")
+        run_cli(f"fit_plane_{name}", ["fit", f"plane_{name}.csv", "-o",
+                                      f"surface_plane_{name}.json"], outdir, env)
     write_probes(outdir / "cloud.csv", outdir / "probes.csv")
     doc = json.loads((outdir / "surface.json").read_text())
     doc["points"] = []
