@@ -104,8 +104,10 @@ def read_voxel_grid(path) -> VoxelGrid:
         raise FileFormatError(
             f"{path}: expected {n * m * p} values for dims ({n}, {m}, {p}), got {values.size}"
         )
-    data = values.reshape((n, m, p), order="F")
-    return VoxelGrid(data, spacing, origin)
+    try:
+        return VoxelGrid(values.reshape((n, m, p), order="F"), spacing, origin)
+    except ValueError as exc:  # a spacing or origin that the grid rejects
+        raise FileFormatError(f"{path}:1: {exc}") from exc
 
 
 def _binary_values(body: bytes) -> np.ndarray | None:
@@ -232,8 +234,7 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     try:
-        n_u = int(doc["n_u"])
-        n_v = int(doc["n_v"])
+        n_u, n_v = doc["n_u"], doc["n_v"]
         surface = BezierSurface(np.array(doc["control"], dtype=np.float64))
         records = doc["points"]
         u = np.array([rec["u"] for rec in records], dtype=np.float64)
@@ -253,6 +254,10 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
                         ("t", model.t), ("centroid", model.centroid)):
         if not np.isfinite(value).all():
             raise FileFormatError(f"{path}: {name} values must be finite")
+    if not (type(n_u) is int and type(n_v) is int):  # a bool or 2.9 is no order
+        raise FileFormatError(f"{path}: n_u and n_v must be integers, got {n_u!r} and {n_v!r}")
+    if model.centroid.shape != (3,) or not all(type(c) in (int, float) for c in doc["centroid"]):
+        raise FileFormatError(f"{path}: centroid must be 3 numbers, got {doc['centroid']!r}")
     if (surface.n_u, surface.n_v) != (n_u, n_v):
         raise FileFormatError(
             f"{path}: control tensor shape does not match recorded orders ({n_u}, {n_v})"

@@ -19,7 +19,7 @@ from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
-from .selection import FitModel, _search_orders, ranking_floor, weight_scale
+from .selection import FitModel, _search_orders, search_scales
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
@@ -106,6 +106,8 @@ def init_uv(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     if cloud.n_x < 3:
         raise ValueError(f"need at least 3 points to initialize, got {cloud.n_x}")
     centered = cloud.points - cloud.points.mean(axis=0)
+    # largest entry in [1/2, 1): LAPACK then rescales nothing, so 2^k scaling is exact
+    centered = np.ldexp(centered, -np.frexp(np.abs(centered).max())[1])
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[1] <= _DEGENERATE_RATIO * svals[0]:
         raise DegenerateGeometryError(
@@ -135,12 +137,12 @@ def fit_surface(
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
 
-    The ridge strength and the ranking floor scale with mean(w^2), so
-    multiplying every weight by c changes only sigma2, by c^2, while that
-    stays a normal float. Scaling the points by 2^k scales only the control
-    points, by 2^k, and sigma2, by 4^k: the foot-point solve takes each Newton
-    step at a power-of-two scale of its own, so its determinants, which scale
-    by 16^k, cannot overflow or underflow.
+    ``search_scales`` sets the order search's ridge and floor from mean(w^2)
+    and the cloud's spread, and ``init_uv``'s SVD and each Newton step run at
+    a power-of-two scale of their own. So scaling every weight by c changes
+    only sigma2, by c^2, and scaling the points by 2^k only the control
+    points, by 2^k, and sigma2, by 4^k, while sigma2 and the weighted spread
+    below stay normal floats.
 
     Raises ValueError, before any solve, when the mean weighted squared spread
     sum_i w_i^2 |x_i - mean(x)|^2 / n is not finite or is below the smallest
@@ -162,9 +164,7 @@ def fit_surface(
         )
     inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)
-    scale = weight_scale(inner.weights)
-    ridge = settings.lam * scale  # the order search's ridge strength
-    floor = ranking_floor(inner.points) * scale
+    ridge, floor = search_scales(inner, settings.lam)
     if settings.fixed_orders is not None:
         start = cap = settings.fixed_orders
     else:

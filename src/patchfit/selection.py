@@ -22,20 +22,17 @@ from .voxel import PointCloud
 # Candidates are ranked with the noise variance floored at a small fraction
 # of the cloud's RMS radius (squared), so candidates that interpolate to
 # floating-point dust tie and compete through the parameter penalty instead
-# of through rounding noise or an infinite statistic.
+# of through rounding noise. Should the floor underflow to 0, such candidates
+# tie at +inf and ``bic_statistic``'s parsimony tie-break decides.
 _REL_FLOOR = 1e-13
 
 
-def weight_scale(weights: np.ndarray) -> float:
-    """mean(w^2), the data term's scale per point: exactly 1.0 for unit weights."""
-    return float(np.mean(weights**2))
-
-
-def ranking_floor(points: np.ndarray) -> float:
-    """Variance floor used when ranking candidate fits of these points."""
-    centered = points - points.mean(axis=0)
+def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
+    """The order search's (ridge, floor): ``lam`` and the floor, times mean(w^2)."""
+    scale = float(np.mean(cloud.weights**2))
+    centered = cloud.points - cloud.points.mean(axis=0)
     rms2 = float(np.mean(_dot3(centered, centered)))
-    return max(_REL_FLOOR**2 * rms2, 1e-300)
+    return lam * scale, _REL_FLOOR**2 * rms2 * scale
 
 
 @dataclass
@@ -119,10 +116,9 @@ def _search_orders(
 
     A candidate's weighted residual sum gives both its noise variance
     (sum / 3n) and its weighted objective (sum / 2). ``ridge`` and ``floor``
-    are the ridge strength and the ranking floor, both already multiplied by
-    ``weight_scale``, so a fit computes them once. Returns the winning model,
-    its weighted objective, and the regularized objective of the refit at the
-    start order, NaN when that refit is rank deficient.
+    are those of ``search_scales``, which a fit computes once. Returns the
+    winning model, its weighted objective, and the regularized objective of
+    the refit at the start order, NaN when that refit is rank deficient.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -174,6 +170,5 @@ def mdl_select(
     never decrease. A candidate whose solve is rank deficient is skipped; if
     every candidate fails the error propagates.
     """
-    scale = weight_scale(cloud.weights)
-    floor = ranking_floor(cloud.points) * scale
-    return _search_orders(cloud, u, v, n_u, n_v, lam * scale, order_cap, floor)[0]
+    ridge, floor = search_scales(cloud, lam)
+    return _search_orders(cloud, u, v, n_u, n_v, ridge, order_cap, floor)[0]

@@ -149,6 +149,14 @@ class TestSelect:
         assert result.returncode == 2
         assert "bad.vox:1" in result.stderr
 
+    def test_zero_spacing_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.vox"
+        bad.write_text("VOX1 1 1 1 0 1 1 0 0 0\n1\n")
+        result = run_cli("select", str(bad), "-o", str(tmp_path / "x.csv"),
+                         "--seed-voxel", "0", "0", "0")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {bad}:1: spacing must be strictly positive")
+
     def test_curved_boundary_point_count(self, tmp_path):
         # 15 mm cube at 1 mm spacing around a spherical boundary; the point
         # count is reported, not asserted

@@ -74,7 +74,16 @@ class TestVoxelGridFormat:
         ("", ": empty file"),
         ("VOX1 2 x 2 1 1 1 0 0 0\n1 1 1 1\n",
          ":1: bad header value (invalid literal for int() with base 10: 'x')"),
-    ], ids=["empty", "bad_value"])
+        ("VOX1 1 1 1 0 1 1 0 0 0\n1\n", ":1: spacing must be strictly positive, got [0. 1. 1.]"),
+        ("VOX1 1 1 1 1 -1 1 0 0 0\n1\n",
+         ":1: spacing must be strictly positive, got [ 1. -1.  1.]"),
+        ("VOX1 1 1 1 1 1 nan 0 0 0\n1\n",
+         ":1: spacing must be strictly positive, got [ 1.  1. nan]"),
+        ("VOX1 1 1 1 inf 1 1 0 0 0\n1\n",
+         ":1: spacing must be strictly positive, got [inf  1.  1.]"),
+        ("VOX1 1 1 1 1 1 1 0 nan 0\n1\n", ":1: origin must be finite"),
+    ], ids=["empty", "bad_value", "spacing_0", "spacing_-1", "spacing_nan", "spacing_inf",
+            "origin_nan"])
     def test_header_error_messages(self, tmp_path, text, message):
         path = tmp_path / "bad.vox"
         path.write_text(text)
@@ -358,6 +367,13 @@ class TestPointCloudFormat:
         assert np.isnan(probes[1]).all()
 
 
+def bilinear_document():
+    """A valid surface document of orders (1, 1) with three point records."""
+    return {"n_u": 1, "n_v": 1, "control": np.zeros((2, 2, 3)).tolist(), "sigma2": 0.5,
+            "t": 1.0, "centroid": [0.0, 0.0, 0.0],
+            "points": [{"u": 0.1, "v": 0.2, "residual": 0.3}] * 3}
+
+
 class TestSurfaceDocument:
     def test_round_trip_and_sigma2_consistency(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -388,9 +404,7 @@ class TestSurfaceDocument:
     @pytest.mark.parametrize("name", ["u", "v", "residual", "sigma2", "t", "centroid"])
     def test_non_finite_value_is_a_format_error(self, tmp_path, name, value):
         # Python's json reads the NaN and Infinity tokens that json.dumps writes
-        doc = {"n_u": 1, "n_v": 1, "control": np.zeros((2, 2, 3)).tolist(), "sigma2": 0.5,
-               "t": 1.0, "centroid": [0.0, 0.0, 0.0],
-               "points": [{"u": 0.1, "v": 0.2, "residual": 0.3}] * 3}
+        doc = bilinear_document()
         if name in ("sigma2", "t"):
             doc[name] = value
         elif name == "centroid":
@@ -401,6 +415,25 @@ class TestSurfaceDocument:
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {name} values must "
                                                   "be finite$"):
+            read_surface_model(path)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_u", 2.9, "n_u and n_v must be integers, got 2.9 and 1"),
+        ("n_u", "1", "n_u and n_v must be integers, got '1' and 1"),
+        ("n_v", 1.0, "n_u and n_v must be integers, got 1 and 1.0"),
+        ("n_v", True, "n_u and n_v must be integers, got 1 and True"),
+        ("centroid", [0.0, 0.0], r"centroid must be 3 numbers, got \[0\.0, 0\.0\]"),
+        ("centroid", [0.0, 0.0, 0.0, 0.0], "centroid must be 3 numbers"),
+        ("centroid", ["0", 0.0, 0.0], "centroid must be 3 numbers"),
+        ("centroid", 0.0, "centroid must be 3 numbers"),
+    ], ids=["n_u_fraction", "n_u_text", "n_v_float", "n_v_bool", "centroid_2", "centroid_4",
+            "centroid_text", "centroid_scalar"])
+    def test_field_type_is_a_format_error(self, tmp_path, name, value, message):
+        doc = bilinear_document()
+        doc[name] = value
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
             read_surface_model(path)
 
     def test_invalid_json_reports_line(self, tmp_path):

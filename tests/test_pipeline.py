@@ -51,6 +51,22 @@ def heightfield_cloud(rng, n_u=2, n_v=2, n=120, height=0.4, noise=0.0):
     return PointCloud(points, np.ones(n)), surface
 
 
+def saddle_cloud(uniform):
+    """80 noisy points on a saddle, with unit weights or weights in [0.5, 2]."""
+    rng = np.random.default_rng(11)
+    xy = rng.uniform(-1.0, 1.0, (80, 2))
+    points = np.column_stack([xy, 0.3 * (xy[:, 0] ** 2 - xy[:, 1] ** 2)])
+    points += rng.normal(0.0, 0.01, points.shape)
+    return points, np.ones(80) if uniform else rng.uniform(0.5, 2.0, 80)
+
+
+def rosenbrock_cloud(uniform):
+    """100 noisy Rosenbrock points, with unit weights or weights in [0.5, 2]."""
+    spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
+    rng = np.random.default_rng(12)
+    return make_dataset(spec, 0).x_tr, np.ones(100) if uniform else rng.uniform(0.5, 2.0, 100)
+
+
 class TestInitUv:
     def test_planar_cloud_is_affine_image(self):
         rng = np.random.default_rng(0)
@@ -126,11 +142,7 @@ class TestFitSurface:
                              ids=["2^-500", "2^-300", "2^-10", "2^300"])
     def test_weight_scale_changes_only_sigma2(self, uniform, c):
         # powers of two rescale every product exactly, so the fits agree bit for bit
-        rng = np.random.default_rng(11)
-        xy = rng.uniform(-1.0, 1.0, (80, 2))
-        points = np.column_stack([xy, 0.3 * (xy[:, 0] ** 2 - xy[:, 1] ** 2)])
-        points += rng.normal(0.0, 0.01, points.shape)
-        w = np.ones(80) if uniform else rng.uniform(0.5, 2.0, 80)
+        points, w = saddle_cloud(uniform)
         base, _ = fit_surface(PointCloud(points, w))
         scaled, _ = fit_surface(PointCloud(points, c * w))
         assert (scaled.n_u, scaled.n_v) == (base.n_u, base.n_v)
@@ -140,15 +152,17 @@ class TestFitSurface:
         assert scaled.sigma2 == c**2 * base.sigma2
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "varying"])
-    @pytest.mark.parametrize("k", [-300, -255, -40, -20, -8, 8, 20, 40, 255, 300])
-    def test_point_scale_changes_only_control_and_sigma2(self, uniform, k):
-        # the foot-point stop has no constant with a unit, and the Newton system
-        # is solved at a power-of-two scale of its own, so a power of two
-        # rescales every quantity of the fit exactly
-        spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
-        points = make_dataset(spec, 0).x_tr
-        rng = np.random.default_rng(12)
-        w = np.ones(100) if uniform else rng.uniform(0.5, 2.0, 100)
+    @pytest.mark.parametrize("make, k", [
+        *(pytest.param(rosenbrock_cloud, k, id=str(k))
+          for k in (-500, -460, -300, -255, -40, -20, -8, 8, 20, 40, 255, 300, 460, 500)),
+        pytest.param(saddle_cloud, -500, id="saddle-500"),
+    ])
+    def test_point_scale_changes_only_control_and_sigma2(self, uniform, make, k):
+        # no step of the fit has a constant with a unit, and the initial SVD and
+        # each Newton system are solved at a power-of-two scale of their own, so
+        # a power of two rescales every quantity of the fit exactly; the saddle
+        # at 2^-500 checks that the ranking floor has no absolute part
+        points, w = make(uniform)
         base, _ = fit_surface(PointCloud(points, w))
         scaled, _ = fit_surface(PointCloud(2.0**k * points, w))
         assert (scaled.n_u, scaled.n_v) == (base.n_u, base.n_v)
