@@ -4,8 +4,8 @@ Subcommands: ``select`` (occupancy grid to point cloud), ``fit`` (point cloud
 to surface document), ``project`` (points onto a fitted surface), ``study``
 (simulation studies from a config file).
 
-Exit codes: 0 success, 2 usage or parse error, 3 numerical failure,
-4 empty selection.
+Handlers raise; ``main`` prints each error as one ``error:`` line. Exit codes:
+0 success, 2 usage or parse error, 3 numerical failure, 4 empty selection.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .bezier import design_matrix
 from .errors import (
     DegenerateGeometryError,
     EmptySelectionError,
-    FileFormatError,
     PatchFitError,
     ProjectionError,
     RankDeficiencyError,
@@ -45,6 +44,9 @@ _FIT_DEFAULTS = FitSettings()
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_EMPTY = 4
+# The failures that exit with EXIT_NUMERICAL; LinAlgError is also a ValueError.
+NUMERICAL_ERRORS = (DegenerateGeometryError, RankDeficiencyError, ProjectionError,
+                    np.linalg.LinAlgError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,12 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_select(args) -> int:
     if args.weight_grid is not None and args.weight_mode != "external-map":
-        print("error: --weight-grid is read only with --weight-mode external-map",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise PatchFitError("--weight-grid is read only with --weight-mode external-map")
     if args.weight_grid is None and args.weight_mode == "external-map":
-        print("error: external-map mode requires a weight grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise PatchFitError("external-map mode requires a weight grid")
     grid = io.read_voxel_grid(args.grid)
     if args.seed_voxel is not None:
         seed = tuple(args.seed_voxel)
@@ -122,9 +121,8 @@ def cmd_select(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             index = (np.asarray(args.query, dtype=np.float64) - grid.origin) / grid.spacing
         if not np.isfinite(index).all():
-            print(f"error: --query must give a finite voxel index, got "
-                  f"{' '.join(map(repr, args.query))}", file=sys.stderr)
-            return EXIT_USAGE
+            raise PatchFitError(f"--query must give a finite voxel index, got "
+                                f"{' '.join(map(repr, args.query))}")
         seed = tuple(int(round(c)) for c in index)
     region = select_points(grid, seed, l=args.l, max_iters=args.max_iters, epsilon=args.epsilon)
     weight_grid = io.read_voxel_grid(args.weight_grid) if args.weight_grid else None
@@ -158,8 +156,7 @@ def cmd_project(args) -> int:
     model, _ = io.read_surface_model(args.surface)
     probes, _ = io.read_xyzw(args.cloud)
     if probes.shape[0] == 0:
-        print("error: cannot project an empty cloud", file=sys.stderr)
-        return EXIT_USAGE
+        raise PatchFitError("cannot project an empty cloud")
     finite_rows = np.flatnonzero(np.isfinite(probes).all(axis=1))
     points = probes[finite_rows]
     if model.u.size > 0:
@@ -204,16 +201,8 @@ def main(argv=None) -> int:
     handlers = {"select": cmd_select, "fit": cmd_fit, "project": cmd_project, "study": cmd_study}
     try:
         return handlers[args.command](args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmptySelectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (DegenerateGeometryError, RankDeficiencyError, ProjectionError,
-            np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (OSError, ValueError, PatchFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, EmptySelectionError):
+            return EXIT_EMPTY
+        return EXIT_NUMERICAL if isinstance(exc, NUMERICAL_ERRORS) else EXIT_USAGE

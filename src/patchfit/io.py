@@ -226,6 +226,13 @@ def write_surface_model(model: FitModel, cloud: PointCloud, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; ``float()`` alone also reads "0.5" and true."""
+    if type(value) not in (int, float):  # bool is an int subclass, not a JSON number
+        raise TypeError(f"{name} values must be JSON numbers, got {value!r}")
+    return float(value)
+
+
 def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
     """Parse a surface document; returns the model and stored residuals."""
     path = Path(path)
@@ -233,22 +240,26 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an int of over 4 300 digits
+        raise FileFormatError(f"{path}: unreadable JSON ({exc})") from exc
     try:
         n_u, n_v = doc["n_u"], doc["n_v"]
-        surface = BezierSurface(np.array(doc["control"], dtype=np.float64))
+        control = np.array(doc["control"], dtype=np.float64)
+        for entry in np.array(doc["control"], dtype=object).flat:  # numpy reads "2" as 2.0
+            _number(entry, "control")
+        surface = BezierSurface(control)
         records = doc["points"]
-        u = np.array([rec["u"] for rec in records], dtype=np.float64)
-        v = np.array([rec["v"] for rec in records], dtype=np.float64)
-        residuals = np.array([rec["residual"] for rec in records], dtype=np.float64)
+        u, v, residuals = (np.array([_number(rec[name], name) for rec in records])
+                           for name in ("u", "v", "residual"))
         model = FitModel(
             surface=surface,
             u=u,
             v=v,
-            sigma2=float(doc["sigma2"]),
-            t=float(doc["t"]),
+            sigma2=_number(doc["sigma2"], "sigma2"),
+            t=_number(doc["t"], "t"),
             centroid=np.array(doc["centroid"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: malformed surface document ({exc})") from exc
     for name, value in (("u", u), ("v", v), ("residual", residuals), ("sigma2", model.sigma2),
                         ("t", model.t), ("centroid", model.centroid)):
@@ -274,13 +285,15 @@ def _int_pair(value: str) -> tuple[int, int]:
     return int(first), int(second)
 
 
-# Each field's parser, and what a value that the parser rejects should be.
-_SPEC_FIELDS = {
-    **dict.fromkeys(("n_tr", "n_te", "seed", "trials"), (int, "an integer")),
-    **dict.fromkeys(("sigma2_y", "lam"), (float, "a number")),
-    **dict.fromkeys(("name", "surface", "mode"), (str, "text")),
-    **dict.fromkeys(("orders", "brute_cap"), (_int_pair, "two integers")),
+# Each field's parser, and what a value that the parser rejects should be,
+# by the field's annotation.
+_SPEC_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "text"),
+    "tuple[int, int]": (_int_pair, "two integers"),
 }
+_SPEC_FIELDS = {f.name: _SPEC_PARSERS[f.type] for f in fields(ExperimentSpec)}
 
 
 def parse_study_config(text: str, source: str = "<config>") -> list[ExperimentSpec]:

@@ -7,7 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from patchfit import ProjectionError, VoxelGrid, design_matrix, g_value, project_point
+from patchfit import (
+    DegenerateGeometryError,
+    EmptySelectionError,
+    FileFormatError,
+    PatchFitError,
+    ProjectionError,
+    RankDeficiencyError,
+    VoxelGrid,
+    design_matrix,
+    g_value,
+    project_point,
+)
+from patchfit import cli
 from patchfit.cli import build_parser
 from patchfit.io import read_point_cloud, read_surface_model, write_point_cloud, write_voxel_grid
 from patchfit.voxel import PointCloud
@@ -354,6 +366,25 @@ class TestProject:
         assert result.stderr == f"error: {surface_path}: u values must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("t, message", [
+        ('"1.0"', "malformed surface document (t values must be JSON numbers, got '1.0')"),
+        ("true", "malformed surface document (t values must be JSON numbers, got True)"),
+        ("1" + "0" * 400, "malformed surface document (int too large to convert to float)"),
+        ("[" * 100_000 + "]" * 100_000, "unreadable JSON (maximum recursion depth exceeded while "
+                                        "decoding a JSON array from a unicode string)"),
+    ], ids=["text", "bool", "400_digit_integer", "nested_100000_deep"])
+    def test_unreadable_value_is_a_format_error(self, tmp_path, saddle_cloud, t, message):
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        doc = json.loads(surface_path.read_text())
+        doc["t"] = 7
+        surface_path.write_text(json.dumps(doc).replace('"t": 7', f'"t": {t}'))
+        out = tmp_path / "p.csv"
+        result = run_cli("project", str(surface_path), str(saddle_cloud), "-o", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {surface_path}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("records", [True, False], ids=["records", "no_records"])
     def test_rows_equal_per_point_reference(self, tmp_path, saddle_cloud, records):
         surface_path = tmp_path / "surface.json"
@@ -478,6 +509,30 @@ class TestUndecodableInput:
         assert result.returncode == 2
         assert result.stderr == (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode "
                                  f"byte 0xff in position {len(text)}: invalid start byte)\n")
+
+
+class TestExitCodes:
+    """Every error a handler raises is printed once by ``main``, which picks the exit code."""
+
+    @pytest.mark.parametrize("error, code", [
+        (FileFormatError, 2),
+        (EmptySelectionError, 4),
+        (DegenerateGeometryError, 3),
+        (RankDeficiencyError, 3),
+        (ProjectionError, 3),
+        (np.linalg.LinAlgError, 3),  # a ValueError too
+        (ValueError, 2),
+        (OSError, 2),
+        (PatchFitError, 2),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_error_kind_sets_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            print("fitting", args.cloud)
+            raise error("some message")
+
+        monkeypatch.setattr(cli, "cmd_fit", fail)
+        assert cli.main(["fit", "cloud.csv", "-o", "surface.json"]) == code
+        assert capsys.readouterr() == ("fitting cloud.csv\n", "error: some message\n")
 
 
 class TestHelpDefaults:

@@ -426,11 +426,27 @@ class TestSurfaceDocument:
         ("centroid", [0.0, 0.0, 0.0, 0.0], "centroid must be 3 numbers"),
         ("centroid", ["0", 0.0, 0.0], "centroid must be 3 numbers"),
         ("centroid", 0.0, "centroid must be 3 numbers"),
+        # float() and numpy read these as 0.5, 1.0, 0.1, 0.0 and 2.0
+        ("sigma2", "0.5", r"malformed surface document \(sigma2 values must be JSON numbers, "
+                          r"got '0\.5'\)$"),
+        ("t", True, r"malformed surface document \(t values must be JSON numbers, got True\)$"),
+        ("u", "0.1", r"malformed surface document \(u values must be JSON numbers, got '0\.1'\)$"),
+        ("v", False, r"malformed surface document \(v values must be JSON numbers, got False\)$"),
+        ("control", "2", r"malformed surface document \(control values must be JSON numbers, "
+                         r"got '2'\)$"),
+        ("control", None, r"malformed surface document \(control values must be JSON numbers, "
+                          r"got None\)$"),
     ], ids=["n_u_fraction", "n_u_text", "n_v_float", "n_v_bool", "centroid_2", "centroid_4",
-            "centroid_text", "centroid_scalar"])
+            "centroid_text", "centroid_scalar", "sigma2_text", "t_bool", "record_u_text",
+            "record_v_bool", "control_text", "control_null"])
     def test_field_type_is_a_format_error(self, tmp_path, name, value, message):
         doc = bilinear_document()
-        doc[name] = value
+        if name in ("u", "v"):
+            doc["points"] = doc["points"][:2] + [{**doc["points"][0], name: value}]
+        elif name == "control":
+            doc["control"][1][0][2] = value
+        else:
+            doc[name] = value
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
@@ -440,6 +456,25 @@ class TestSurfaceDocument:
         path = tmp_path / "surface.json"
         path.write_text("{\n  broken\n}")
         with pytest.raises(FileFormatError, match="surface.json:2"):
+            read_surface_model(path)
+
+    def test_orders_must_match_control_shape(self, tmp_path):
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({**bilinear_document(), "n_u": 2}))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: control tensor shape "
+                                                  r"does not match recorded orders \(2, 1\)$"):
+            read_surface_model(path)
+
+    @pytest.mark.parametrize("t, message", [
+        ("1" + "0" * 400, r"malformed surface document \(int too large to convert to float\)$"),
+        ("[" * 100_000 + "]" * 100_000, r"unreadable JSON \(maximum recursion depth exceeded"),
+        ("1" * 5000, r"unreadable JSON \(Exceeds the limit \(4300 digits\)"),
+    ], ids=["400_digit_integer", "nested_100000_deep", "5000_digit_integer"])
+    def test_unconvertible_json_is_a_format_error(self, tmp_path, t, message):
+        # float() overflows, and json.loads recurses or refuses, inside the reader
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({**bilinear_document(), "t": 7}).replace('"t": 7', f'"t": {t}'))
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: {message}"):
             read_surface_model(path)
 
 
