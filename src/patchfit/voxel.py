@@ -221,6 +221,9 @@ def select_points(
     within ``max_iters`` hops of the seed, where one hop spans Chebyshev
     distance (l-1)/2, and a voxel first reached at hop h holds
     max_iters + 1 - h: the seed holds max_iters + 1, the outermost voxels 1.
+    Once reached_k equals reached_(k-1) it stays so, and the remaining hops
+    are added in closed form, so at most ``max_iters`` growth box sums run.
+    ``max_iters`` + 1 must fit in int64.
 
     The support thus lies within Chebyshev distance
     ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
@@ -234,6 +237,9 @@ def select_points(
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if max_iters >= np.iinfo(np.int64).max:
+        raise ValueError(f"max_iters must be at most {np.iinfo(np.int64).max - 1}, so that the "
+                         f"seed's hop count max_iters + 1 fits in int64, got {max_iters}")
     l = _box_size(l)
     _require_binary(grid)
     _box_size(3, grid.dims)
@@ -255,8 +261,12 @@ def select_points(
     reached = np.zeros(mask.shape, dtype=bool)
     reached[local] = True
     region = reached.astype(np.int64)
-    for _ in range(max_iters):
-        reached = (convolve3(VoxelGrid(reached, crop.spacing, crop.origin), l).data > 0) & on_mask
+    for k in range(1, max_iters + 1):
+        grown = (convolve3(VoxelGrid(reached, crop.spacing, crop.origin), l).data > 0) & on_mask
+        if np.array_equal(grown, reached):
+            region += (max_iters - k + 1) * reached  # hops k .. max_iters reach the same set
+            break
+        reached = grown
         region += reached
 
     support = np.argwhere(region > 0) + np.array(lo)

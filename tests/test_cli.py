@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from patchfit import (
     EmptySelectionError,
     FileFormatError,
     PatchFitError,
+    PerimeterTruncationWarning,
     ProjectionError,
     RankDeficiencyError,
     VoxelGrid,
@@ -168,6 +170,34 @@ class TestSelect:
                          "--seed-voxel", "0", "0", "0")
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {bad}:1: spacing must be strictly positive")
+
+    def test_growth_past_saturation_costs_no_hops(self, tmp_path, capsys):
+        # the 6^3 half-space's face saturates within a few hops
+        data = np.zeros((6, 6, 6), dtype=np.int64)
+        data[:, :, :3] = 1
+        grid = tmp_path / "grid.vox"
+        write_voxel_grid(VoxelGrid(data, (1, 1, 1), (0, 0, 0)), grid)
+        clouds = []
+        for max_iters in (50, 10**15):
+            out = tmp_path / f"cloud_{max_iters}.csv"
+            start = time.perf_counter()
+            with pytest.warns(PerimeterTruncationWarning):
+                code = cli.main(["select", str(grid), "-o", str(out), "--seed-voxel", "3", "3", "2",
+                                 "--max-iters", str(max_iters)])
+            assert time.perf_counter() - start < 0.5
+            assert code == 0
+            clouds.append(read_point_cloud(out).points)
+        np.testing.assert_array_equal(clouds[0], clouds[1])
+        assert f"in {10**15} growth iterations" in capsys.readouterr().out
+
+    def test_seed_hop_count_beyond_int64_is_a_usage_error(self, tmp_path, half_space_grid, capsys):
+        out = tmp_path / "cloud.csv"
+        assert cli.main(["select", str(half_space_grid), "-o", str(out),
+                         "--seed-voxel", "10", "10", "9", "--max-iters", str(2**63)]) == 2
+        assert capsys.readouterr() == ("", f"error: max_iters must be at most {2**63 - 2}, so that "
+                                           f"the seed's hop count max_iters + 1 fits in int64, "
+                                           f"got {2**63}\n")
+        assert not out.exists()
 
     def test_curved_boundary_point_count(self, tmp_path):
         # 15 mm cube at 1 mm spacing around a spherical boundary; the point

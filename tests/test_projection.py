@@ -419,6 +419,46 @@ class TestProjectAll:
             assert res.g_start == batch.g_start[i]
             assert res.converged == batch.converged[i]
 
+    @pytest.mark.parametrize("failed_lane", [None, 1234])
+    def test_large_batch_matches_per_point_bitwise(self, monkeypatch, failed_lane):
+        # 3 000 lanes on a control tensor from ``from_flat``, as fits make
+        # it, so numpy runs other inner loops than on the small batches
+        # above. The first 500 lanes start at converged foot points and stop
+        # on pass 0; a lane whose start is NaN fails, so pass 0 is not
+        # all-active. A lane whose point appears twice in one kernel call
+        # evaluates a backtracking ladder.
+        surface, points, u, v = rosenbrock_batch(13, n=3000)
+        cloud = PointCloud(points, np.ones(len(points)))
+        first = project_all(cloud, surface, u, v)
+        assert first.converged[:500].all()
+        u[:500], v[:500] = first.u[:500], first.v[:500]
+        if failed_lane is not None:
+            u[failed_lane] = np.nan
+        lane_of = {p.tobytes(): i for i, p in enumerate(points)}
+        backtracked = set()
+
+        def recording(pts, uu, vv, control):
+            lanes, counts = np.unique([lane_of[p.tobytes()] for p in pts], return_counts=True)
+            backtracked.update(lanes[counts > 1].tolist())
+            return _values_grads_hessians(pts, uu, vv, control)
+
+        with monkeypatch.context() as m:
+            m.setattr(projection, "_values_grads_hessians", recording)
+            batch = project_all(cloud, surface, u, v)
+        assert batch.failed == (() if failed_lane is None else (failed_lane,))
+        rng = np.random.default_rng(14)
+        sample = np.concatenate([rng.choice(500, 20, replace=False),
+                                 rng.choice(sorted(backtracked - {failed_lane}), 20, replace=False),
+                                 rng.choice(np.arange(500, 3000), 20, replace=False)])
+        assert (batch.iterations[sample[:20]] == 0).all()
+        for i in sample:
+            res = project_point(points[i], surface, u[i], v[i])
+            assert (res.u, res.v, res.g) == (batch.u[i], batch.v[i], batch.g_final[i])
+            assert (res.converged, res.iterations) == (batch.converged[i], batch.iterations[i])
+        if failed_lane is not None:
+            with pytest.raises(ProjectionError):
+                project_point(points[failed_lane], surface, u[failed_lane], v[failed_lane])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
         surface, cloud, u, v = self._instance(rng, n=23)

@@ -464,6 +464,44 @@ class TestSelectPoints:
         weights = extract_cloud(region, "inverse-distance").weights
         assert weights.min() == (1.0 if l == 1 else 1.0 / (max_iters + 1))
 
+    @pytest.mark.parametrize("max_iters", [1, 7, 50])
+    @pytest.mark.parametrize("surface", ["half-space", "wavy"])
+    def test_stationary_stop_equals_the_full_loop(self, surface, max_iters):
+        # The half-space's face saturates within 6 hops of its centre; the
+        # wavy face is wider than 50 hops, so its growth never stops early.
+        if surface == "half-space":
+            grid, seed = half_space(dim=12, z_top=5), (6, 6, 5)
+        else:
+            i, j = np.indices((110, 110))
+            height = 4 + np.rint(2.0 * np.sin(i / 5.0) * np.cos(j / 7.0)).astype(np.int64)
+            grid = unit_grid(np.arange(10) <= height[..., None])
+            seed = (55, 55, int(height[55, 55]))
+        outcome = selection_outcome(select_points, grid, seed, 3, max_iters, 9)
+        assert outcome == selection_outcome(reference_select, grid, seed, 3, max_iters, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerimeterTruncationWarning)
+            window = select_points(grid, seed, max_iters=max_iters).window
+        # a region that saturated before its last hop has no voxel holding 1
+        assert (window[window > 0].min() > 1) == (surface == "half-space" and max_iters == 50)
+
+    def test_hops_past_saturation_add_in_closed_form(self):
+        grid = half_space(dim=6, z_top=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerimeterTruncationWarning)
+            few = select_points(grid, (3, 3, 2), max_iters=50).data
+            many = select_points(grid, (3, 3, 2), max_iters=10**15).data
+        assert many[3, 3, 2] == 10**15 + 1
+        npt.assert_array_equal(many, few + (10**15 - 50) * (few > 0))
+
+    def test_seed_hop_count_must_fit_in_int64(self):
+        grid = half_space(dim=6, z_top=2)
+        top = np.iinfo(np.int64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PerimeterTruncationWarning)
+            assert select_points(grid, (3, 3, 2), max_iters=top - 1).data[3, 3, 2] == top
+        with pytest.raises(ValueError, match=f"max_iters must be at most {top - 1}, .* got {top}$"):
+            select_points(grid, (3, 3, 2), max_iters=top)
+
 
 class TestWindowedSelection:
     """The windowed selection against the whole-grid oracle above."""
