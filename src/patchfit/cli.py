@@ -4,8 +4,8 @@ Subcommands: ``select`` (occupancy grid to point cloud), ``fit`` (point cloud
 to surface document), ``project`` (points onto a fitted surface), ``study``
 (simulation studies from a config file).
 
-Handlers raise; ``main`` prints each error as one ``error:`` line. Exit codes:
-0 success, 2 usage or parse error, 3 numerical failure, 4 empty selection.
+Handlers return nothing or raise; ``main`` prints each error as one ``error:`` line
+and picks the exit code: 0 success, 2 usage, 3 numerical failure, 4 empty selection.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ EXIT_NUMERICAL = 3
 EXIT_EMPTY = 4
 # The failures that exit with EXIT_NUMERICAL; LinAlgError is also a ValueError.
 NUMERICAL_ERRORS = (DegenerateGeometryError, RankDeficiencyError, ProjectionError,
-                    np.linalg.LinAlgError)
+                    np.linalg.LinAlgError, MemoryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> None:
     if args.weight_grid is not None and args.weight_mode != "external-map":
         raise PatchFitError("--weight-grid is read only with --weight-mode external-map")
     if args.weight_grid is None and args.weight_mode == "external-map":
@@ -128,11 +128,11 @@ def cmd_select(args) -> int:
     weight_grid = io.read_voxel_grid(args.weight_grid) if args.weight_grid else None
     cloud = extract_cloud(region, args.weight_mode, weight_grid)
     io.write_point_cloud(cloud, args.output)
-    print(f"selected {cloud.n_x} points in {args.max_iters} growth iterations -> {args.output}")
-    return 0
+    hops = args.max_iters + 1 - int(region.window[region.window > 0].min())
+    print(f"selected {cloud.n_x} points in {hops} growth iterations -> {args.output}")
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     cloud = io.read_point_cloud(args.cloud)
     settings = FitSettings(
         max_outer_iters=args.max_outer_iters,
@@ -149,10 +149,9 @@ def cmd_fit(args) -> int:
         f"orders ({model.n_u}, {model.n_v})  sigma2 {model.sigma2:.6e}  t {model.t:.6f}  "
         f"iterations {outer_iterations(trace)}  wall {elapsed * 1e3:.1f} ms -> {args.output}"
     )
-    return 0
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> None:
     model, _ = io.read_surface_model(args.surface)
     probes, _ = io.read_xyzw(args.cloud)
     if probes.shape[0] == 0:
@@ -174,11 +173,12 @@ def cmd_project(args) -> int:
         lines[finite_rows[k]] = f"{u[k]!r},{v[k]!r},{distance[k]!r},{int(conv[k])}"
     with open(args.output, "w") as fh:
         fh.write("\n".join(["u,v,distance,converged", *lines]) + "\n")
+    if not solved:
+        raise ProjectionError(f"none of the {probes.shape[0]} probes could be projected")
     print(f"projected {len(solved)}/{probes.shape[0]} points -> {args.output}")
-    return 0 if solved else EXIT_NUMERICAL
 
 
-def cmd_study(args) -> int:
+def cmd_study(args) -> None:
     overrides = {k: getattr(args, k) for k in ("seed", "trials") if getattr(args, k) is not None}
     specs = [replace(spec, **overrides) for spec in io.load_study_config(args.config)]
     rows, records = run_study(specs)
@@ -192,7 +192,6 @@ def cmd_study(args) -> int:
               f"{row.mean_iterations:>6.2f} {row.mean_size:>6.2f} {row.mean_sigma2_tr:>10.3e} "
               f"{row.mean_sigma2_te:>10.3e} {row.mean_ms:>8.1f} {row.failures:>4}")
     print(f"wrote {args.output}_table.csv and {args.output}_long.csv")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -200,9 +199,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"select": cmd_select, "fit": cmd_fit, "project": cmd_project, "study": cmd_study}
     try:
-        return handlers[args.command](args)
-    except (OSError, ValueError, PatchFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        handlers[args.command](args)
+    except (OSError, ValueError, PatchFitError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         if isinstance(exc, EmptySelectionError):
             return EXIT_EMPTY
         return EXIT_NUMERICAL if isinstance(exc, NUMERICAL_ERRORS) else EXIT_USAGE
+    return 0

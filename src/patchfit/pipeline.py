@@ -9,6 +9,7 @@ top two principal directions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -26,6 +27,25 @@ _DEGENERATE_RATIO = 1e-10
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer (bools are not)."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_orders(name: str, pair, too_low: str) -> None:
+    """Raise a ValueError unless ``pair`` is two integers of at least 1: one that
+    names ``name`` if it is not two integers (bools are not), ``too_low`` if one is below 1."""
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
+        raise ValueError(f"{name} must be two integers, got {pair!r}")
+    if min(pair) < 1:
+        raise ValueError(too_low)
+
+
 @dataclass
 class FitSettings:
     """Settings of ``fit_surface``; ``lam`` is the ridge strength per unit of
@@ -38,12 +58,12 @@ class FitSettings:
     fixed_orders: tuple[int, int] | None = None
 
     def __post_init__(self):
+        _check_count("max_outer_iters", self.max_outer_iters)
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be at least 1")
-        if self.order_cap[0] < 1 or self.order_cap[1] < 1:
-            raise ValueError("order caps must be at least 1")
-        if self.fixed_orders is not None and min(self.fixed_orders) < 1:
-            raise ValueError("fixed_orders must be at least 1")
+        _check_orders("order_cap", self.order_cap, "order caps must be at least 1")
+        if self.fixed_orders is not None:
+            _check_orders("fixed_orders", self.fixed_orders, "fixed_orders must be at least 1")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and nonnegative")
         if not (math.isfinite(self.rel_sigma2_tol) and self.rel_sigma2_tol >= 0):

@@ -17,7 +17,8 @@ import numpy as np
 from .bezier import design_matrix
 from .control import DEFAULT_LAMBDA
 from .errors import PatchFitError
-from .pipeline import FitSettings, FitTrace, fit_surface, outer_iterations
+from .pipeline import (FitSettings, FitTrace, _check_count, _check_orders, fit_surface,
+                       outer_iterations)
 from .projection import project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .selection import FitModel, _rank_key
@@ -91,14 +92,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("auto", "fixed", "brute"):
             raise ValueError(f"unknown mode: {self.mode!r}")
+        for count in ("n_tr", "n_te", "trials", "seed"):
+            _check_count(count, getattr(self, count))
         if self.n_tr < 3 or self.n_te < 1 or self.trials < 1:
             raise ValueError("n_tr must be >= 3 and n_te, trials >= 1")
         if not (math.isfinite(self.sigma2_y) and self.sigma2_y >= 0):
             raise ValueError("noise variance must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if min(self.orders) < 1 or min(self.brute_cap) < 1:
-            raise ValueError("orders and brute_cap must be at least 1")
+        for pair in ("orders", "brute_cap"):
+            _check_orders(pair, getattr(self, pair), "orders and brute_cap must be at least 1")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lam must be finite and nonnegative")
         LatentSurface(self.surface)  # rejects an unknown kind

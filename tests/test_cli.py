@@ -26,6 +26,11 @@ from patchfit.cli import build_parser
 from patchfit.io import read_point_cloud, read_surface_model, write_point_cloud, write_voxel_grid
 from patchfit.voxel import PointCloud
 
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -187,8 +192,10 @@ class TestSelect:
             assert time.perf_counter() - start < 0.5
             assert code == 0
             clouds.append(read_point_cloud(out).points)
+            # the summary counts the hops that grew the region, not the cap
+            summary = capsys.readouterr().out
+            assert summary == f"selected 92 points in 5 growth iterations -> {out}\n"
         np.testing.assert_array_equal(clouds[0], clouds[1])
-        assert f"in {10**15} growth iterations" in capsys.readouterr().out
 
     def test_seed_hop_count_beyond_int64_is_a_usage_error(self, tmp_path, half_space_grid, capsys):
         out = tmp_path / "cloud.csv"
@@ -381,6 +388,8 @@ class TestProject:
         out = tmp_path / "p.csv"
         result = run_cli("project", str(surface_path), str(probes), "-o", str(out))
         assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: none of the 2 probes could be projected\n"
         assert out.read_text().splitlines()[1:] == ["nan,nan,nan,0"] * 2
 
     def test_non_finite_record_is_a_format_error(self, tmp_path, saddle_cloud):
@@ -551,6 +560,7 @@ class TestExitCodes:
         (RankDeficiencyError, 3),
         (ProjectionError, 3),
         (np.linalg.LinAlgError, 3),  # a ValueError too
+        (MemoryError, 3),
         (ValueError, 2),
         (OSError, 2),
         (PatchFitError, 2),
@@ -563,6 +573,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_fit", fail)
         assert cli.main(["fit", "cloud.csv", "-o", "surface.json"]) == code
         assert capsys.readouterr() == ("fitting cloud.csv\n", "error: some message\n")
+
+    def test_empty_message_prints_the_class_name(self, monkeypatch, capsys):
+        def fail(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_fit", fail)
+        assert cli.main(["fit", "cloud.csv", "-o", "surface.json"]) == 3
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+    def test_allocation_failure_in_a_fit_is_one_error_line(self, monkeypatch, capsys, tmp_path,
+                                                          saddle_cloud):
+        # numpy's own exception for a failed allocation, raised without allocating anything
+        error = _ArrayMemoryError((160000, 160000), np.dtype(np.float64))
+
+        def fail(cloud, settings):
+            raise error
+
+        monkeypatch.setattr(cli, "fit_surface", fail)
+        out = tmp_path / "surface.json"
+        assert cli.main(["fit", str(saddle_cloud), "-o", str(out),
+                         "--fixed-orders", "400", "400"]) == 3
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert str(error).startswith("Unable to allocate")
+        assert not out.exists()
 
 
 class TestHelpDefaults:

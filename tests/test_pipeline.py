@@ -328,10 +328,20 @@ class TestFitSurface:
         (FitSettings, "rel_sigma2_tol", -1.0),
         (FitSettings, "rel_sigma2_tol", math.nan),
         (FitSettings, "rel_sigma2_tol", math.inf),
+        (FitSettings, "order_cap", (6,)),
+        (FitSettings, "order_cap", (True, 3)),
+        (FitSettings, "fixed_orders", (2,)),
+        (FitSettings, "fixed_orders", (2.5, 2)),
+        (FitSettings, "max_outer_iters", 2.5),
+        (FitSettings, "max_outer_iters", True),
     ])
     def test_bad_settings_rejected_at_construction(self, cls, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             cls(**{name: value})
+
+    def test_numpy_integers_are_counts(self):
+        settings = FitSettings(max_outer_iters=np.int64(3), order_cap=(np.int32(4), 5))
+        assert settings.max_outer_iters == 3 and settings.order_cap == (4, 5)
 
 
 # Known heights over an 80^3 grid of unit voxels whose index is the coordinate.

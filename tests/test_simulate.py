@@ -127,6 +127,13 @@ class TestMakeDataset:
         ("lam", math.nan, "lam must be finite and nonnegative"),
         ("lam", math.inf, "lam must be finite and nonnegative"),
         ("surface", "sphere", "unknown latent surface kind: 'sphere'"),
+        ("orders", (2,), "orders must be two integers, got (2,)"),
+        ("orders", (2, 2.5), "orders must be two integers, got (2, 2.5)"),
+        ("brute_cap", (True, 3), "brute_cap must be two integers, got (True, 3)"),
+        ("n_tr", 30.5, "n_tr must be an integer, got 30.5"),
+        ("n_te", True, "n_te must be an integer, got True"),
+        ("trials", 1.5, "trials must be an integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
     ])
     def test_bad_values_rejected_at_construction(self, field, value, message):
         kwargs = {"surface": "plane", "n_tr": 10, "sigma2_y": 0.1, "seed": 1, field: value}

@@ -29,6 +29,11 @@ Outputs:
   probes lifted 10-30 mm off the surface (``project_far``), where foot-point
   lanes with an indefinite Hessian take the shifted Newton step;
   ``study table1_trends --trials 2``.
+  One run per failure status that is not a usage error: ``fit_rankdef``
+  (a 3-point cloud with ``--lam 0``, exit 3), ``project_allfail`` (probes
+  that are all non-finite, exit 3) and ``select_empty`` (a ``--seed-voxel``
+  at the top of the grid, beyond the snap radius of any boundary voxel,
+  exit 4), so that their stderr bytes are compared too.
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
   ``--weight-mode inverse-distance``, the growth box sizes ``--l 5`` (with
@@ -221,6 +226,14 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     write_far_probes(outdir / "cloud.csv", outdir / "probes_far.csv")
     run_cli("project_far", ["project", "surface.json", "probes_far.csv",
                             "-o", "foot_far.csv"], outdir, env)
+    (outdir / "probes_nonfinite.csv").write_text(
+        "x,y,z,w\nnan,0.0,0.0,1.0\ninf,1.0,1.0,1.0\n0.0,-inf,0.0,1.0\n")
+    run_cli("project_allfail", ["project", "surface.json", "probes_nonfinite.csv",
+                                "-o", "foot_allfail.csv"], outdir, env)
+    (outdir / "cloud_tri.csv").write_text(
+        "x,y,z,w\n0.0,0.0,0.0,1.0\n1.0,0.0,0.0,1.0\n0.0,1.0,0.5,1.0\n")
+    run_cli("fit_rankdef", ["fit", "cloud_tri.csv", "-o", "surface_tri.json", "--lam", "0"],
+            outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
     help_env = dict(env, COLUMNS="80")
     for command in ("select", "fit", "project", "study"):
@@ -236,6 +249,8 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
                                "--query", *query], outdir, env)
     run_cli("select_face", ["select", "grid.vox", "-o", "cloud_face.csv", *common,
                             "--seed-voxel", "1", str(c), str(height[1, c])], outdir, env)
+    run_cli("select_empty", ["select", "grid.vox", "-o", "cloud_empty.csv", *common,
+                             "--seed-voxel", str(c), str(c), str(GRID_N - 1)], outdir, env)
     run_cli("select_inverse", ["select", "grid.vox", "-o", "cloud_inverse.csv", *common,
                                "--seed-voxel", *map(str, seed),
                                "--weight-mode", "inverse-distance"], outdir, env)
