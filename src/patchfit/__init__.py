@@ -29,7 +29,6 @@ from .errors import (
 from .pipeline import FitIteration, FitSettings, fit_surface, init_uv, outer_iterations
 from .projection import (
     BatchProjection,
-    ProjectionResult,
     ProjectionSettings,
     project_all,
     project_nearest,

@@ -316,6 +316,8 @@ def parse_study_config(text: str, source: str = "<config>") -> list[ExperimentSp
         key = key.strip()
         if key not in _SPEC_FIELDS:
             raise FileFormatError(f"{source}:{lineno}: unknown field {key!r}")
+        if key in current:
+            raise FileFormatError(f"{source}:{lineno}: field {key} given twice in one [spec]")
         parse, kind = _SPEC_FIELDS[key]
         try:
             current[key] = parse(value.strip())

@@ -68,19 +68,6 @@ _NEAREST_BLOCK = 256  # points per distance block of ``project_nearest``
 
 
 @dataclass
-class ProjectionResult:
-    """One point's foot point; ``converged``: it stopped at the precision floor."""
-
-    u: float
-    v: float
-    g: float
-    g_start: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-
-
-@dataclass
 class BatchProjection:
     """Per-point foot points for a cloud; failed points keep their inputs.
 
@@ -212,28 +199,21 @@ def project_point(
     surface: BezierSurface,
     u0: float,
     v0: float,
-) -> ProjectionResult:
+) -> BatchProjection:
     """Locally minimize the half squared distance from x to the surface.
 
     Takes shifted Newton steps (see the module docstring) until the point
     reaches the precision floor (``converged``), the line search finds no
     Armijo point, or the Newton budget is spent; the final objective never
-    exceeds the starting one. Raises ProjectionError when the objective or its
-    derivatives stop being finite.
+    exceeds the starting one. Returns the solve's one-lane batch. Raises
+    ProjectionError, so ``failed`` is always empty, when the objective or
+    its derivatives stop being finite.
     """
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)
     batch = _solve_batch(point, surface.control, np.array([float(u0)]), np.array([float(v0)]))
     if batch.failed:
         raise ProjectionError("objective or derivatives not finite during foot-point search")
-    return ProjectionResult(
-        u=float(batch.u[0]),
-        v=float(batch.v[0]),
-        g=float(batch.g_final[0]),
-        g_start=float(batch.g_start[0]),
-        grad_norm=float(batch.grad_norm[0]),
-        iterations=int(batch.iterations[0]),
-        converged=bool(batch.converged[0]),
-    )
+    return batch
 
 
 def project_all(
@@ -263,11 +243,16 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> Batch
     squared distance, its coordinates summed left to right, the first on ties.
     A point whose distances all overflow starts at k = 0 and its lane fails.
     The distances are taken ``_NEAREST_BLOCK`` points at a time, so memory
-    stays proportional to that block times the reference count.
+    stays proportional to that block times the reference count. Raises
+    ValueError unless there is at least one reference and ``ref_u`` and
+    ``ref_v`` hold one parameter each per reference.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cloud = PointCloud(points, np.ones(points.shape[0]))
     refs = np.asarray(refs, dtype=np.float64).reshape(-1, 3)
+    if not len(refs) == len(ref_u) == len(ref_v) > 0:
+        raise ValueError(f"project_nearest needs one (u, v) per reference and at least one: "
+                         f"{len(refs)} refs, {len(ref_u)} ref_u, {len(ref_v)} ref_v")
     nearest = np.zeros(cloud.n_x, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, cloud.n_x, _NEAREST_BLOCK):

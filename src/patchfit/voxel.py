@@ -233,7 +233,12 @@ def select_points(
 
     Emits PerimeterTruncationWarning when the grown region comes close enough
     to the grid perimeter that the next dilation would leave the grid.
+    ``epsilon`` must lie in 1..26: an occupied voxel has 0..26 exterior
+    neighbours, so below 1 every occupied voxel is boundary and above 26 none is.
     """
+    epsilon = int(epsilon)
+    if not 1 <= epsilon <= 26:
+        raise ValueError(f"epsilon must lie in 1..26, got {epsilon}")
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")

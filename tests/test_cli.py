@@ -122,6 +122,15 @@ class TestSelect:
         assert result.returncode == 4
         assert "error" in result.stderr
 
+    @pytest.mark.parametrize("epsilon", ["-3", "0", "27", "40"])
+    def test_epsilon_outside_one_to_26_is_a_usage_error(self, tmp_path, half_space_grid, epsilon):
+        out = tmp_path / "cloud.csv"
+        result = run_cli("select", str(half_space_grid), "-o", str(out),
+                         "--seed-voxel", "10", "10", "9", "--epsilon", epsilon)
+        assert result.returncode == 2
+        assert result.stderr == f"error: epsilon must lie in 1..26, got {epsilon}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("l", ["0", "2", "-3"])
     def test_bad_neighborhood_is_a_usage_error(self, tmp_path, half_space_grid, l):
         # the seed lies inside the solid, off the boundary mask
@@ -238,7 +247,8 @@ def reference_row(point, model):
         res = project_point(point, model.surface, u0, v0)
     except ProjectionError:
         return "nan,nan,nan,0"
-    return f"{res.u!r},{res.v!r},{float(np.sqrt(2.0 * res.g))!r},{int(res.converged)}"
+    u, v, g, converged = res.u[0], res.v[0], res.g_final[0], res.converged[0]
+    return f"{float(u)!r},{float(v)!r},{float(np.sqrt(2.0 * g))!r},{int(converged)}"
 
 
 class TestFit:
@@ -492,8 +502,12 @@ class TestStudy:
     ])
     def test_bad_spec_is_a_usage_error(self, tmp_path, line, message):
         config = tmp_path / "bad.cfg"
-        config.write_text("[spec]\nsurface = plane\nn_tr = 20\nn_te = 8\nsigma2_y = 0.01\n"
-                          f"seed = 5\ntrials = 1\nmode = brute\n{line}\n")
+        good = ("[spec]\nsurface = plane\nn_tr = 20\nn_te = 8\nsigma2_y = 0.01\n"
+                "seed = 5\ntrials = 1\nmode = brute\n")
+        # the bad value stands in place of that field's line
+        key = line.split()[0]
+        config.write_text("".join(f"{row}\n" for row in good.splitlines()
+                                  if row.split()[0] != key) + line + "\n")
         result = run_cli("study", str(config), "-o", str(tmp_path / "o"))
         assert result.returncode == 2
         assert result.stderr == f"error: {config}: {message}\n"
@@ -511,6 +525,15 @@ class TestStudy:
         result = run_cli("study", str(config), "-o", str(tmp_path / "o"), *override)
         assert result.returncode == 2
         assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "o_table.csv").exists()
+
+    def test_repeated_field_is_a_usage_error(self, tmp_path):
+        config = tmp_path / "twice.cfg"
+        config.write_text("[spec]\nsurface = plane\nn_tr = 10\nn_te = 8\n"
+                          "sigma2_y = 0.01\nseed = 5\nn_tr = 20\n")
+        result = run_cli("study", str(config), "-o", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {config}:7: field n_tr given twice in one [spec]\n"
         assert not (tmp_path / "o_table.csv").exists()
 
     def test_config_validation_error(self, tmp_path):

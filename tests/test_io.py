@@ -525,6 +525,16 @@ class TestStudyConfig:
         with pytest.raises(FileFormatError, match="sigma2_y"):
             parse_study_config("[spec]\nsurface = plane\nn_tr = 10\nseed = 1\n")
 
+    @pytest.mark.parametrize("line", ["n_tr = 20", "seed = 1"])
+    def test_repeated_field_names_its_line(self, line):
+        spec = "[spec]\nsurface = plane\nn_tr = 10\nsigma2_y = 0.1\nseed = 1\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_study_config(spec + line + "\n", "cfg")
+        field = line.split()[0]
+        assert str(err.value) == f"cfg:6: field {field} given twice in one [spec]"
+        # the same field in another [spec] is not a repeat
+        assert len(parse_study_config(spec + spec, "cfg")) == 2
+
     def test_value_before_section(self):
         with pytest.raises(FileFormatError, match=":1"):
             parse_study_config("surface = plane\n")
@@ -552,8 +562,11 @@ class TestStudyConfig:
     ])
     def test_spec_check_names_the_spec(self, line, message):
         spec = "[spec]\nsurface = plane\nn_tr = 10\nsigma2_y = 0.1\nseed = 1\n"
+        # spec 2 takes the bad value in place of its own line for that field
+        key = line.split()[0]
+        bad = "".join(f"{row}\n" for row in spec.splitlines() if row.split()[0] != key)
         with pytest.raises(FileFormatError) as err:
-            parse_study_config(spec + spec + line + "\n", "cfg")
+            parse_study_config(spec + bad + line + "\n", "cfg")
         assert str(err.value) == f"cfg: spec 2: {message}"
 
     def test_no_spec_sections(self):

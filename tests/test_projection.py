@@ -1,7 +1,8 @@
 """Foot-point search: closed-form oracles, descent, and determinism."""
 
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from patchfit import (
+    BatchProjection,
     BezierSurface,
     PointCloud,
     ProjectionError,
@@ -32,6 +34,13 @@ def planar_surface(origin, a, b):
     control[0, 1] = origin + b
     control[1, 1] = origin + a + b
     return BezierSurface(control)
+
+
+def assert_lane_equal(batch, i, lane):
+    """Lane i of ``batch`` equals the one-lane batch ``lane`` in every per-lane
+    field, bit for bit."""
+    for name in ("u", "v", "g_start", "g_final", "grad_norm", "converged", "iterations"):
+        assert getattr(batch, name)[i:i + 1].tobytes() == getattr(lane, name).tobytes(), (i, name)
 
 
 def random_surface(rng, n_u, n_v):
@@ -147,10 +156,10 @@ class TestProjectPoint:
         u, v = 0.4, 0.7
         x = surface_eval(u, v, surface)
         res = project_point(x, surface, u, v)
-        assert res.iterations == 0
-        assert res.u == u and res.v == v
-        assert res.g <= 1e-30
-        assert res.converged
+        assert res.iterations[0] == 0
+        assert res.u[0] == u and res.v[0] == v
+        assert res.g_final[0] <= 1e-30
+        assert res.converged[0]
 
     def test_planar_closed_form_oracle(self):
         rng = np.random.default_rng(1)
@@ -165,12 +174,12 @@ class TestProjectPoint:
             res = project_point(x, surface, 0.3, 0.3)
             normal_eqs = np.array([[a @ a, a @ b], [a @ b, b @ b]])
             uv_star = np.linalg.solve(normal_eqs, [a @ (x - origin), b @ (x - origin)])
-            npt.assert_allclose([res.u, res.v], uv_star, rtol=1e-8, atol=1e-10)
-            assert res.converged
+            npt.assert_allclose([res.u[0], res.v[0]], uv_star, rtol=1e-8, atol=1e-10)
+            assert res.converged[0]
         # The foot point may lie far outside [0, 1]^2.
         surface = planar_surface(np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
         res = project_point(np.array([50.0, 0.5, 0.0]), surface, 0.5, 0.5)
-        assert res.u == pytest.approx(50.0)
+        assert res.u[0] == pytest.approx(50.0)
 
     def test_monotone_descent_and_stationarity(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -184,17 +193,31 @@ class TestProjectPoint:
                                                "max_newton_iters": k})
                 m.setattr(projection, "_SETTINGS", truncated)
                 res = project_point(x, surface, 0.35, 0.65)
-            values.append(res.g)
+            values.append(res.g_final[0])
         assert all(b <= a for a, b in zip(values, values[1:]))
         final = project_point(x, surface, 0.35, 0.65)
-        assert final.grad_norm <= projection._SETTINGS.grad_tol
-        assert final.g <= final.g_start
+        assert final.grad_norm[0] <= projection._SETTINGS.grad_tol
+        assert final.g_final[0] <= final.g_start[0]
 
     def test_non_finite_start_raises_with_iterate(self):
         rng = np.random.default_rng(3)
         surface = random_surface(rng, 3, 3)
         with pytest.raises(ProjectionError):
             project_point(np.zeros(3), surface, 1e200, 0.5)
+
+    def test_is_the_one_point_batch(self):
+        # project_point returns the solve's own one-lane batch: every field,
+        # kernel_calls included, equals project_all on a one-point cloud.
+        surface, points, u, v = rosenbrock_batch(19, n=12, spread=1.0)
+        for i in range(len(points)):
+            res = project_point(points[i], surface, u[i], v[i])
+            lane = project_all(PointCloud(points[i:i + 1], np.ones(1)), surface,
+                               u[i:i + 1], v[i:i + 1])
+            assert isinstance(res, BatchProjection)
+            for f in fields(BatchProjection):
+                a, b = getattr(res, f.name), getattr(lane, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (i, f.name)
+            assert res.failed == ()
 
 
 class TestSettings:
@@ -241,11 +264,11 @@ class TestPrecisionFloor:
         normal = np.cross(a, b) / np.linalg.norm(np.cross(a, b))
         for far in (1e6, 1e8, 1e9):
             res = project_point(far * a + 0.5 * b + normal, surface, far, 0.5)
-            assert res.iterations == 0, far
-            assert (res.u, res.v, res.g) == (far, 0.5, res.g_start)
-            assert res.converged
+            assert res.iterations[0] == 0, far
+            assert (res.u[0], res.v[0], res.g_final[0]) == (far, 0.5, res.g_start[0])
+            assert res.converged[0]
             if far >= 1e8:
-                assert res.grad_norm > projection._SETTINGS.grad_tol
+                assert res.grad_norm[0] > projection._SETTINGS.grad_tol
 
     @pytest.mark.parametrize("trial", range(10))
     def test_converged_foot_points_are_a_fixed_point(self, trial):
@@ -301,9 +324,9 @@ class TestPrecisionFloor:
         assert (gu, h12) == (0.0, 0.0) and 0.0 < h22[0] < np.finfo(np.float64).tiny
         assert abs(gv[0]) > np.finfo(np.float64).max * h22[0]
         res = project_point(point, surface, u0, v0)
-        assert not res.converged
-        assert res.iterations == 0
-        assert res.g == res.g_start
+        assert not res.converged[0]
+        assert res.iterations[0] == 0
+        assert res.g_final[0] == res.g_start[0]
 
     def test_zero_gradient_lane_stops_without_a_step(self):
         # On a patch with s_v = 0 everywhere, H is singular and a point on the
@@ -412,12 +435,7 @@ class TestProjectAll:
         surface, cloud, u, v = self._instance(rng, n=31)
         batch = project_all(cloud, surface, u, v)
         for i in range(cloud.n_x):
-            res = project_point(cloud.points[i], surface, u[i], v[i])
-            assert res.u == batch.u[i]
-            assert res.v == batch.v[i]
-            assert res.g == batch.g_final[i]
-            assert res.g_start == batch.g_start[i]
-            assert res.converged == batch.converged[i]
+            assert_lane_equal(batch, i, project_point(cloud.points[i], surface, u[i], v[i]))
 
     @pytest.mark.parametrize("failed_lane", [None, 1234])
     def test_large_batch_matches_per_point_bitwise(self, monkeypatch, failed_lane):
@@ -452,9 +470,7 @@ class TestProjectAll:
                                  rng.choice(np.arange(500, 3000), 20, replace=False)])
         assert (batch.iterations[sample[:20]] == 0).all()
         for i in sample:
-            res = project_point(points[i], surface, u[i], v[i])
-            assert (res.u, res.v, res.g) == (batch.u[i], batch.v[i], batch.g_final[i])
-            assert (res.converged, res.iterations) == (batch.converged[i], batch.iterations[i])
+            assert_lane_equal(batch, i, project_point(points[i], surface, u[i], v[i]))
         if failed_lane is not None:
             with pytest.raises(ProjectionError):
                 project_point(points[failed_lane], surface, u[failed_lane], v[failed_lane])
@@ -515,10 +531,8 @@ class TestProjectAll:
         for i in range(len(points)):
             if i == target:
                 continue
-            lane = project_all(PointCloud(points[i:i + 1], np.ones(1)), surface,
-                               u[i:i + 1], v[i:i + 1])
-            for name in ("u", "v", "g_start", "g_final", "converged", "iterations"):
-                assert getattr(batch, name)[i] == getattr(lane, name)[0], (i, name)
+            assert_lane_equal(batch, i, project_all(PointCloud(points[i:i + 1], np.ones(1)),
+                                                    surface, u[i:i + 1], v[i:i + 1]))
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(10)
@@ -588,6 +602,18 @@ class TestProjectNearest:
         with pytest.raises(ValueError, match="finite"):
             project_nearest([[np.nan, 0.0, 0.0]], surface, refs, ref_u, ref_v)
 
+    @pytest.mark.parametrize("n_refs, n_u, n_v", [(0, 0, 0), (2, 1, 2), (2, 2, 1), (2, 3, 2),
+                                                  (2, 2, 3)])
+    def test_reference_lengths_must_agree(self, n_refs, n_u, n_v):
+        # An empty reference set has no nearest point; a short ref_u or ref_v
+        # would index past its end, and a long one would pair points with the
+        # wrong parameters.
+        rng = np.random.default_rng(18)
+        surface, refs, ref_u, ref_v = self._instance(rng, n_refs=3)
+        message = f"{n_refs} refs, {n_u} ref_u, {n_v} ref_v"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            project_nearest(refs[:1] + 0.01, surface, refs[:n_refs], ref_u[:n_u], ref_v[:n_v])
+
     def test_lanes_equal_project_point_from_brute_force_start(self):
         rng = np.random.default_rng(16)
         surface, refs, ref_u, ref_v = self._instance(rng, n_refs=40)
@@ -596,9 +622,4 @@ class TestProjectNearest:
         for i, p in enumerate(points):
             dist = [sum(((p - r) ** 2).tolist()) for r in refs]
             k = min(range(len(refs)), key=dist.__getitem__)
-            res = project_point(p, surface, ref_u[k], ref_v[k])
-            assert res.u == batch.u[i]
-            assert res.v == batch.v[i]
-            assert res.g == batch.g_final[i]
-            assert res.g_start == batch.g_start[i]
-            assert res.converged == batch.converged[i]
+            assert_lane_equal(batch, i, project_point(p, surface, ref_u[k], ref_v[k]))

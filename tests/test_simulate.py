@@ -176,7 +176,7 @@ class TestEvalFit:
 
         j = int(np.argmin(((data.x_tr - data.s_te[0]) ** 2).sum(axis=1)))
         res = project_point(data.s_te[0], model.surface, model.u[j], model.v[j])
-        assert metrics.sigma2_te == pytest.approx(2 * res.g / 3, rel=1e-12)
+        assert metrics.sigma2_te == pytest.approx(2 * res.g_final[0] / 3, rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("surface", ["plane", "rosenbrock"])
@@ -196,7 +196,7 @@ class TestEvalFit:
             except ProjectionError:
                 failures += 1
                 continue
-            dist2.append(2.0 * res.g)
+            dist2.append(2.0 * res.g_final[0])
         assert failures == 1
         assert metrics.test_failures == failures
         assert metrics.sigma2_te == sum(dist2) / (3.0 * len(dist2))

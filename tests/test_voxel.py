@@ -382,6 +382,17 @@ class TestSelectPoints:
         data[5, 5, 5] = 1
         region = select_points(unit_grid(data), (5, 5, 5), max_iters=3)
         npt.assert_array_equal(np.argwhere(region.data > 0), [[5, 5, 5]])
+        # 26 exterior neighbours, the most an occupied voxel has
+        region = select_points(unit_grid(data), (5, 5, 5), max_iters=3, epsilon=26)
+        npt.assert_array_equal(np.argwhere(region.data > 0), [[5, 5, 5]])
+
+    @pytest.mark.parametrize("epsilon", [-3, 0, 27, 40])
+    def test_epsilon_outside_one_to_26_raises(self, epsilon):
+        # Below 1 every occupied voxel of the slab would be boundary, above 26 none.
+        data = np.zeros((12, 12, 12), dtype=np.int64)
+        data[:, :, :6] = 1
+        with pytest.raises(ValueError, match=rf"^epsilon must lie in 1\.\.26, got {epsilon}$"):
+            select_points(unit_grid(data), (6, 6, 5), epsilon=epsilon)
 
     def test_half_space_chebyshev_ball(self):
         grid = half_space(dim=24, z_top=11)
