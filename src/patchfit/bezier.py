@@ -251,8 +251,11 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
         raise ValueError(f"u and v must be 1D vectors of equal length, got {u.shape} and {v.shape}")
     if u.size < 1:
         raise ValueError("need at least one parameter pair")
-    cols_u = _basis_table(u, int(n_u)).T
-    cols_v = _basis_table(v, int(n_v)).T
+    n_u, n_v = int(n_u), int(n_v)
+    if min(n_u, n_v) < 1:
+        raise ValueError(f"orders must be at least 1, got ({n_u}, {n_v})")
+    cols_u = _basis_table(u, n_u).T
+    cols_v = _basis_table(v, n_v).T
     # The product runs along the points; its (n_x, n_v+1, n_u+1) buffer makes
     # the result F-ordered, the layout the Gram product is summed in.
     outer = np.empty((u.size, cols_v.shape[0], cols_u.shape[0]))

@@ -163,7 +163,9 @@ def cmd_project(args) -> None:
     else:  # a document without records: start from the 5 x 5 lattice over [0, 1]^2
         grid = np.linspace(0.0, 1.0, 5)
         ref_u, ref_v = np.array([(u, v) for u in grid for v in grid]).T
-    refs = design_matrix(ref_u, ref_v, model.n_u, model.n_v).T @ model.surface.flat
+    # A record far out overflows to a non-finite reference, which project_nearest ranks last.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        refs = design_matrix(ref_u, ref_v, model.n_u, model.n_v).T @ model.surface.flat
     batch = project_nearest(points, model.surface, refs, ref_u, ref_v)
     u, v, conv = batch.u.tolist(), batch.v.tolist(), batch.converged.tolist()
     distance = np.sqrt(2.0 * batch.g_final).tolist()

@@ -74,11 +74,10 @@ class FitSettings:
 class FitIteration:
     """One record per outer iteration; iteration 0 is the initial fit.
 
-    ``f`` is the weighted objective of the iteration's final model. The
-    f_* pairs instrument the two descent blocks: the projection pair uses the
-    projector's own objective values, the solve pair compares the regularized
-    objective of the previous surface (``f_after_projection`` plus its ridge
-    penalty) against a refit at unchanged orders.
+    The f_* pairs instrument the two descent blocks: the projection pair uses
+    the projector's own objective values, the solve pair compares the
+    regularized objective of the previous surface (``f_after_projection`` plus
+    its ridge penalty) against a refit at unchanged orders.
 
     ``seconds`` is the iteration's wall time, of which ``projection_seconds``
     went to the foot-point solve and ``search_seconds`` to the order search.
@@ -94,7 +93,6 @@ class FitIteration:
     n_v: int
     sigma2: float
     t: float
-    f: float
     f_before_projection: float
     f_after_projection: float
     f_reg_before_solve: float
@@ -185,18 +183,16 @@ def fit_surface(
     inner = PointCloud(points, cloud.weights)
     u, v = init_uv(inner)
     ridge, floor = search_scales(inner, settings.lam)
-    if settings.fixed_orders is not None:
-        start = cap = settings.fixed_orders
-    else:
-        start, cap = (1, 1), settings.order_cap
+    start = settings.fixed_orders or (1, 1)
+    cap = settings.fixed_orders or settings.order_cap
 
     trace: FitTrace = []
     tic = perf_counter()
-    model, f, _ = _search_orders(inner, u, v, start[0], start[1], ridge, cap, floor)
+    model, _ = _search_orders(inner, u, v, start[0], start[1], ridge, cap, floor)
     seconds = perf_counter() - tic
     trace.append(
-        FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, f,
-                     math.nan, math.nan, math.nan, math.nan, 0, seconds, search_seconds=seconds)
+        FitIteration(0, model.n_u, model.n_v, model.sigma2, model.t, math.nan, math.nan,
+                     math.nan, math.nan, 0, seconds, search_seconds=seconds)
     )
 
     prev_sigma2 = model.sigma2
@@ -209,13 +205,11 @@ def fit_surface(
         f_after = float(np.sum(inner.weights**2 * batch.g_final))
         f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
         search_tic = perf_counter()
-        model, f, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, ridge, cap,
-                                               floor)
+        model, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, ridge, cap, floor)
         search_seconds = perf_counter() - search_tic
         trace.append(
-            FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f,
-                         f_before, f_after, f_reg_before, f_reg_after,
-                         len(batch.failed), perf_counter() - tic,
+            FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f_before, f_after,
+                         f_reg_before, f_reg_after, len(batch.failed), perf_counter() - tic,
                          projection_seconds=projection_seconds, search_seconds=search_seconds,
                          kernel_calls=batch.kernel_calls,
                          newton_steps=int(batch.iterations.sum()),

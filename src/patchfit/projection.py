@@ -241,7 +241,9 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> Batch
 
     Point i starts at ``(ref_u[k], ref_v[k])`` for the ``refs[k]`` at least
     squared distance, its coordinates summed left to right, the first on ties.
-    A point whose distances all overflow starts at k = 0 and its lane fails.
+    A NaN distance is never the nearest: it ranks after every number, so a
+    non-finite reference takes no start unless every distance is NaN. A point
+    whose distances all overflow or are NaN starts at k = 0 and its lane fails.
     The distances are taken ``_NEAREST_BLOCK`` points at a time, so memory
     stays proportional to that block times the reference count. Raises
     ValueError unless there is at least one reference and ``ref_u`` and
@@ -260,5 +262,8 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> Batch
             dist2 = (block[:, 0, None] - refs[:, 0]) ** 2
             dist2 += (block[:, 1, None] - refs[:, 1]) ** 2
             dist2 += (block[:, 2, None] - refs[:, 2]) ** 2
-            nearest[start:start + _NEAREST_BLOCK] = np.argmin(dist2, axis=1)
+            # Ranked by the bits of |dist2|: those of a float >= 0 order like its
+            # value, and those of NaN after inf.
+            nearest[start:start + _NEAREST_BLOCK] = np.argmin(
+                np.abs(dist2, out=dist2).view(np.int64), axis=1)
     return project_all(cloud, surface, ref_u[nearest], ref_v[nearest])

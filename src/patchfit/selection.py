@@ -97,9 +97,9 @@ def bic_statistic(sigma2: float, d: int, n_x: int) -> float:
     return -3.0 * n_x * math.log(sigma2) - d * math.log(n_x)
 
 
-def _rank_key(t: float, d: int, n_u: int, n_v: int) -> tuple:
+def _rank_key(model: FitModel) -> tuple:
     """Sort key for candidate models: best statistic first, then parsimony."""
-    return (-t, d, n_u + n_v, n_u)
+    return (-model.t, model.d, model.n_u + model.n_v, model.n_u)
 
 
 def _search_orders(
@@ -109,25 +109,24 @@ def _search_orders(
     n_u: int,
     n_v: int,
     ridge: float,
-    order_cap: tuple[int, int] | None,
+    order_cap: tuple[float, float],
     floor: float,
-) -> tuple[FitModel, float, float]:
+) -> tuple[FitModel, float]:
     """``mdl_select`` with one design matrix and one solve per candidate order.
 
-    A candidate's weighted residual sum gives both its noise variance
-    (sum / 3n) and its weighted objective (sum / 2). ``ridge`` and ``floor``
-    are those of ``search_scales``, which a fit computes once. Returns the
-    winning model, its weighted objective, and the regularized objective of
-    the refit at the start order, NaN when that refit is rank deficient.
+    A candidate's weighted residual sum gives its noise variance (sum / 3n).
+    ``ridge`` and ``floor`` are those of ``search_scales``, which a fit
+    computes once. Returns the candidate of least ``_rank_key``, and the
+    regularized objective of the refit at the start order, NaN when that
+    refit is rank deficient. The models hold one copy of ``u`` and ``v``.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    cap_u, cap_v = order_cap if order_cap is not None else (None, None)
-    us = [n_u] if (cap_u is not None and n_u >= cap_u) else [n_u, n_u + 1]
-    vs = [n_v] if (cap_v is not None and n_v >= cap_v) else [n_v, n_v + 1]
+    u = np.array(u, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    us = [n_u] if n_u >= order_cap[0] else [n_u, n_u + 1]
+    vs = [n_v] if n_v >= order_cap[1] else [n_v, n_v + 1]
     points, weights = cloud.points, cloud.weights
 
-    best = None
+    models = []
     f_reg_same = math.nan
     last_error = None
     for cand_u in us:
@@ -143,15 +142,13 @@ def _search_orders(
                 f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
             sigma2 = total / (3.0 * cloud.n_x)
             d = param_count(cloud.n_x, cand_u, cand_v)
-            t = bic_statistic(max(sigma2, floor), d, cloud.n_x)
-            key = _rank_key(t, d, cand_u, cand_v)
-            if best is None or key < best[0]:
-                best = (key, FitModel(surface, u.copy(), v.copy(), sigma2, t), 0.5 * total)
-    if best is None:
+            models.append(FitModel(surface, u, v, sigma2,
+                                   bic_statistic(max(sigma2, floor), d, cloud.n_x)))
+    if not models:
         if len(us) * len(vs) == 1:  # e.g. fixed orders: the solve's own message
             raise last_error
         raise RankDeficiencyError("every candidate order was rank deficient") from last_error
-    return best[1], best[2], f_reg_same
+    return min(models, key=_rank_key), f_reg_same
 
 
 def mdl_select(
@@ -171,4 +168,5 @@ def mdl_select(
     every candidate fails the error propagates.
     """
     ridge, floor = search_scales(cloud, lam)
-    return _search_orders(cloud, u, v, n_u, n_v, ridge, order_cap, floor)[0]
+    cap = order_cap or (math.inf, math.inf)
+    return _search_orders(cloud, u, v, n_u, n_v, ridge, cap, floor)[0]

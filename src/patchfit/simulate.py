@@ -17,8 +17,7 @@ import numpy as np
 from .bezier import design_matrix
 from .control import DEFAULT_LAMBDA
 from .errors import PatchFitError
-from .pipeline import (FitSettings, FitTrace, _check_count, _check_orders, fit_surface,
-                       outer_iterations)
+from .pipeline import FitSettings, _check_count, _check_orders, fit_surface, outer_iterations
 from .projection import project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .selection import FitModel, _rank_key
@@ -206,19 +205,10 @@ class StudyRow:
 
 
 def _fit_brute(cloud: PointCloud, settings: FitSettings, cap: tuple[int, int]):
-    """Fit every order on the grid independently, keep the best statistic."""
-    best = None
-    best_key = None
-    best_trace: FitTrace = []
-    for n_u in range(1, cap[0] + 1):
-        for n_v in range(1, cap[1] + 1):
-            model, trace = fit_surface(cloud, replace(settings, fixed_orders=(n_u, n_v)))
-            key = _rank_key(model.t, model.d, n_u, n_v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = model
-                best_trace = trace
-    return best, best_trace
+    """Fit every order on the grid independently, keep the fit of least ``_rank_key``."""
+    fits = (fit_surface(cloud, replace(settings, fixed_orders=(n_u, n_v)))
+            for n_u in range(1, cap[0] + 1) for n_v in range(1, cap[1] + 1))
+    return min(fits, key=lambda fit: _rank_key(fit[0]))
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:

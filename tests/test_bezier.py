@@ -225,6 +225,12 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="need at least one parameter pair"):
             design_matrix([], [], 1, 1)
 
+    @pytest.mark.parametrize("orders", [(-1, 1), (1, -1), (0, 2), (3, 0)])
+    def test_orders_below_one_raise(self, orders):
+        # the docstring requires orders of at least 1, as basis_vector does
+        with pytest.raises(ValueError, match=re.escape(f"orders must be at least 1, got {orders}")):
+            design_matrix([0.1, 0.2], [0.3, 0.4], *orders)
+
     @pytest.mark.parametrize("n", [1, 7, 100, 5000])
     @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
     def test_equals_row_product_oracle_bytewise_and_f_ordered(self, n, orders):

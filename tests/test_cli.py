@@ -12,18 +12,21 @@ from patchfit import (
     DegenerateGeometryError,
     EmptySelectionError,
     FileFormatError,
+    FitSettings,
     PatchFitError,
     PerimeterTruncationWarning,
     ProjectionError,
     RankDeficiencyError,
     VoxelGrid,
     design_matrix,
+    fit_surface,
     g_value,
     project_point,
 )
 from patchfit import cli
 from patchfit.cli import build_parser
-from patchfit.io import read_point_cloud, read_surface_model, write_point_cloud, write_voxel_grid
+from patchfit.io import (read_point_cloud, read_surface_model, write_point_cloud,
+                         write_surface_model, write_voxel_grid)
 from patchfit.voxel import PointCloud
 
 try:
@@ -290,6 +293,9 @@ class TestFit:
         ("--lam nan", "lam must be finite and nonnegative"),
         ("--lam inf", "lam must be finite and nonnegative"),
         ("--rel-sigma2-tol nan", "rel_sigma2_tol must be finite and nonnegative"),
+        ("--max-outer-iters 0", "max_outer_iters must be at least 1"),
+        ("--order-cap-u 0", "order caps must be at least 1"),
+        ("--order-cap-v 0", "order caps must be at least 1"),
     ])
     def test_bad_settings_are_a_usage_error(self, tmp_path, saddle_cloud, flags, message):
         result = run_cli("fit", str(saddle_cloud), "-o", str(tmp_path / "s.json"), *flags.split())
@@ -318,6 +324,22 @@ class TestFit:
                          "--fixed-orders", "2", "2")
         assert result.returncode == 0, result.stderr
         assert "orders (2, 2)" in result.stdout
+
+    @pytest.mark.parametrize("flags, settings", [
+        (["--max-outer-iters", "1"], {"max_outer_iters": 1}),
+        (["--order-cap-u", "1"], {"order_cap": (1, 6)}),
+        (["--order-cap-v", "1"], {"order_cap": (6, 1)}),
+    ])
+    def test_loop_flags_equal_the_library(self, tmp_path, saddle_cloud, flags, settings):
+        out = tmp_path / "s.json"
+        result = run_cli("fit", str(saddle_cloud), "-o", str(out), *flags)
+        assert result.returncode == 0, result.stderr
+        cloud = read_point_cloud(saddle_cloud)
+        expected = tmp_path / "expected.json"
+        write_surface_model(fit_surface(cloud, FitSettings(**settings))[0], cloud, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        if "max_outer_iters" in settings:
+            assert "iterations 1 " in result.stdout
 
     def test_fit_deterministic_rerun(self, tmp_path, saddle_cloud):
         out1 = tmp_path / "s1.json"
@@ -456,6 +478,25 @@ class TestProject:
         rows = out.read_text().splitlines()
         assert rows[1:] == [reference_row(p, model) for p in probes]
         assert rows[-2:] == ["nan,nan,nan,0", "nan,nan,nan,0"]
+
+    def test_far_records_take_no_start(self, tmp_path, saddle_cloud):
+        # Records at u = 1e160 and 1e300 evaluate to non-finite references,
+        # which must neither start a probe nor print a warning.
+        surface_path = tmp_path / "surface.json"
+        run_cli("fit", str(saddle_cloud), "-o", str(surface_path))
+        doc = json.loads(surface_path.read_text())
+        doc["points"] += [{"u": 1e160, "v": 0.5, "residual": 0.0},
+                          {"u": 1e300, "v": 0.5, "residual": 0.0}]
+        far_path = tmp_path / "far.json"
+        far_path.write_text(json.dumps(doc))
+        tables = []
+        for path in (surface_path, far_path):
+            out = tmp_path / f"p_{path.stem}.csv"
+            result = run_cli("project", str(path), str(saddle_cloud), "-o", str(out))
+            assert result.returncode == 0, result.stderr
+            assert "Warning" not in result.stderr
+            tables.append(out.read_bytes())
+        assert tables[1] == tables[0]
 
 
 class TestStudy:

@@ -614,6 +614,30 @@ class TestProjectNearest:
         with pytest.raises(ValueError, match=re.escape(message)):
             project_nearest(refs[:1] + 0.01, surface, refs[:n_refs], ref_u[:n_u], ref_v[:n_v])
 
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_nan_reference_takes_no_start(self, at):
+        # A NaN reference must start no point, wherever it sits in the list.
+        rng = np.random.default_rng(19)
+        surface, refs, ref_u, ref_v = self._instance(rng, n_refs=3)
+        points = rng.normal(0, 1.0, (20, 3))
+        expected = project_nearest(points, surface, refs, ref_u, ref_v)
+        k = 0 if at == "first" else len(refs)
+        batch = project_nearest(points, surface, np.insert(refs, k, [np.nan, 0.0, 0.0], axis=0),
+                                np.insert(ref_u, k, 7.0), np.insert(ref_v, k, 7.0))
+        for name in ("u", "v", "g_start", "g_final", "grad_norm", "converged", "iterations"):
+            assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert (batch.kernel_calls, batch.failed) == (expected.kernel_calls, expected.failed)
+
+    def test_nan_distances_rank_after_every_number(self, monkeypatch):
+        # inf (an overflow) is a number and beats NaN; a row of NaN starts at k = 0.
+        monkeypatch.setattr(projection, "project_all", lambda cloud, surface, u, v: u)
+        refs = np.array([[np.nan, 0.0, 0.0], [1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        ks = np.arange(3, dtype=np.float64)
+        points = [[0.5, 0.0, 0.0], [-1e300, 0.0, 0.0]]
+        npt.assert_array_equal(project_nearest(points, None, refs, ks, ks), [2, 1])
+        all_nan = np.full((3, 3), np.nan)
+        npt.assert_array_equal(project_nearest(points, None, all_nan, ks, ks), [0, 0])
+
     def test_lanes_equal_project_point_from_brute_force_start(self):
         rng = np.random.default_rng(16)
         surface, refs, ref_u, ref_v = self._instance(rng, n_refs=40)

@@ -1,6 +1,7 @@
 """Noise-variance estimate, the selection statistic, and order selection."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,16 +90,21 @@ class TestBicStatistic:
             bic_statistic(1.0, 10, 0)
 
 
+def ranked(t, d, n_u, n_v):
+    """Rank key of a model-like object with the given statistic, count and orders."""
+    return _rank_key(SimpleNamespace(t=t, d=d, n_u=n_u, n_v=n_v))
+
+
 class TestRankKey:
     def test_statistic_dominates(self):
-        assert _rank_key(10.0, 99, 3, 3) < _rank_key(9.0, 4, 1, 1)
+        assert ranked(10.0, 99, 3, 3) < ranked(9.0, 4, 1, 1)
 
     def test_tie_breaks_by_parameter_count(self):
-        assert _rank_key(5.0, 10, 2, 2) < _rank_key(5.0, 11, 1, 1)
+        assert ranked(5.0, 10, 2, 2) < ranked(5.0, 11, 1, 1)
 
     def test_then_by_total_order_then_u(self):
-        assert _rank_key(5.0, 10, 1, 3) < _rank_key(5.0, 10, 2, 3)
-        assert _rank_key(5.0, 10, 1, 2) < _rank_key(5.0, 10, 2, 1)
+        assert ranked(5.0, 10, 1, 3) < ranked(5.0, 10, 2, 3)
+        assert ranked(5.0, 10, 1, 2) < ranked(5.0, 10, 2, 1)
 
 
 class TestMdlSelect:
@@ -179,6 +185,16 @@ class TestMdlSelect:
         cloud, u, v = synth_cloud(rng, plane, 60)
         model = mdl_select(cloud, u, v, 1, 1, lam=0.0)
         assert (model.n_u, model.n_v) == (1, 1)
+
+    def test_model_does_not_alias_the_callers_parameters(self):
+        rng = np.random.default_rng(9)
+        surface = BezierSurface(rng.normal(size=(3, 3, 3)))
+        cloud, u, v = synth_cloud(rng, surface, 50, noise=0.05)
+        model = mdl_select(cloud, u, v, 1, 1, lam=1e-3)
+        expected = (model.u.tobytes(), model.v.tobytes())
+        u[:], v[:] = 0.5, 0.5
+        assert (model.u.tobytes(), model.v.tobytes()) == expected
+        assert expected != (u.tobytes(), v.tobytes())
 
     def test_order_cap_limits_candidates(self):
         rng = np.random.default_rng(8)

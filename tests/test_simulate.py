@@ -25,6 +25,7 @@ from patchfit import (
     run_trial,
     sigma2_hat,
 )
+from patchfit.simulate import _fit_brute
 
 
 def rosenbrock_oracle(x, y, alpha=0.01, a=1.0, b=100.0):
@@ -233,6 +234,29 @@ class TestStudies:
         _, recs = run_study([spec])
         assert recs[0].error == ""
         assert recs[0].size in (4, 6, 9)
+
+    @pytest.mark.parametrize("surface", ["plane", "rosenbrock"])
+    def test_brute_keeps_the_best_independent_fixed_order_fit(self, surface):
+        def untimed(trace):
+            return [repr(replace(row, seconds=0.0, projection_seconds=0.0, search_seconds=0.0))
+                    for row in trace]
+
+        spec = ExperimentSpec(surface=surface, n_tr=40, sigma2_y=1e-2, seed=17, trials=1,
+                              mode="brute", brute_cap=(2, 3))
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(spec.n_tr))
+        fits = [fit_surface(cloud, FitSettings(fixed_orders=(n_u, n_v)))
+                for n_u in (1, 2) for n_v in (1, 2, 3)]
+        # _rank_key's order, spelled out: best statistic, then parsimony
+        expected_model, expected_trace = min(
+            fits, key=lambda fit: (-fit[0].t, fit[0].d, fit[0].n_u + fit[0].n_v, fit[0].n_u))
+        model, trace = _fit_brute(cloud, FitSettings(), spec.brute_cap)
+        assert (model.n_u, model.n_v) == (expected_model.n_u, expected_model.n_v)
+        for name in ("u", "v", "centroid"):
+            assert getattr(model, name).tobytes() == getattr(expected_model, name).tobytes()
+        assert model.surface.control.tobytes() == expected_model.surface.control.tobytes()
+        assert (model.sigma2.hex(), model.t.hex()) == (expected_model.sigma2.hex(),
+                                                       expected_model.t.hex())
+        assert untimed(trace) == untimed(expected_trace)
 
     def test_rosenbrock_fit_grows_and_tracks_noise(self):
         # curved sheet at moderate noise: model must outgrow bilinear and the

@@ -27,7 +27,9 @@ Outputs:
   onto a document with records and onto one with ``"points": []``, each
   with a NaN probe and a ``1e300`` probe, and onto the first document from
   probes lifted 10-30 mm off the surface (``project_far``), where foot-point
-  lanes with an indefinite Hessian take the shifted Newton step;
+  lanes with an indefinite Hessian take the shifted Newton step, and onto the
+  first document plus one record at u = 1e300 (``project_badrecord``, the
+  NaN probe included), whose reference point is not finite;
   ``study table1_trends --trials 2``.
   One run per failure status that is not a usage error: ``fit_rankdef``
   (a 3-point cloud with ``--lam 0``, exit 3), ``project_allfail`` (probes
@@ -54,7 +56,9 @@ Outputs:
   prefix of a warning on stderr as ``<where>``.
 - ``trials.json``: the metrics of seeded ``simulate.run_trial`` calls (plane
   and Rosenbrock, automatic and fixed orders, several training sizes and
-  noise levels), floats written with ``float.hex``. ``ms`` is left out.
+  noise levels, then ``brute`` mode on both surfaces at ``BRUTE_N`` points,
+  sigma2_y 1e-2 and ``brute_cap`` ``BRUTE_CAP``), floats written with
+  ``float.hex``. ``ms`` is left out.
 
 Not part of the test suite: a full run takes about 12 s (2-core Xeon).
 """
@@ -80,6 +84,8 @@ TRIAL_MODES = ("auto", "fixed")
 TRIAL_SIZES = (30, 60, 100)
 TRIAL_NOISE = (1e-4, 1e-2, 0.25)
 TRIALS_PER_SPEC = 2
+BRUTE_N = 40
+BRUTE_CAP = (3, 3)
 # Voxel spacing and origin (mm) of the anisotropic copy of the test grid. They
 # are not dyadic, so origin + (local + offset) * spacing and
 # (origin + offset * spacing) + local * spacing round differently.
@@ -226,6 +232,11 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     write_far_probes(outdir / "cloud.csv", outdir / "probes_far.csv")
     run_cli("project_far", ["project", "surface.json", "probes_far.csv",
                             "-o", "foot_far.csv"], outdir, env)
+    doc = json.loads((outdir / "surface.json").read_text())
+    doc["points"].append({"u": 1e300, "v": 0.5, "residual": 0.0})
+    (outdir / "surface_badrecord.json").write_text(json.dumps(doc))
+    run_cli("project_badrecord", ["project", "surface_badrecord.json", "probes.csv",
+                                  "-o", "foot_badrecord.csv"], outdir, env)
     (outdir / "probes_nonfinite.csv").write_text(
         "x,y,z,w\nnan,0.0,0.0,1.0\ninf,1.0,1.0,1.0\n0.0,-inf,0.0,1.0\n")
     run_cli("project_allfail", ["project", "surface.json", "probes_nonfinite.csv",
@@ -295,24 +306,34 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
                                    *common, "--seed-voxel", *map(str, seed)], outdir, env)
 
 
-def trial_outputs(path: Path) -> int:
-    from patchfit import ExperimentSpec, run_trial
+def trial_specs():
+    """The seeded study cells of ``trials.json``, in file order."""
+    from patchfit import ExperimentSpec
 
-    records = []
     for surface in TRIAL_SURFACES:
         for mode in TRIAL_MODES:
             for n_tr in TRIAL_SIZES:
                 for sigma2_y in TRIAL_NOISE:
-                    spec = ExperimentSpec(surface=surface, n_tr=n_tr, sigma2_y=sigma2_y,
-                                          seed=n_tr, n_te=50, mode=mode, orders=(4, 4))
-                    for trial in range(TRIALS_PER_SPEC):
-                        rec = run_trial(spec, trial)
-                        records.append({
-                            "name": rec.name, "trial": rec.trial,
-                            "iterations": rec.iterations, "n_u": rec.n_u, "n_v": rec.n_v,
-                            "sigma2_tr": rec.sigma2_tr.hex(), "sigma2_te": rec.sigma2_te.hex(),
-                            "test_failures": rec.test_failures, "error": rec.error,
-                        })
+                    yield ExperimentSpec(surface=surface, n_tr=n_tr, sigma2_y=sigma2_y,
+                                         seed=n_tr, n_te=50, mode=mode, orders=(4, 4))
+    for surface in TRIAL_SURFACES:
+        yield ExperimentSpec(surface=surface, n_tr=BRUTE_N, sigma2_y=1e-2, seed=BRUTE_N,
+                             n_te=50, mode="brute", brute_cap=BRUTE_CAP)
+
+
+def trial_outputs(path: Path) -> int:
+    from patchfit import run_trial
+
+    records = []
+    for spec in trial_specs():
+        for trial in range(TRIALS_PER_SPEC):
+            rec = run_trial(spec, trial)
+            records.append({
+                "name": rec.name, "trial": rec.trial,
+                "iterations": rec.iterations, "n_u": rec.n_u, "n_v": rec.n_v,
+                "sigma2_tr": rec.sigma2_tr.hex(), "sigma2_te": rec.sigma2_te.hex(),
+                "test_failures": rec.test_failures, "error": rec.error,
+            })
     path.write_text(json.dumps(records, indent=1) + "\n")
     return len(records)
 
