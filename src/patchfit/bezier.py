@@ -39,6 +39,7 @@ C-ordered design matrix, change the last bits of fitted surfaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,15 +47,15 @@ import numpy as np
 
 
 @lru_cache(maxsize=None)
-def _pascal_row(n: int) -> np.ndarray:
-    """Binomial coefficients C(n, 0..n) built by Pascal addition (exact)."""
-    row = np.ones(1)
-    for _ in range(n):
-        nxt = np.empty(row.size + 1)
-        nxt[0] = 1.0
-        nxt[-1] = 1.0
-        nxt[1:-1] = row[:-1] + row[1:]
-        row = nxt
+def _binomial_row(n: int) -> np.ndarray:
+    """Binomial coefficients C(n, 0..n), each the float nearest the integer.
+
+    Raises ValueError when one overflows a float, from order 1030 on.
+    """
+    try:
+        row = np.array([float(math.comb(n, i)) for i in range(n + 1)])
+    except OverflowError:
+        raise ValueError(f"order {n} has binomial coefficients beyond the float range") from None
     row.flags.writeable = False
     return row
 
@@ -119,7 +120,7 @@ def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.nd
 def _basis_table(values: np.ndarray, n: int) -> np.ndarray:
     """Basis values for a batch of parameters, shape (len, n+1), stored by column."""
     pu, qrev = _batch_power_tables(values, n)
-    return _pascal_row(n) * pu * qrev
+    return _binomial_row(n) * pu * qrev
 
 
 def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
@@ -137,7 +138,7 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     pu, pum1, pum2 = p[:, 2:], p[:, 1:-1], p[:, :-2]
     qrev, qrevm1, qrevm2 = q[:, :-2], q[:, 1:-1], q[:, 2:]
     i, j, cii, cij, cjj = _deriv_factors(n)
-    c = _pascal_row(n)
+    c = _binomial_row(n)
     b0 = c * pu * qrev
     b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
     b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)

@@ -25,14 +25,13 @@ that step's kernel values, so nothing is evaluated twice and the per-point
 objective sequence is monotone by construction. The kernel's per-lane
 results do not depend on the rest of the batch, so projecting a cloud is
 bit-identical to projecting its points one by one. The solve returns one
-``BatchProjection``, with each point's final gradient norm in ``grad_norm``.
-Every (8, k) block of lanes stays row-contiguous: lanes are gathered with
-``take`` and ``compress`` along axis 1, since ``a[:, idx]`` returns an
-F-ordered copy on which each later row pass is strided (on a (5, 5 000)
-block, the column maximum took 410 us against 24 us and ``ldexp`` 92 us
-against 13 us; 2-core Xeon). A pass on which every lane is still active
-gathers nothing, and only the lanes that are not positive definite compute
-their shift.
+``BatchProjection``. Every (8, k) block of lanes stays row-contiguous: lanes
+are gathered with ``take`` and ``compress`` along axis 1, since ``a[:, idx]``
+returns an F-ordered copy on which each later row pass is strided (on a
+(5, 5 000) block, the column maximum took 410 us against 24 us and ``ldexp``
+92 us against 13 us; 2-core Xeon). A pass on which every lane is still
+active gathers nothing, and only the lanes that are not positive definite
+compute their shift.
 A point whose objective or derivatives stop being finite fails: it is not
 advanced again and ends at its start with its starting objective, and
 ``project_point`` raises a ``ProjectionError`` that carries only a message.
@@ -73,19 +72,16 @@ class BatchProjection:
 
     ``converged`` marks the points that stopped at the precision floor: a zero
     gradient, or no Armijo point among the step lengths whose predicted
-    decrease is above ``floor_ulp`` eps |r| (|x| + |r|). ``grad_norm`` holds
-    each point's final gradient norm; a point that failed after a step keeps
-    the norm of its last finite derivatives. ``iterations`` counts each
-    point's accepted Newton steps and ``kernel_calls`` the solve's calls of
-    the batched objective kernel: one for the starts, then at most two per
-    Newton iteration.
+    decrease is above ``floor_ulp`` eps |r| (|x| + |r|). ``iterations``
+    counts each point's accepted Newton steps and ``kernel_calls`` the
+    solve's calls of the batched objective kernel: one for the starts, then
+    at most two per Newton iteration.
     """
 
     u: np.ndarray
     v: np.ndarray
     g_start: np.ndarray
     g_final: np.ndarray
-    grad_norm: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
     kernel_calls: int
@@ -189,8 +185,8 @@ def _solve_batch(points, control, u0, v0):
         active[moved] = finite
 
     state[:3, failed] = np.stack((u0, v0, g_start))[:, failed]
-    u, v, value, gu, gv = state[:5].copy()
-    return BatchProjection(u, v, g_start, value, np.hypot(gu, gv), converged, iterations, calls,
+    u, v, value = state[:3].copy()
+    return BatchProjection(u, v, g_start, value, converged, iterations, calls,
                            tuple(int(i) for i in np.flatnonzero(failed)))
 
 

@@ -145,9 +145,7 @@ def _search_orders(
             models.append(FitModel(surface, u, v, sigma2,
                                    bic_statistic(max(sigma2, floor), d, cloud.n_x)))
     if not models:
-        if len(us) * len(vs) == 1:  # e.g. fixed orders: the solve's own message
-            raise last_error
-        raise RankDeficiencyError("every candidate order was rank deficient") from last_error
+        raise last_error
     return min(models, key=_rank_key), f_reg_same
 
 
@@ -165,7 +163,7 @@ def mdl_select(
     Location parameters are held fixed. The candidate grid is
     {n_u, n_u+1} x {n_v, n_v+1}, clipped at ``order_cap``; orders therefore
     never decrease. A candidate whose solve is rank deficient is skipped; if
-    every candidate fails the error propagates.
+    every candidate fails, the last one's error propagates.
     """
     ridge, floor = search_scales(cloud, lam)
     cap = order_cap or (math.inf, math.inf)

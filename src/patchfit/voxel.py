@@ -162,27 +162,27 @@ def boundary_mask(grid: VoxelGrid, epsilon: int = DEFAULT_EPSILON) -> VoxelGrid:
     return VoxelGrid(mask, grid.spacing, grid.origin)
 
 
-def _snap_to_mask(mask: np.ndarray, lo: tuple[int, int, int], seed: tuple[int, int, int],
+def _snap_to_mask(mask: np.ndarray, local: tuple[int, int, int], seed: tuple[int, int, int],
                   radius: int, spacing: np.ndarray) -> tuple[int, int, int]:
-    """Nearest mask voxel within a Chebyshev radius of seed, else error.
+    """Nearest mask voxel within a Chebyshev radius of ``local``, else error.
 
-    ``mask`` covers the grid from voxel index ``lo`` on, and must reach at
-    least ``radius`` voxels past the seed wherever the grid does; seed and
-    result are grid indices. Nearest is by physical distance; ties break on
-    lexicographic index order.
+    ``local`` and the result index ``mask``, which must reach at least
+    ``radius`` voxels past ``local`` wherever the grid does; ``seed`` names
+    the query in the errors. Nearest is by physical distance, ranked at a
+    power-of-two scale of ``spacing``; ties break on lexicographic index order.
     """
-    box_lo = [max(lo[a], seed[a] - radius) for a in range(3)]
-    box_hi = [min(lo[a] + mask.shape[a], seed[a] + radius + 1) for a in range(3)]
-    if any(box_lo[a] >= box_hi[a] for a in range(3)):
+    box_lo = np.maximum(np.subtract(local, radius), 0)
+    box_hi = np.minimum(np.add(local, radius + 1), mask.shape)
+    if (box_lo >= box_hi).any():
         raise EmptySelectionError(f"query voxel {seed} is beyond the snap radius of any boundary voxel")
-    window = mask[tuple(slice(box_lo[a] - lo[a], box_hi[a] - lo[a]) for a in range(3))]
-    candidates = np.argwhere(window > 0)
+    candidates = np.argwhere(mask[tuple(map(slice, box_lo, box_hi))] > 0)
     if candidates.size == 0:
         raise EmptySelectionError(
             f"no boundary voxel within Chebyshev radius {radius} of query voxel {seed}"
         )
-    candidates = candidates + np.array(box_lo)
-    offsets = (candidates - np.array(seed)) * spacing
+    candidates = candidates + box_lo
+    # An exact power-of-two rescaling: no squared distance overflows or underflows.
+    offsets = (candidates - np.array(local)) * np.ldexp(spacing, -np.frexp(spacing.max())[1])
     dist2 = (offsets**2).sum(axis=1)
     order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0], dist2))
     return tuple(int(c) for c in candidates[order[0]])
@@ -258,8 +258,7 @@ def select_points(
     local = tuple(s - o for s, o in zip(seed, lo))
     inside = all(0 <= local[a] < mask.shape[a] for a in range(3))
     if not inside or mask[local] == 0:
-        seed = _snap_to_mask(mask, lo, seed, l, grid.spacing)
-        local = tuple(s - o for s, o in zip(seed, lo))
+        local = _snap_to_mask(mask, local, seed, l, grid.spacing)
 
     _box_size(l, grid.dims)
     on_mask = mask > 0

@@ -24,6 +24,7 @@ from patchfit import (
 from patchfit.bezier import (
     _basis_rows,
     _basis_rows_derivs,
+    _binomial_row,
     _dot3,
     _surface_derivs,
     _values_grads_hessians,
@@ -244,6 +245,37 @@ class TestDesignMatrix:
         b = design_matrix(u, v, *orders)
         assert b.flags.f_contiguous and b.shape == oracle.shape
         assert b.tobytes(order="F") == oracle.tobytes(order="F")
+
+
+def pascal_row(n):
+    """Oracle: binomial coefficients by Pascal addition, exact while they stay
+    below 2^53 and correctly rounded one row past that, up to n = 57."""
+    row = np.ones(1)
+    for _ in range(n):
+        row = np.concatenate(([1.0], row[:-1] + row[1:], [1.0]))
+    return row
+
+
+class TestBinomialRow:
+    def test_equals_pascal_addition(self):
+        for n in range(58):
+            row = _binomial_row(n)
+            assert row.tobytes() == pascal_row(n).tobytes(), n
+            assert not row.flags.writeable
+
+    def test_largest_order_is_finite(self):
+        assert np.isfinite(_binomial_row(1029)).all()
+
+    @pytest.mark.parametrize("call", [
+        lambda: design_matrix([0.2, 0.4], [0.3, 0.5], 1030, 1),
+        lambda: design_matrix([0.2, 0.4], [0.3, 0.5], 1, 1030),
+        lambda: bernstein(0.5, 3, 1030),
+        lambda: basis_vector(0.5, 1030),
+        lambda: basis_vector(0.5, 1030, deriv=2),
+    ])
+    def test_overflowing_order_raises(self, call):
+        with pytest.raises(ValueError, match="order 1030 has binomial coefficients beyond"):
+            call()
 
 
 class TestRowDots:

@@ -39,7 +39,7 @@ def planar_surface(origin, a, b):
 def assert_lane_equal(batch, i, lane):
     """Lane i of ``batch`` equals the one-lane batch ``lane`` in every per-lane
     field, bit for bit."""
-    for name in ("u", "v", "g_start", "g_final", "grad_norm", "converged", "iterations"):
+    for name in ("u", "v", "g_start", "g_final", "converged", "iterations"):
         assert getattr(batch, name)[i:i + 1].tobytes() == getattr(lane, name).tobytes(), (i, name)
 
 
@@ -101,7 +101,7 @@ def sequential_solve(points, control, u0, v0):
             x_norm = np.hypot(np.hypot(x[0], x[1]), x[2])
             x, u, v = x[None, :], np.array([u]), np.array([v])
             value, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
-            g_start, norm, iterations = value, np.hypot(gu, gv), 0
+            g_start, iterations = value, 0
             failed = not np.isfinite([value, gu, gv, a, b, d]).all()
             floored = False
             for it in range(s.max_newton_iters + 1):
@@ -143,8 +143,7 @@ def sequential_solve(points, control, u0, v0):
                 if not np.isfinite([gu, gv, a, b, d]).all():
                     failed = True
                     break
-                norm = np.hypot(gu, gv)
-            lanes.append((u[0], v[0], value[0], g_start[0], norm[0], iterations, failed,
+            lanes.append((u[0], v[0], value[0], g_start[0], iterations, failed,
                           not failed and floored))
     return lanes
 
@@ -196,7 +195,8 @@ class TestProjectPoint:
             values.append(res.g_final[0])
         assert all(b <= a for a, b in zip(values, values[1:]))
         final = project_point(x, surface, 0.35, 0.65)
-        assert final.grad_norm[0] <= projection._SETTINGS.grad_tol
+        grad = g_eval(x, final.u[0], final.v[0], surface)[1]
+        assert np.hypot(*grad) <= projection._SETTINGS.grad_tol
         assert final.g_final[0] <= final.g_start[0]
 
     def test_non_finite_start_raises_with_iterate(self):
@@ -237,15 +237,16 @@ class TestPrecisionFloor:
                                    else rosenbrock_batch(seed))
         u0[0] = 1e200  # a lane that fails at its start
         batch = projection._solve_batch(points, surface.control, u0, v0)
-        norms = batch.grad_norm
         expected = sequential_solve(points, surface.control, u0, v0)
+        norms = np.zeros(len(points))
         for i, lane in enumerate(expected):
-            u, v, g, g_start, grad_norm, iterations, failed, converged = lane
+            u, v, g, g_start, iterations, failed, converged = lane
             assert (i in batch.failed) == failed
             if failed:
                 continue
             assert (batch.u[i], batch.v[i], batch.g_final[i]) == (u, v, g)
-            assert (batch.g_start[i], norms[i]) == (g_start, grad_norm)
+            assert batch.g_start[i] == g_start
+            norms[i] = np.hypot(*g_eval(points[i], u, v, surface)[1])
             assert batch.iterations[i] == iterations
             assert batch.converged[i] == converged
         assert 0 in batch.failed
@@ -268,7 +269,8 @@ class TestPrecisionFloor:
             assert (res.u[0], res.v[0], res.g_final[0]) == (far, 0.5, res.g_start[0])
             assert res.converged[0]
             if far >= 1e8:
-                assert res.grad_norm[0] > projection._SETTINGS.grad_tol
+                grad = g_eval(far * a + 0.5 * b + normal, far, 0.5, surface)[1]
+                assert np.hypot(*grad) > projection._SETTINGS.grad_tol
 
     @pytest.mark.parametrize("trial", range(10))
     def test_converged_foot_points_are_a_fixed_point(self, trial):
@@ -337,7 +339,8 @@ class TestPrecisionFloor:
         u, v = rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
         points = np.array([surface_eval(ui, vi, surface) for ui, vi in zip(u, v)])
         batch = project_all(PointCloud(points, np.ones(8)), surface, u, v)
-        npt.assert_array_equal(batch.grad_norm, 0.0)
+        for x, ui, vi in zip(points, batch.u, batch.v):
+            npt.assert_array_equal(g_eval(x, ui, vi, surface)[1], 0.0)
         assert batch.converged.all()
         assert batch.iterations.sum() == 0
         assert batch.kernel_calls == 1
@@ -351,7 +354,7 @@ class TestPrecisionFloor:
         batch = projection._solve_batch(points, surface.control, u0, v0)
         expected = sequential_solve(points, surface.control, u0, v0)
         npt.assert_array_equal(batch.converged, [lane[-1] for lane in expected])
-        npt.assert_array_equal(batch.iterations, [lane[5] for lane in expected])
+        npt.assert_array_equal(batch.iterations, [lane[4] for lane in expected])
         assert batch.converged.sum() == 2
         assert (batch.iterations[batch.converged] == 1).all()
         assert batch.kernel_calls == 3
@@ -525,9 +528,6 @@ class TestProjectAll:
         assert batch.failed == (target,)
         assert (batch.u[target], batch.v[target]) == (u[target], v[target])
         assert batch.g_final[target] == batch.g_start[target]
-        # Its last finite row is its start, which gives its gradient norm.
-        _, grad, _ = g_eval(points[target], u[target], v[target], surface)
-        assert batch.grad_norm[target] == np.hypot(*grad)
         for i in range(len(points)):
             if i == target:
                 continue
@@ -624,7 +624,7 @@ class TestProjectNearest:
         k = 0 if at == "first" else len(refs)
         batch = project_nearest(points, surface, np.insert(refs, k, [np.nan, 0.0, 0.0], axis=0),
                                 np.insert(ref_u, k, 7.0), np.insert(ref_v, k, 7.0))
-        for name in ("u", "v", "g_start", "g_final", "grad_norm", "converged", "iterations"):
+        for name in ("u", "v", "g_start", "g_final", "converged", "iterations"):
             assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes(), name
         assert (batch.kernel_calls, batch.failed) == (expected.kernel_calls, expected.failed)
 

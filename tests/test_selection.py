@@ -1,6 +1,7 @@
 """Noise-variance estimate, the selection statistic, and order selection."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,7 +213,11 @@ class TestMdlSelect:
             mdl_select(cloud, u, v, 1, 1, lam=0.0, order_cap=(1, 1))
 
     def test_all_candidates_failing_raises(self):
+        # The last candidate, (2, 2), raises its own solve's error.
         rng = np.random.default_rng(9)
         cloud = PointCloud(rng.normal(size=(3, 3)), np.ones(3))
-        with pytest.raises(RankDeficiencyError):
-            mdl_select(cloud, [0.1, 0.5, 0.9], [0.2, 0.6, 0.8], 1, 1, lam=0.0)
+        u, v = [0.1, 0.5, 0.9], [0.2, 0.6, 0.8]
+        with pytest.raises(RankDeficiencyError) as last:
+            solve_control_points(cloud.points, cloud.weights, u, v, 2, 2, 0.0)
+        with pytest.raises(RankDeficiencyError, match=f"^{re.escape(str(last.value))}$"):
+            mdl_select(cloud, u, v, 1, 1, lam=0.0)

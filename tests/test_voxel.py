@@ -449,6 +449,19 @@ class TestSelectPoints:
         region = select_points(grid, (10, 10, 11), max_iters=1)
         assert region.data[10, 10, 9] > 0
 
+    @pytest.mark.parametrize("k", [-540, -500, 500, 540])
+    def test_snap_is_the_same_at_any_power_of_two_spacing(self, k):
+        # At 2^-540 every squared distance underflows to 0, and at 2^540 it
+        # overflows to inf, unless the snap ranks them at a power-of-two scale.
+        def select(scale):
+            grid = VoxelGrid(slab((20, 20, 20), 9), np.ldexp([1.0, 0.5, 2.0], scale), (0, 0, 0))
+            return select_points(grid, (10, 10, 12), max_iters=1)
+
+        expected, region = select(0), select(k)
+        assert expected.data[10, 10, 9] == 2
+        assert region.offset == expected.offset
+        assert region.window.tobytes() == expected.window.tobytes()
+
     def test_no_surface_within_radius(self):
         grid = half_space(dim=20, z_top=5)
         with pytest.raises(EmptySelectionError):

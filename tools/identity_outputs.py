@@ -35,7 +35,8 @@ Outputs:
   (a 3-point cloud with ``--lam 0``, exit 3), ``project_allfail`` (probes
   that are all non-finite, exit 3) and ``select_empty`` (a ``--seed-voxel``
   at the top of the grid, beyond the snap radius of any boundary voxel,
-  exit 4), so that their stderr bytes are compared too.
+  exit 4), so that their stderr bytes are compared too; and ``fit_hugeorder``
+  (``--fixed-orders 1100 1``, whose binomial coefficients overflow, exit 2).
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
   ``--weight-mode inverse-distance``, the growth box sizes ``--l 5`` (with
@@ -45,7 +46,10 @@ Outputs:
   non-zero origin (``select_aniso`` with uniform weights, and
   ``select_aniso_external``: a ``--query`` above the surface that snaps
   onto it, with ``external-map`` weights), so that the voxel index offset
-  of the selection window shows up in the point bytes,
+  of the selection window shows up in the point bytes, the grid with spacing
+  2^-540 on every axis and a ``--seed-voxel`` three voxels above the
+  surface (``select_tinyspacing``), whose snap ranks distances whose squares
+  underflow,
   the grid written with CRLF line breaks, a grid with a
   bad token, and grids on each side of the bytewise 0/1 reading: separated
   only by tabs and form feeds, with one ``1`` written ``1.0``, separated by
@@ -245,6 +249,8 @@ def cli_outputs(outdir: Path, src: Path) -> None:
         "x,y,z,w\n0.0,0.0,0.0,1.0\n1.0,0.0,0.0,1.0\n0.0,1.0,0.5,1.0\n")
     run_cli("fit_rankdef", ["fit", "cloud_tri.csv", "-o", "surface_tri.json", "--lam", "0"],
             outdir, env)
+    run_cli("fit_hugeorder", ["fit", "cloud.csv", "-o", "surface_hugeorder.json",
+                              "--fixed-orders", "1100", "1"], outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
     help_env = dict(env, COLUMNS="80")
     for command in ("select", "fit", "project", "study"):
@@ -284,6 +290,10 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
                                       "cloud_aniso_external.csv", *common, "--query",
                                       *map(repr, above.tolist()), "--weight-mode", "external-map",
                                       "--weight-grid", "weights_aniso.vox"], outdir, env)
+    (outdir / "grid_tiny.vox").write_text(with_geometry(text, (2.0**-540,) * 3, (0, 0, 0)))
+    run_cli("select_tinyspacing", ["select", "grid_tiny.vox", "-o", "cloud_tiny.csv", *common,
+                                   "--seed-voxel", *map(str, seed[:2]), str(seed[2] + 3)],
+            outdir, env)
     (outdir / "grid_crlf.vox").write_bytes(rows_text(text, GRID_N, "\r\n").encode())
     run_cli("select_crlf", ["select", "grid_crlf.vox", "-o", "cloud_crlf.csv", *common,
                             "--seed-voxel", *map(str, seed)], outdir, env)
