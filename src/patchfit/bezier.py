@@ -264,6 +264,26 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
     return outer.reshape(u.size, -1).T
 
 
+@lru_cache(maxsize=None)
+def _elevation(n_u: int, n_v: int, top_u: int, top_v: int) -> np.ndarray:
+    """Read-only K = kron(E_v, E_u), with K @ design_matrix(u, v, top_u, top_v) equal to
+    design_matrix(u, v, n_u, n_v) up to rounding, for a top order of n or n + 1 on
+    each axis. Degree elevation writes b(t; n) = E b(t; n + 1), with
+    E[i, i] = (n+1-i)/(n+1) and E[i, i+1] = (i+1)/(n+1); an axis not elevated takes I."""
+    def axis(n: int, top: int) -> np.ndarray:
+        if top == n:
+            return np.eye(n + 1)
+        i = np.arange(n + 1)
+        e = np.zeros((n + 1, n + 2))
+        e[i, i] = (n + 1 - i) / (n + 1)
+        e[i, i + 1] = (i + 1) / (n + 1)
+        return e
+
+    k = np.kron(axis(n_v, top_v), axis(n_u, top_u))
+    k.flags.writeable = False
+    return k
+
+
 def g_value(x: np.ndarray, u: float, v: float, surface: BezierSurface) -> float:
     """Half squared distance between x and the surface point at (u, v)."""
     point = np.asarray(x, dtype=np.float64).reshape(1, 3)

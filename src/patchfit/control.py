@@ -17,9 +17,9 @@ from .errors import RankDeficiencyError
 DEFAULT_LAMBDA = 1e-3
 
 
-def _residual_sum(points, weights, b, surface: BezierSurface) -> float:
-    """Weighted sum of squared residuals against the samples ``b.T @ surface.flat``."""
-    residual = points - b.T @ surface.flat
+def _residual_sum(points, weights, b, flat: np.ndarray) -> float:
+    """Weighted sum of squared residuals against the samples ``b.T @ flat``."""
+    residual = points - b.T @ flat
     return float(np.sum(weights**2 * _dot3(residual, residual)))
 
 
@@ -36,7 +36,7 @@ def weighted_objective(
 ) -> float:
     """Half the weighted sum of squared point-to-surface-sample distances."""
     b = design_matrix(u, v, surface.n_u, surface.n_v)
-    return 0.5 * _residual_sum(points, weights, b, surface)
+    return 0.5 * _residual_sum(points, weights, b, surface.flat)
 
 
 def solve_control_points(
@@ -57,19 +57,28 @@ def solve_control_points(
     Raises:
         RankDeficiencyError: the system is singular and ``lam`` is 0.
     """
-    return _solve_design(points, weights, design_matrix(u, v, n_u, n_v), n_u, n_v, lam)
+    return _solve_gram(*_gram(points, weights, design_matrix(u, v, n_u, n_v)), n_u, n_v, lam)
 
 
-def _solve_design(points, weights, b, n_u: int, n_v: int, lam: float) -> BezierSurface:
-    """``solve_control_points`` for the design matrix ``b`` of orders (n_u, n_v)."""
+def _gram(points, weights, b) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix B W^2 B^T and right-hand side B W^2 X of the design ``b``;
+    entries that overflow are left for ``_solve_gram`` to reject."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bw = b * weights**2
+        return bw @ b.T, bw @ points
+
+
+def _solve_gram(gram, rhs, n_u: int, n_v: int, lam: float) -> BezierSurface:
+    """Solve (gram + lam I) A_flat = rhs for the control points of orders (n_u, n_v).
+
+    ``gram`` is left unchanged. Raises ValueError for a negative ``lam`` or
+    non-finite entries, and RankDeficiencyError as ``solve_control_points``.
+    """
     if lam < 0:
         raise ValueError(f"regularization strength must be nonnegative, got {lam}")
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects inf and NaN
-        bw = b * weights**2
-        gram = bw @ b.T
-        rhs = bw @ points
+    gram = gram.copy()
     gram[np.diag_indices_from(gram)] += lam
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")

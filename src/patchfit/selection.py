@@ -3,7 +3,9 @@
 Candidate orders grow by at most one in each direction per update. Each
 candidate is scored by an information statistic that trades the log of the
 estimated noise variance against a parameter-count penalty; the candidate
-with the largest statistic wins, with ties broken toward parsimony.
+with the largest statistic wins, with ties broken toward parsimony. One
+design matrix and one Gram matrix, built at the largest candidate, serve
+every candidate of a search through Bernstein degree elevation.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierSurface, _dot3, design_matrix
-from .control import _residual_sum, _ridge_penalty, _solve_design, weighted_objective
+from .bezier import BezierSurface, _dot3, _elevation, design_matrix
+from .control import _gram, _residual_sum, _ridge_penalty, _solve_gram, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import RankDeficiencyError
 from .voxel import PointCloud
@@ -112,32 +114,46 @@ def _search_orders(
     order_cap: tuple[float, float],
     floor: float,
 ) -> tuple[FitModel, float]:
-    """``mdl_select`` with one design matrix and one solve per candidate order.
+    """``mdl_select`` with one design matrix B and one Gram matrix G per search.
 
-    A candidate's weighted residual sum gives its noise variance (sum / 3n).
-    ``ridge`` and ``floor`` are those of ``search_scales``, which a fit
-    computes once. Returns the candidate of least ``_rank_key``, and the
-    regularized objective of the refit at the start order, NaN when that
-    refit is rank deficient. The models hold one copy of ``u`` and ``v``.
+    B and G are built at the top candidate, (n_u+1, n_v+1) clipped at
+    ``order_cap``, which solves with G and the right-hand side R; any other
+    candidate solves with K G K^T and K R, its K from ``bezier._elevation``.
+    A candidate's weighted residual sum, taken directly against B^T (K^T A)
+    since the expansion through G and R cancels at exact recovery, gives its
+    noise variance (sum / 3n). ``ridge`` and ``floor`` are those of
+    ``search_scales``, which a fit computes once. Returns the candidate of
+    least ``_rank_key``, and the regularized objective of the refit at the
+    start order, NaN when that refit is rank deficient. The models hold one
+    copy of ``u`` and ``v``.
     """
     u = np.array(u, dtype=np.float64)
     v = np.array(v, dtype=np.float64)
     us = [n_u] if n_u >= order_cap[0] else [n_u, n_u + 1]
     vs = [n_v] if n_v >= order_cap[1] else [n_v, n_v + 1]
     points, weights = cloud.points, cloud.weights
+    top = (us[-1], vs[-1])
+    b = design_matrix(u, v, *top)
+    gram, rhs = _gram(points, weights, b)
 
     models = []
     f_reg_same = math.nan
     last_error = None
     for cand_u in us:
         for cand_v in vs:
-            b = design_matrix(u, v, cand_u, cand_v)
+            if (cand_u, cand_v) == top:
+                k, cand_gram, cand_rhs = None, gram, rhs
+            else:
+                k = _elevation(cand_u, cand_v, *top)
+                with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
+                    cand_gram, cand_rhs = k @ gram @ k.T, k @ rhs
             try:
-                surface = _solve_design(points, weights, b, cand_u, cand_v, ridge)
+                surface = _solve_gram(cand_gram, cand_rhs, cand_u, cand_v, ridge)
             except RankDeficiencyError as exc:
                 last_error = exc
                 continue
-            total = _residual_sum(points, weights, b, surface)
+            total = _residual_sum(points, weights, b,
+                                  surface.flat if k is None else k.T @ surface.flat)
             if (cand_u, cand_v) == (n_u, n_v):
                 f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
             sigma2 = total / (3.0 * cloud.n_x)

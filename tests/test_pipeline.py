@@ -293,15 +293,15 @@ class TestFitSurface:
                 fit_surface(scaled)
         assert caught == []
 
-    def test_one_design_matrix_per_candidate_order(self, monkeypatch):
+    def test_one_design_matrix_per_order_search(self, monkeypatch):
         import patchfit.bezier
 
         original = patchfit.bezier.design_matrix
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(u, v, n_u, n_v):
+            calls.append((n_u, n_v))
+            return original(u, v, n_u, n_v)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("patchfit") and getattr(module, "design_matrix", None) is original:
@@ -311,7 +311,9 @@ class TestFitSurface:
         settings = FitSettings(order_cap=(20, 20))
         model, trace = fit_surface(cloud, settings)
         assert max(max(r.n_u, r.n_v) for r in trace) < 20  # the caps never bind
-        assert len(calls) == 4 * len(trace)
+        # each search starts at the orders the previous one kept, (1, 1) at first
+        starts = [(1, 1)] + [(r.n_u, r.n_v) for r in trace[:-1]]
+        assert calls == [(n_u + 1, n_v + 1) for n_u, n_v in starts]
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from patchfit import (
     surface_eval,
     weighted_objective,
 )
-from patchfit.selection import _rank_key
+from patchfit.bezier import _basis_rows, _elevation
+from patchfit.selection import FitModel, _rank_key, _search_orders, search_scales
 
 
 def synth_cloud(rng, surface, n, noise=0.0, weights=None):
@@ -221,3 +222,108 @@ class TestMdlSelect:
             solve_control_points(cloud.points, cloud.weights, u, v, 2, 2, 0.0)
         with pytest.raises(RankDeficiencyError, match=f"^{re.escape(str(last.value))}$"):
             mdl_select(cloud, u, v, 1, 1, lam=0.0)
+
+
+EPS = np.finfo(np.float64).eps
+# u in [-2, 3] with 0 and 1 exactly on the grid
+ELEVATION_U = np.concatenate([np.linspace(-2.0, 3.0, 101), [0.0, 1.0]])
+
+
+def assert_ulps(actual, expected, ulps):
+    """Entries agree to ``ulps`` units of the expected entry; zeros exactly."""
+    assert np.all(np.abs(actual - expected) <= ulps * EPS * np.abs(expected))
+
+
+class TestDegreeElevation:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_elevation_rows_give_the_lower_basis(self, n):
+        e = _elevation(n, 1, n + 1, 1)[: n + 1, : n + 2]  # kron(I_2, E_n)'s first block
+        i = np.arange(n + 1)
+        assert np.count_nonzero(e) == 2 * (n + 1)
+        assert (e[i, i] == (n + 1 - i) / (n + 1)).all() and (e[i, i + 1] == (i + 1) / (n + 1)).all()
+        assert_ulps(_basis_rows(ELEVATION_U, n + 1) @ e.T, _basis_rows(ELEVATION_U, n), 8)
+
+    @pytest.mark.parametrize("n_u, n_v", [(1, 1), (1, 12), (12, 1), (3, 5), (7, 2), (12, 12)])
+    def test_kron_maps_the_top_design_to_each_candidate(self, n_u, n_v):
+        # Pins the u-fastest kron(E_v, E_u) ordering of design_matrix's rows.
+        rng = np.random.default_rng(n_u * 13 + n_v)
+        u = np.concatenate([ELEVATION_U, rng.uniform(-2.0, 3.0, 40)])
+        v = np.concatenate([rng.permutation(ELEVATION_U), rng.uniform(-2.0, 3.0, 40)])
+        top = (n_u + 1, n_v + 1)
+        b = design_matrix(u, v, *top)
+        for cand in [(n_u, n_v), (n_u, n_v + 1), (n_u + 1, n_v), top]:
+            k = _elevation(*cand, *top)
+            assert not k.flags.writeable
+            assert_ulps(k @ b, design_matrix(u, v, *cand), 32)
+
+
+def per_candidate_search(cloud, u, v, n_u, n_v, lam, cap):
+    """The order search as a design matrix and ``solve_control_points`` per
+    candidate, with the residual sum taken directly: (winner, f_reg_same)."""
+    ridge, floor = search_scales(cloud, lam)
+    us = [n_u] if n_u >= cap[0] else [n_u, n_u + 1]
+    vs = [n_v] if n_v >= cap[1] else [n_v, n_v + 1]
+    models, f_reg_same, last_error = [], math.nan, None
+    for cu in us:
+        for cv in vs:
+            try:
+                surface = solve_control_points(cloud.points, cloud.weights, u, v, cu, cv, ridge)
+            except RankDeficiencyError as exc:
+                last_error = exc
+                continue
+            residual = cloud.points - design_matrix(u, v, cu, cv).T @ surface.flat
+            total = float(np.sum(cloud.weights**2 * np.sum(residual**2, axis=1)))
+            if (cu, cv) == (n_u, n_v):
+                f_reg_same = 0.5 * total + 0.5 * ridge * float(np.sum(surface.flat**2))
+            sigma2 = total / (3.0 * cloud.n_x)
+            t = bic_statistic(max(sigma2, floor), param_count(cloud.n_x, cu, cv), cloud.n_x)
+            models.append(FitModel(surface, u, v, sigma2, t))
+    if not models:
+        raise last_error
+    return min(models, key=_rank_key), f_reg_same
+
+
+class TestSearchAgainstPerCandidateSolves:
+    @staticmethod
+    def weighted_cloud(n, start):
+        rng = np.random.default_rng(n + 10 * start[0] + start[1])
+        surface = BezierSurface(rng.normal(size=(3, 4, 3)))
+        return synth_cloud(rng, surface, n, noise=0.05, weights=rng.uniform(0.3, 2.0, n))
+
+    @pytest.mark.parametrize("n, start, lam, cap", [
+        (70, (1, 1), 1e-3, (math.inf, math.inf)),
+        (70, (2, 3), 1e-3, (math.inf, math.inf)),
+        (120, (4, 2), 1e-6, (math.inf, math.inf)),
+        (70, (2, 3), 1e-3, (2, math.inf)),  # the cap clips u
+        (70, (3, 2), 1e-3, (math.inf, 2)),  # the cap clips v
+        (70, (2, 3), 1e-3, (2, 3)),  # the cap clips both: one candidate
+        (70, (1, 2), 0.0, (math.inf, math.inf)),
+        # 6 <= 10 points < 12: the top candidate (2, 3) is rank deficient at lam = 0
+        (10, (1, 2), 0.0, (math.inf, math.inf)),
+    ])
+    def test_same_winner_and_statistics(self, n, start, lam, cap):
+        cloud, u, v = self.weighted_cloud(n, start)
+        expected, expected_f = per_candidate_search(cloud, u, v, *start, lam, cap)
+        ridge, floor = search_scales(cloud, lam)
+        model, f_reg_same = _search_orders(cloud, u, v, *start, ridge, cap, floor)
+        assert (model.n_u, model.n_v) == (expected.n_u, expected.n_v)
+        assert model.sigma2 == pytest.approx(expected.sigma2, rel=1e-12)
+        assert model.t == pytest.approx(expected.t, rel=1e-12)
+        assert f_reg_same == pytest.approx(expected_f, rel=1e-12)
+
+    def test_rank_deficient_top_is_skipped(self):
+        cloud, u, v = self.weighted_cloud(10, (1, 2))
+        with pytest.raises(RankDeficiencyError):
+            solve_control_points(cloud.points, cloud.weights, u, v, 2, 3, 0.0)
+        _, floor = search_scales(cloud, 0.0)
+        model, f_reg_same = _search_orders(cloud, u, v, 1, 2, 0.0, (math.inf, math.inf), floor)
+        assert (model.n_u, model.n_v) != (2, 3) and math.isfinite(f_reg_same)
+
+    def test_no_solvable_candidate_raises_the_same_error(self):
+        rng = np.random.default_rng(9)
+        cloud = PointCloud(rng.normal(size=(3, 3)), np.ones(3))
+        u, v = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6, 0.8])
+        with pytest.raises(RankDeficiencyError) as expected:
+            per_candidate_search(cloud, u, v, 1, 1, 0.0, (math.inf, math.inf))
+        with pytest.raises(RankDeficiencyError, match=f"^{re.escape(str(expected.value))}$"):
+            _search_orders(cloud, u, v, 1, 1, 0.0, (math.inf, math.inf), 0.0)

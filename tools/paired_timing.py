@@ -16,7 +16,9 @@ The plane and Rosenbrock pairs cycle through five seeded datasets. Each pair
 times one call of each side, and the side that runs first alternates from
 pair to pair. For each shape the script prints both sides' median, the
 median of the per-pair ratios (this tree / other tree) and the number of
-pairs this tree ran faster:
+pairs this tree ran faster, and on a second line both sides' medians of the
+order-search and foot-point-projection seconds, summed over each fit's
+``FitIteration`` trace, so that a change shows which phase moved:
 
     python3 tools/paired_timing.py --src ../before/src
     python3 tools/paired_timing.py --src ../before/src --pairs 200
@@ -84,11 +86,14 @@ def workloads(patchfit) -> dict[str, list[np.ndarray]]:
             "select-212": [select_cloud(patchfit)]}
 
 
-def fit_seconds(patchfit, points: np.ndarray) -> float:
+def fit_seconds(patchfit, points: np.ndarray) -> tuple[float, float, float]:
+    """Wall time of one fit, and the search and projection seconds its trace sums."""
     cloud = patchfit.PointCloud(points, np.ones(points.shape[0]))
     start = perf_counter()
-    patchfit.fit_surface(cloud)
-    return perf_counter() - start
+    _, trace = patchfit.fit_surface(cloud)
+    seconds = perf_counter() - start
+    return (seconds, sum(row.search_seconds for row in trace),
+            sum(row.projection_seconds for row in trace))
 
 
 def compare(this, other, sets: list[np.ndarray], pairs: int) -> str:
@@ -104,11 +109,16 @@ def compare(this, other, sets: list[np.ndarray], pairs: int) -> str:
         else:
             mine.append(fit_seconds(this, points))
             theirs.append(fit_seconds(other, points))
-    ratio = statistics.median(m / t for m, t in zip(mine, theirs))
-    wins = sum(m < t for m, t in zip(mine, theirs))
-    return (f"this {1e3 * statistics.median(mine):8.3f} ms  "
-            f"other {1e3 * statistics.median(theirs):8.3f} ms  "
-            f"paired ratio {ratio:.3f}  this faster in {wins}/{pairs}")
+    ratio = statistics.median(m[0] / t[0] for m, t in zip(mine, theirs))
+    wins = sum(m[0] < t[0] for m, t in zip(mine, theirs))
+
+    def ms(side, phase):
+        return 1e3 * statistics.median(times[phase] for times in side)
+
+    return (f"this {ms(mine, 0):8.3f} ms  other {ms(theirs, 0):8.3f} ms  "
+            f"paired ratio {ratio:.3f}  this faster in {wins}/{pairs}\n"
+            f"{'':15s}   search this {ms(mine, 1):7.3f} ms  other {ms(theirs, 1):7.3f} ms  "
+            f"projection this {ms(mine, 2):7.3f} ms  other {ms(theirs, 2):7.3f} ms")
 
 
 def main(argv=None) -> int:
