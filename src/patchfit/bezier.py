@@ -40,10 +40,15 @@ C-ordered design matrix, change the last bits of fitted surfaces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +246,7 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
 
     Args:
         u, v: Parameter vectors of equal length n_x >= 1.
-        n_u, n_v: Surface orders, at least 1.
+        n_u, n_v: Surface orders, integers of at least 1 (bools are not).
 
     Returns:
         Matrix of shape ((n_u+1)(n_v+1), n_x).
@@ -252,6 +257,8 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
         raise ValueError(f"u and v must be 1D vectors of equal length, got {u.shape} and {v.shape}")
     if u.size < 1:
         raise ValueError("need at least one parameter pair")
+    if not (_is_int(n_u) and _is_int(n_v)):
+        raise ValueError(f"orders must be integers, got ({n_u!r}, {n_v!r})")
     n_u, n_v = int(n_u), int(n_v)
     if min(n_u, n_v) < 1:
         raise ValueError(f"orders must be at least 1, got ({n_u}, {n_v})")

@@ -9,13 +9,12 @@ top two principal directions.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
-from .bezier import _dot3
+from .bezier import _is_int
 from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
@@ -24,11 +23,6 @@ from .selection import FitModel, _search_orders, search_scales
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
-_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value) -> None:
@@ -155,34 +149,21 @@ def fit_surface(
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
 
-    ``search_scales`` sets the order search's ridge and floor from mean(w^2)
-    and the cloud's spread, and ``init_uv``'s SVD and each Newton step run at
-    a power-of-two scale of their own. So scaling every weight by c changes
-    only sigma2, by c^2, and scaling the points by 2^k only the control
-    points, by 2^k, and sigma2, by 4^k, while sigma2 and the weighted spread
-    below stay normal floats.
-
-    Raises ValueError, before any solve, when the mean weighted squared spread
-    sum_i w_i^2 |x_i - mean(x)|^2 / n is not finite or is below the smallest
-    normal float: such magnitudes would overflow inside the solves or make
-    sigma2 underflow.
+    ``search_scales`` checks the cloud, before any solve, and sets the order
+    search's ridge and floor from mean(w^2) and the cloud's weighted spread;
+    ``init_uv``'s SVD and each Newton step run at a power-of-two scale of
+    their own. So scaling every weight by c changes only sigma2, by c^2, and
+    scaling the points by 2^k only the control points, by 2^k, and sigma2, by
+    4^k, while sigma2 stays a normal float.
     """
     if settings is None:
         settings = FitSettings()
     if cloud.n_x < 3:
         raise ValueError(f"need at least 3 points to fit, got {cloud.n_x}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        centroid = cloud.points.mean(axis=0)
-        points = cloud.points - centroid
-        spread = np.sum(cloud.weights**2 * _dot3(points, points))
-    if not (np.isfinite(spread) and spread / cloud.n_x >= _TINY):
-        raise ValueError(
-            f"weighted squared spread of the cloud is {float(spread)!r} over {cloud.n_x} points; "
-            f"its mean must be finite and at least {_TINY!r} (rescale the points or the weights)"
-        )
-    inner = PointCloud(points, cloud.weights)
+    ridge, floor = search_scales(cloud, settings.lam)
+    centroid = cloud.points.mean(axis=0)
+    inner = PointCloud(cloud.points - centroid, cloud.weights)
     u, v = init_uv(inner)
-    ridge, floor = search_scales(inner, settings.lam)
     start = settings.fixed_orders or (1, 1)
     cap = settings.fixed_orders or settings.order_cap
 

@@ -248,6 +248,8 @@ def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> Batch
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cloud = PointCloud(points, np.ones(points.shape[0]))
     refs = np.asarray(refs, dtype=np.float64).reshape(-1, 3)
+    ref_u = np.asarray(ref_u, dtype=np.float64)
+    ref_v = np.asarray(ref_v, dtype=np.float64)
     if not len(refs) == len(ref_u) == len(ref_v) > 0:
         raise ValueError(f"project_nearest needs one (u, v) per reference and at least one: "
                          f"{len(refs)} refs, {len(ref_u)} ref_u, {len(ref_v)} ref_v")

@@ -10,6 +10,7 @@ every candidate of a search through Bernstein degree elevation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,23 +19,41 @@ import numpy as np
 from .bezier import BezierSurface, _dot3, _elevation, design_matrix
 from .control import _gram, _residual_sum, _ridge_penalty, _solve_gram, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
-from .errors import RankDeficiencyError
+from .errors import DegenerateGeometryError, RankDeficiencyError
 from .voxel import PointCloud
 
-# Candidates are ranked with the noise variance floored at a small fraction
-# of the cloud's RMS radius (squared), so candidates that interpolate to
-# floating-point dust tie and compete through the parameter penalty instead
-# of through rounding noise. Should the floor underflow to 0, such candidates
-# tie at +inf and ``bic_statistic``'s parsimony tie-break decides.
+# The order search floors the noise variance at this fraction of the cloud's
+# mean weighted squared spread, so candidates that interpolate to floating-point
+# dust tie and compete through the parameter penalty, not through rounding noise.
+# Should the floor underflow to 0, they tie at +inf and parsimony decides.
 _REL_FLOOR = 1e-13
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
 
 
 def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
-    """The order search's (ridge, floor): ``lam`` and the floor, times mean(w^2)."""
-    scale = float(np.mean(cloud.weights**2))
-    centered = cloud.points - cloud.points.mean(axis=0)
-    rms2 = float(np.mean(_dot3(centered, centered)))
-    return lam * scale, _REL_FLOOR**2 * rms2 * scale
+    """The order search's (ridge, floor) for ``cloud``, after one check.
+
+    With S = sum_i w_i^2 |x_i - mean(x)|^2 / n, the mean weighted squared
+    spread, returns (``lam`` * mean(w^2), ``_REL_FLOOR``^2 * S). Raises
+    DegenerateGeometryError when all the points coincide, and ValueError
+    when S is not finite or is below the smallest normal float: such
+    magnitudes would overflow inside the solves or make sigma2 underflow.
+    """
+    n = cloud.n_x
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sum / n is np.mean's centroid, without its warning on an empty cloud
+        centered = cloud.points - cloud.points.sum(axis=0) / n
+        spread = np.sum(cloud.weights**2 * _dot3(centered, centered))
+        mean_spread = spread / n
+    if n and (cloud.points == cloud.points[0]).all():
+        raise DegenerateGeometryError(
+            f"all {n} points coincide; a surface needs points spread over two directions")
+    if not (np.isfinite(mean_spread) and mean_spread >= _TINY):
+        raise ValueError(
+            f"weighted squared spread of the cloud is {float(spread)!r} over {n} points; "
+            f"its mean must be finite and at least {_TINY!r} (rescale the points or the weights)"
+        )
+    return lam * float(np.mean(cloud.weights**2)), _REL_FLOOR**2 * float(mean_spread)
 
 
 @dataclass
@@ -92,7 +111,7 @@ def bic_statistic(sigma2: float, d: int, n_x: int) -> float:
     """
     if n_x < 1:
         raise ValueError("point count must be at least 1")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"variance must be nonnegative, got {sigma2}")
     if sigma2 == 0.0:
         return math.inf
@@ -116,8 +135,8 @@ def _search_orders(
 ) -> tuple[FitModel, float]:
     """``mdl_select`` with one design matrix B and one Gram matrix G per search.
 
-    B and G are built at the top candidate, (n_u+1, n_v+1) clipped at
-    ``order_cap``, which solves with G and the right-hand side R; any other
+    B and G are built at the top candidate, each order one up unless already
+    at its ``order_cap``; it solves with G and the right-hand side R, any other
     candidate solves with K G K^T and K R, its K from ``bezier._elevation``.
     A candidate's weighted residual sum, taken directly against B^T (K^T A)
     since the expansion through G and R cancels at exact recovery, gives its
@@ -129,37 +148,34 @@ def _search_orders(
     """
     u = np.array(u, dtype=np.float64)
     v = np.array(v, dtype=np.float64)
-    us = [n_u] if n_u >= order_cap[0] else [n_u, n_u + 1]
-    vs = [n_v] if n_v >= order_cap[1] else [n_v, n_v + 1]
     points, weights = cloud.points, cloud.weights
-    top = (us[-1], vs[-1])
+    top = (n_u + (n_u < order_cap[0]), n_v + (n_v < order_cap[1]))
     b = design_matrix(u, v, *top)
     gram, rhs = _gram(points, weights, b)
 
     models = []
     f_reg_same = math.nan
     last_error = None
-    for cand_u in us:
-        for cand_v in vs:
-            if (cand_u, cand_v) == top:
-                k, cand_gram, cand_rhs = None, gram, rhs
-            else:
-                k = _elevation(cand_u, cand_v, *top)
-                with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
-                    cand_gram, cand_rhs = k @ gram @ k.T, k @ rhs
-            try:
-                surface = _solve_gram(cand_gram, cand_rhs, cand_u, cand_v, ridge)
-            except RankDeficiencyError as exc:
-                last_error = exc
-                continue
-            total = _residual_sum(points, weights, b,
-                                  surface.flat if k is None else k.T @ surface.flat)
-            if (cand_u, cand_v) == (n_u, n_v):
-                f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
-            sigma2 = total / (3.0 * cloud.n_x)
-            d = param_count(cloud.n_x, cand_u, cand_v)
-            models.append(FitModel(surface, u, v, sigma2,
-                                   bic_statistic(max(sigma2, floor), d, cloud.n_x)))
+    for cand_u, cand_v in itertools.product(range(n_u, top[0] + 1), range(n_v, top[1] + 1)):
+        if (cand_u, cand_v) == top:
+            k, cand_gram, cand_rhs = None, gram, rhs
+        else:
+            k = _elevation(cand_u, cand_v, *top)
+            with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
+                cand_gram, cand_rhs = k @ gram @ k.T, k @ rhs
+        try:
+            surface = _solve_gram(cand_gram, cand_rhs, cand_u, cand_v, ridge)
+        except RankDeficiencyError as exc:
+            last_error = exc
+            continue
+        total = _residual_sum(points, weights, b,
+                              surface.flat if k is None else k.T @ surface.flat)
+        if (cand_u, cand_v) == (n_u, n_v):
+            f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
+        sigma2 = total / (3.0 * cloud.n_x)
+        d = param_count(cloud.n_x, cand_u, cand_v)
+        models.append(FitModel(surface, u, v, sigma2,
+                               bic_statistic(max(sigma2, floor), d, cloud.n_x)))
     if not models:
         raise last_error
     return min(models, key=_rank_key), f_reg_same
@@ -178,8 +194,9 @@ def mdl_select(
 
     Location parameters are held fixed. The candidate grid is
     {n_u, n_u+1} x {n_v, n_v+1}, clipped at ``order_cap``; orders therefore
-    never decrease. A candidate whose solve is rank deficient is skipped; if
-    every candidate fails, the last one's error propagates.
+    never decrease. ``search_scales`` first checks the cloud and sets the
+    ridge and the variance floor. A candidate whose solve is rank deficient
+    is skipped; if every candidate fails, the last one's error propagates.
     """
     ridge, floor = search_scales(cloud, lam)
     cap = order_cap or (math.inf, math.inf)

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bezier import _is_int
 from .errors import EmptySelectionError, PerimeterTruncationWarning
 
 DEFAULT_EPSILON = 9
@@ -235,6 +236,7 @@ def select_points(
     to the grid perimeter that the next dilation would leave the grid.
     ``epsilon`` must lie in 1..26: an occupied voxel has 0..26 exterior
     neighbours, so below 1 every occupied voxel is boundary and above 26 none is.
+    ``seed`` is a tuple or list of three integers; numpy integers count, bools do not.
     """
     epsilon = int(epsilon)
     if not 1 <= epsilon <= 26:
@@ -248,6 +250,8 @@ def select_points(
     l = _box_size(l)
     _require_binary(grid)
     _box_size(3, grid.dims)
+    if not (isinstance(seed, (tuple, list)) and len(seed) == 3 and all(map(_is_int, seed))):
+        raise ValueError(f"seed must be three integers, got {seed!r}")
     seed = tuple(int(s) for s in seed)
     margin = (l - 1) // 2
     reach = l + max_iters * margin + 1

@@ -232,6 +232,15 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match=re.escape(f"orders must be at least 1, got {orders}")):
             design_matrix([0.1, 0.2], [0.3, 0.4], *orders)
 
+    @pytest.mark.parametrize("orders", [(2.7, 1), (1, 2.0), (True, 1), (1, "2"), (np.float64(2), 1)])
+    def test_orders_that_are_not_integers_raise(self, orders):
+        with pytest.raises(ValueError, match=re.escape(f"orders must be integers, got {orders}")):
+            design_matrix([0.1, 0.2], [0.3, 0.4], *orders)
+
+    def test_numpy_integer_orders_are_integers(self):
+        npt.assert_array_equal(design_matrix([0.1, 0.2], [0.3, 0.4], np.int64(2), np.int32(3)),
+                               design_matrix([0.1, 0.2], [0.3, 0.4], 2, 3))
+
     @pytest.mark.parametrize("n", [1, 7, 100, 5000])
     @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
     def test_equals_row_product_oracle_bytewise_and_f_ordered(self, n, orders):

@@ -310,6 +310,15 @@ class TestFit:
         assert result.returncode == 2
         assert result.stderr == "error: need at least 3 points to fit, got 2\n"
 
+    def test_coincident_points_are_degenerate(self, tmp_path):
+        # Rescaling cannot spread them, so it is a numerical failure, not a usage error.
+        path = tmp_path / "coincident.csv"
+        write_point_cloud(PointCloud(np.ones((10, 3)), np.ones(10)), path)
+        result = run_cli("fit", str(path), "-o", str(tmp_path / "s.json"))
+        assert result.returncode == 3
+        assert result.stderr == ("error: all 10 points coincide; a surface needs points "
+                                 "spread over two directions\n")
+
     def test_rank_deficiency_exit_code(self, tmp_path):
         # Every candidate order of the search is singular: the last one's own
         # error is printed.

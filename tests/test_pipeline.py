@@ -18,6 +18,7 @@ from patchfit import (
     extract_cloud,
     fit_surface,
     init_uv,
+    mdl_select,
     outer_iterations,
     pipeline,
     project_all,
@@ -49,6 +50,17 @@ def heightfield_cloud(rng, n_u=2, n_v=2, n=120, height=0.4, noise=0.0):
     if noise:
         points = points + rng.normal(0, noise, points.shape)
     return PointCloud(points, np.ones(n)), surface
+
+
+def select_at_start(cloud):
+    """``mdl_select`` at (1, 1), at start parameters of no particular meaning."""
+    u = np.linspace(0.0, 1.0, cloud.n_x)
+    return mdl_select(cloud, u, u[::-1] ** 2, 1, 1, lam=1e-3)
+
+
+# Both order searches: the fit loop's and the public one.
+SEARCHES = [fit_surface, select_at_start]
+SEARCH_IDS = ["fit_surface", "mdl_select"]
 
 
 def saddle_cloud(uniform):
@@ -283,15 +295,24 @@ class TestFitSurface:
         (1e160, 1.0), (1e200, 1.0), (1.0, 1e200), (1.0, 1e-200),
         (1.0, 1e-155), (1.0, 1e-160), (2.0**-521, 1.0),  # sigma2 would be subnormal or 0
     ])
-    def test_overflowing_magnitudes_rejected_before_any_solve(self, point_scale, weight):
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+    def test_overflowing_magnitudes_rejected_before_any_solve(self, search, point_scale, weight):
         rng = np.random.default_rng(13)
         cloud, _ = heightfield_cloud(rng, n=60)
         scaled = PointCloud(point_scale * cloud.points, np.full(60, weight))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="weighted squared spread"):
-                fit_surface(scaled)
+                search(scaled)
         assert caught == []
+
+    @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (0.1, 0.2, 0.3)])
+    @pytest.mark.parametrize("search", SEARCHES, ids=SEARCH_IDS)
+    def test_coincident_points_are_degenerate(self, search, point):
+        # The mean of ten copies of 0.1 is not 0.1, so the centred points are not all 0.
+        cloud = PointCloud(np.tile(point, (10, 1)), np.ones(10))
+        with pytest.raises(DegenerateGeometryError, match="^all 10 points coincide; "):
+            search(cloud)
 
     def test_one_design_matrix_per_order_search(self, monkeypatch):
         import patchfit.bezier

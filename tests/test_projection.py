@@ -560,6 +560,14 @@ class TestProjectNearest:
         assert batch.g_start[0] == g_value(point, 0.3, 0.6, surface)
         assert batch.u[0] == 0.3 and batch.v[0] == 0.6
 
+    def test_reference_parameters_may_be_lists(self):
+        rng = np.random.default_rng(12)
+        surface, refs, ref_u, ref_v = self._instance(rng)
+        points = refs[:4] + 0.01
+        expected = project_nearest(points, surface, refs, ref_u, ref_v)
+        batch = project_nearest(points, surface, refs.tolist(), ref_u.tolist(), ref_v.tolist())
+        assert (batch.u.tobytes(), batch.v.tobytes()) == (expected.u.tobytes(), expected.v.tobytes())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_point_fails_only_its_lane(self):
         rng = np.random.default_rng(13)

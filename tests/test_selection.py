@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +21,8 @@ from patchfit import (
     surface_eval,
     weighted_objective,
 )
-from patchfit.bezier import _basis_rows, _elevation
-from patchfit.selection import FitModel, _rank_key, _search_orders, search_scales
+from patchfit.bezier import _basis_rows, _dot3, _elevation
+from patchfit.selection import _REL_FLOOR, FitModel, _rank_key, _search_orders, search_scales
 
 
 def synth_cloud(rng, surface, n, noise=0.0, weights=None):
@@ -90,6 +91,51 @@ class TestBicStatistic:
             bic_statistic(-1.0, 10, 5)
         with pytest.raises(ValueError):
             bic_statistic(1.0, 10, 0)
+
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="variance must be nonnegative, got nan"):
+            bic_statistic(math.nan, 10, 5)
+
+
+def scattered_points(seed, n):
+    """``n`` seeded points with unequal axis scales, off the origin."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0, 3) + rng.normal(0.0, 5.0, 3)
+
+
+class TestSearchScales:
+    @pytest.mark.parametrize("seed, n", [(0, 7), (1, 12), (2, 60), (3, 333), (4, 1000), (5, 5000)])
+    def test_unit_weight_floor_is_the_mean_squared_radius(self, seed, n):
+        points = scattered_points(seed, n)
+        centered = points - points.mean(axis=0)
+        _, floor = search_scales(PointCloud(points, np.ones(n)), 1e-3)
+        assert floor == _REL_FLOOR**2 * np.mean(_dot3(centered, centered))
+
+    @pytest.mark.parametrize("c", [2.0**-60, 0.25, 8.0, 2.0**70])
+    def test_weights_times_c_scale_ridge_and_floor_by_c_squared(self, c):
+        points = scattered_points(6, 80)
+        weights = np.random.default_rng(7).uniform(0.3, 2.0, 80)
+        ridge, floor = search_scales(PointCloud(points, weights), 1e-3)
+        assert search_scales(PointCloud(points, c * weights), 1e-3) == (ridge * c**2, floor * c**2)
+
+    @pytest.mark.parametrize("k", [-460, -40, -8, 8, 40, 460])
+    def test_points_times_2_to_the_k_scale_the_floor_by_4_to_the_k(self, k):
+        points = scattered_points(8, 80)
+        weights = np.random.default_rng(9).uniform(0.3, 2.0, 80)
+        ridge, floor = search_scales(PointCloud(points, weights), 1e-3)
+        scaled = search_scales(PointCloud(np.ldexp(points, k), weights), 1e-3)
+        assert scaled == (ridge, np.ldexp(floor, 2 * k))
+
+    @pytest.mark.parametrize("search", [
+        lambda cloud: search_scales(cloud, 1e-3),
+        lambda cloud: mdl_select(cloud, [], [], 1, 1, lam=1e-3),
+    ], ids=["search_scales", "mdl_select"])
+    def test_empty_cloud_rejected_without_a_warning(self, search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="weighted squared spread .* over 0 points"):
+                search(PointCloud(np.zeros((0, 3)), np.zeros(0)))
+        assert caught == []
 
 
 def ranked(t, d, n_u, n_v):

@@ -394,6 +394,24 @@ class TestSelectPoints:
         with pytest.raises(ValueError, match=rf"^epsilon must lie in 1\.\.26, got {epsilon}$"):
             select_points(unit_grid(data), (6, 6, 5), epsilon=epsilon)
 
+    @pytest.mark.parametrize("seed", [
+        (5, 5, 5, 9), (5.7, 5, 5), ("5", 5, 5), (True, 5, 5), (5, 5), 5, np.array([5.0, 5.0, 5.0]),
+    ], ids=repr)
+    def test_seed_must_be_three_integers(self, seed):
+        data = np.zeros((12, 12, 12), dtype=np.int64)
+        data[:, :, :6] = 1
+        with pytest.raises(ValueError, match=rf"^seed must be three integers, got {re.escape(repr(seed))}$"):
+            select_points(unit_grid(data), seed)
+
+    def test_numpy_integer_seed(self):
+        data = np.zeros((12, 12, 12), dtype=np.int64)
+        data[:, :, :6] = 1
+        expected = select_points(unit_grid(data), (6, 6, 5), max_iters=2)
+        for seed in [(np.int64(6), np.int32(6), np.uint8(5)), [6, 6, 5]]:
+            region = select_points(unit_grid(data), seed, max_iters=2)
+            assert (region.offset, region.window.tobytes()) == (expected.offset,
+                                                                expected.window.tobytes())
+
     def test_half_space_chebyshev_ball(self):
         grid = half_space(dim=24, z_top=11)
         for t in (1, 2, 4):

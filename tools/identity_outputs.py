@@ -35,8 +35,10 @@ Outputs:
   (a 3-point cloud with ``--lam 0``, exit 3), ``project_allfail`` (probes
   that are all non-finite, exit 3) and ``select_empty`` (a ``--seed-voxel``
   at the top of the grid, beyond the snap radius of any boundary voxel,
-  exit 4), so that their stderr bytes are compared too; and ``fit_hugeorder``
-  (``--fixed-orders 1100 1``, whose binomial coefficients overflow, exit 2).
+  exit 4), so that their stderr bytes are compared too; ``fit_hugeorder``
+  (``--fixed-orders 1100 1``, whose binomial coefficients overflow, exit 2),
+  ``fit_overflow`` (the ``fit`` cloud times 1e200, whose weighted spread
+  overflows, exit 2) and ``fit_coincident`` (10 identical points, exit 3).
   More ``select`` runs: a ``--query`` outside the grid that snaps onto it,
   a seed beside a face (``PerimeterTruncationWarning`` on stderr),
   ``--weight-mode inverse-distance``, the growth box sizes ``--l 5`` (with
@@ -251,6 +253,15 @@ def cli_outputs(outdir: Path, src: Path) -> None:
             outdir, env)
     run_cli("fit_hugeorder", ["fit", "cloud.csv", "-o", "surface_hugeorder.json",
                               "--fixed-orders", "1100", "1"], outdir, env)
+    rows = [row.split(",") for row in (outdir / "cloud.csv").read_text().splitlines()[1:]]
+    (outdir / "cloud_overflow.csv").write_text("x,y,z,w\n" + "".join(
+        f"{float(x) * 1e200!r},{float(y) * 1e200!r},{float(z) * 1e200!r},{w}\n"
+        for x, y, z, w in rows))
+    run_cli("fit_overflow", ["fit", "cloud_overflow.csv", "-o", "surface_overflow.json"],
+            outdir, env)
+    (outdir / "cloud_coincident.csv").write_text("x,y,z,w\n" + "1.0,1.0,1.0,1.0\n" * 10)
+    run_cli("fit_coincident", ["fit", "cloud_coincident.csv", "-o", "surface_coincident.json"],
+            outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
     help_env = dict(env, COLUMNS="80")
     for command in ("select", "fit", "project", "study"):
