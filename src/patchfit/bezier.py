@@ -21,20 +21,32 @@ All evaluation runs through one batched kernel: ``_basis_rows`` and
 points and their derivatives, and ``_values_grads_hessians`` turns those
 into the half squared point-to-surface distance with its gradient and
 Hessian. ``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
-``g_eval`` are one-row calls of the same code. Contractions use einsum,
-whose per-lane results do not depend on which other lanes share the batch,
-so evaluating a batch is bit-identical to evaluating its lanes one by one
-(this is asserted in the test suite).
+``g_eval`` are one-row calls of the same code, so evaluating a batch is
+bit-identical to evaluating its lanes one by one (this is asserted in the
+test suite).
 
-Every per-point pass runs with the points as the long axis: the nine dot
-products of the kernel are taken at once over the stacked derivatives, and
-the design matrix is built along the points. Three conditions, each
-measured, keep the results bit for bit those of the plain row-wise numpy
-forms: dot products (``_dot3``) are summed left to right onto +0.0, as
-``(x * y).sum(axis=1)`` sums them; the basis rows given to einsum are
-C-contiguous; and ``design_matrix`` is F-ordered, since the control solve's
-Gram product sums in the matrix's memory order. F-ordered basis rows, or a
-C-ordered design matrix, change the last bits of fitted surfaces.
+The kernel keeps the points as the last, contiguous axis, so every inner
+loop runs along the points, not along 2-7 basis terms or 3 coordinates.
+Its basis and derivative tables are (n+1, len) C-ordered rows, transposed
+views of the power tables. ``einsum("im,ijk->jkm")`` and then
+``einsum("jm,jkm->km")`` contract them, against a C-ordered copy of the
+control tensor, into one (6, 3, len) stack, and the kernel's points are a
+(3, len) block of coordinate rows. Two conditions, each measured, fix the
+bits: against the C-ordered copy every sum runs left to right onto +0.0,
+equal to a plain broadcast sum, at every lane count checked (1 to 300 and
+nine counts up to 5 000), whereas against the F-ordered tensor of
+``from_flat`` one-lane results differed from the batch's at orders of 2 or
+more; and the nine dot products are summed over the coordinate rows left
+to right onto +0.0 (``_dot3`` on a transposed view), as
+``(x * y).sum(axis=1)`` sums them. Against points-first tables, whose inner
+loops ran over the 2-7 basis terms or 3 coordinates, this layout made the
+kernel 1.5-2.2x faster at 5 000 lanes, 1.6-1.9x at 1 000 and 1.4-1.7x at
+200, and left it within timing noise at 1 to 60 lanes (one CPU of a 2-core
+Xeon, NumPy 2.4.6, orders (1, 1) to (6, 6)).
+
+``design_matrix`` runs along the points too, and is F-ordered, since the
+control solve's Gram product sums in the matrix's memory order: a C-ordered
+design matrix changes the last bits of fitted surfaces.
 """
 
 from __future__ import annotations
@@ -78,10 +90,12 @@ def _deriv_factors(n: int) -> tuple[np.ndarray, ...]:
 def bernstein(u: float, i: int, n: int) -> float:
     """Evaluate the degree-n Bernstein polynomial C(n,i) u^i (1-u)^(n-i).
 
-    Exact at u in {0, 1}. Raises ValueError when i is outside [0, n].
+    Exact at u in {0, 1}. Raises ValueError unless i and n are integers
+    (bools are not) with i in [0, n].
     """
-    i = int(i)
-    n = int(n)
+    if not (_is_int(i) and _is_int(n)):
+        raise ValueError(f"basis index and order must be integers, got ({i!r}, {n!r})")
+    i, n = int(i), int(n)
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     if i < 0 or i > n:
@@ -94,18 +108,20 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
 
     Args:
         u: Parameter value (any real).
-        n: Polynomial order, at least 1.
+        n: Polynomial order, an integer of at least 1 (bools are not).
         deriv: 0 for values, 1 or 2 for first/second derivatives in u.
 
     Returns:
         Array of length n+1.
     """
+    if not _is_int(n):
+        raise ValueError(f"order must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
-    if deriv not in (0, 1, 2):
-        raise ValueError(f"derivative level must be 0, 1 or 2, got {deriv}")
-    return _basis_rows_derivs(np.array([float(u)]), n)[deriv][0]
+    if not (_is_int(deriv) and deriv in (0, 1, 2)):
+        raise ValueError(f"derivative level must be 0, 1 or 2, got {deriv!r}")
+    return _basis_rows_derivs(np.array([float(u)]), n)[deriv][:, 0]
 
 
 def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -134,32 +150,37 @@ def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched basis rows with first and second derivative rows.
+    """Batched basis rows with first and second derivative rows, each of shape
+    (n+1, len) with the points along its C-ordered rows.
 
-    All three are C-ordered and the value rows equal ``_basis_rows(values, n)``
-    bit for bit; the derivatives use the same power tables, padded and shifted.
+    The value rows equal ``_basis_rows(values, n).T`` bit for bit; all three
+    are taken from the transposed power tables, padded and shifted.
     """
     p, q = _batch_power_tables(values, n, pad=2)
-    pu, pum1, pum2 = p[:, 2:], p[:, 1:-1], p[:, :-2]
-    qrev, qrevm1, qrevm2 = q[:, :-2], q[:, 1:-1], q[:, 2:]
-    i, j, cii, cij, cjj = _deriv_factors(n)
-    c = _binomial_row(n)
+    p, q = p.T, q.T
+    pu, pum1, pum2 = p[2:], p[1:-1], p[:-2]
+    qrev, qrevm1, qrevm2 = q[:-2], q[1:-1], q[2:]
+    i, j, cii, cij, cjj = (f[:, None] for f in _deriv_factors(n))
+    c = _binomial_row(n)[:, None]
     b0 = c * pu * qrev
     b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
     b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
-    return np.ascontiguousarray(b0), np.ascontiguousarray(b1), np.ascontiguousarray(b2)
+    return b0, b1, b2
 
 
 def _surface_derivs(u, v, control):
-    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, stacked in one (6, len, 3) array."""
+    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, stacked in one (6, 3, len) array."""
+    # Only against a C-ordered tensor does each lane's sum run left to right
+    # at any lane count (see the module docstring).
+    control = np.ascontiguousarray(control)
     bu0, bu1, bu2 = _basis_rows_derivs(u, control.shape[0] - 1)
     bv0, bv1, bv2 = _basis_rows_derivs(v, control.shape[1] - 1)
-    t0 = np.einsum("mi,ijk->mjk", bu0, control)
-    t1 = np.einsum("mi,ijk->mjk", bu1, control)
-    t2 = np.einsum("mi,ijk->mjk", bu2, control)
-    derivs = np.empty((6, len(u), 3))
+    t0 = np.einsum("im,ijk->jkm", bu0, control)
+    t1 = np.einsum("im,ijk->jkm", bu1, control)
+    t2 = np.einsum("im,ijk->jkm", bu2, control)
+    derivs = np.empty((6, 3, len(u)))
     for out, bv, t in zip(derivs, (bv0, bv0, bv1, bv0, bv2, bv1), (t0, t1, t0, t2, t0, t1)):
-        np.einsum("mj,mjk->mk", bv, t, out=out)
+        np.einsum("jm,jkm->km", bv, t, out=out)
     return derivs
 
 
@@ -176,11 +197,13 @@ def _dot3(x, y):
 
 
 def _values_grads_hessians(points, u, v, control):
-    """Batched objective values with gradients and Hessian entries."""
+    """Batched objective values with gradients and Hessian entries, for points
+    given as the (3, len) block of their coordinate rows."""
     derivs = _surface_derivs(u, v, control)
     np.subtract(points, derivs[0], out=derivs[0])  # the residual r = x - s
-    with_r = _dot3(derivs, derivs[0])  # r.r, s_u.r, s_v.r, s_uu.r, s_vv.r, s_uv.r
-    jac = derivs[1:3]
+    rows = derivs.swapaxes(1, 2)  # a (6, len, 3) view: each coordinate is a contiguous row
+    with_r = _dot3(rows, rows[0])  # r.r, s_u.r, s_v.r, s_uu.r, s_vv.r, s_uv.r
+    jac = rows[1:3]
     gram = _dot3(jac[:, None], jac)  # s_a.s_b for a, b in (u, v)
     return (0.5 * with_r[0], -with_r[1], -with_r[2], gram[0, 0] - with_r[3],
             gram[0, 1] - with_r[5], gram[1, 1] - with_r[4])
@@ -235,7 +258,7 @@ def _one(value: float) -> np.ndarray:
 
 def surface_eval(u: float, v: float, surface: BezierSurface) -> np.ndarray:
     """Point on the surface at (u, v), shape (3,)."""
-    return _surface_derivs(_one(u), _one(v), surface.control)[0][0]
+    return _surface_derivs(_one(u), _one(v), surface.control)[0][:, 0]
 
 
 def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarray:
@@ -293,7 +316,7 @@ def _elevation(n_u: int, n_v: int, top_u: int, top_v: int) -> np.ndarray:
 
 def g_value(x: np.ndarray, u: float, v: float, surface: BezierSurface) -> float:
     """Half squared distance between x and the surface point at (u, v)."""
-    point = np.asarray(x, dtype=np.float64).reshape(1, 3)
+    point = np.asarray(x, dtype=np.float64).reshape(3, 1)
     return float(_values_grads_hessians(point, _one(u), _one(v), surface.control)[0][0])
 
 
@@ -310,7 +333,7 @@ def g_eval(
     Returns:
         (value, gradient shape (2,), hessian shape (2, 2))
     """
-    point = np.asarray(x, dtype=np.float64).reshape(1, 3)
+    point = np.asarray(x, dtype=np.float64).reshape(3, 1)
     value, g_u, g_v, h11, h12, h22 = (
         a[0] for a in _values_grads_hessians(point, _one(u), _one(v), surface.control)
     )

@@ -79,7 +79,7 @@ def _solve_gram(gram, rhs, n_u: int, n_v: int, lam: float) -> BezierSurface:
     if lam < 0:
         raise ValueError(f"regularization strength must be nonnegative, got {lam}")
     gram = gram.copy()
-    gram[np.diag_indices_from(gram)] += lam
+    gram.reshape(-1)[::len(gram) + 1] += lam  # the copy's diagonal, as a strided view
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     try:
@@ -97,7 +97,7 @@ def _solve_gram(gram, rhs, n_u: int, n_v: int, lam: float) -> BezierSurface:
                 "control-point system is numerically singular at lam=0; "
                 "increase the regularization strength or supply more points"
             )
-    # Fortran order keeps from_flat's reshape a contiguous view for the kernels.
+    # Fortran order keeps from_flat's reshape, and the surface's ``flat``, contiguous views.
     flat = np.asfortranarray(np.linalg.solve(factor.T, np.linalg.solve(factor, rhs)))
     return BezierSurface.from_flat(flat, n_u, n_v)
 

@@ -19,7 +19,7 @@ from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
 from .errors import DegenerateGeometryError
 from .projection import project_all
-from .selection import FitModel, _search_orders, search_scales
+from .selection import FitModel, _centred_scales, _search_orders
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
@@ -149,20 +149,20 @@ def fit_surface(
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
 
-    ``search_scales`` checks the cloud, before any solve, and sets the order
-    search's ridge and floor from mean(w^2) and the cloud's weighted spread;
-    ``init_uv``'s SVD and each Newton step run at a power-of-two scale of
-    their own. So scaling every weight by c changes only sigma2, by c^2, and
-    scaling the points by 2^k only the control points, by 2^k, and sigma2, by
-    4^k, while sigma2 stays a normal float.
+    The check of ``search_scales`` runs on the cloud before any solve, and
+    the same pass centres it and sets the order search's ridge and floor
+    from mean(w^2) and the cloud's weighted spread; ``init_uv``'s SVD and
+    each Newton step run at a power-of-two scale of their own. So scaling
+    every weight by c changes only sigma2, by c^2, and scaling the points by
+    2^k only the control points, by 2^k, and sigma2, by 4^k, while sigma2
+    stays a normal float.
     """
     if settings is None:
         settings = FitSettings()
     if cloud.n_x < 3:
         raise ValueError(f"need at least 3 points to fit, got {cloud.n_x}")
-    ridge, floor = search_scales(cloud, settings.lam)
-    centroid = cloud.points.mean(axis=0)
-    inner = PointCloud(cloud.points - centroid, cloud.weights)
+    ridge, floor, centroid, centered = _centred_scales(cloud, settings.lam)
+    inner = PointCloud(centered, cloud.weights)
     u, v = init_uv(inner)
     start = settings.fixed_orders or (1, 1)
     cap = settings.fixed_orders or settings.order_cap

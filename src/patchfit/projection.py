@@ -25,7 +25,9 @@ that step's kernel values, so nothing is evaluated twice and the per-point
 objective sequence is monotone by construction. The kernel's per-lane
 results do not depend on the rest of the batch, so projecting a cloud is
 bit-identical to projecting its points one by one. The solve returns one
-``BatchProjection``. Every (8, k) block of lanes stays row-contiguous: lanes
+``BatchProjection``. It transposes the points once, into a (3, n) block of
+coordinate rows, the kernel's layout, and gathers that block's lanes with
+``take`` along axis 1. Every (8, k) block of lanes stays row-contiguous: lanes
 are gathered with ``take`` and ``compress`` along axis 1, since ``a[:, idx]``
 returns an F-ordered copy on which each later row pass is strided (on a
 (5, 5 000) block, the column maximum took 410 us against 24 us and ``ldexp``
@@ -88,10 +90,11 @@ class BatchProjection:
     failed: tuple[int, ...] = field(default=())
 
 
-def _lanes(points, u, v, control):
-    """Kernel values (u, v, g, g_u, g_v, h11, h12, h22) of a batch, as the rows
-    of an (8, len) array, so that each quantity is contiguous over the lanes."""
-    return np.stack((u, v, *_values_grads_hessians(points, u, v, control)))
+def _lanes(coords, u, v, control):
+    """Kernel values (u, v, g, g_u, g_v, h11, h12, h22) of a batch whose points
+    are the (3, len) block ``coords``, as the rows of an (8, len) array, so that
+    each quantity is contiguous over the lanes."""
+    return np.stack((u, v, *_values_grads_hessians(coords, u, v, control)))
 
 
 # Overflow and invalid-value warnings are expected when trial parameters run
@@ -102,14 +105,15 @@ def _solve_batch(points, control, u0, v0):
     at its current point; a lane that accepts a trial takes the trial's column,
     unless its derivatives are not finite, which fails the lane and keeps its
     last finite column."""
-    state = _lanes(points, u0, v0, control)
+    coords = np.ascontiguousarray(points.T)  # one (3, n) block: each coordinate a contiguous row
+    state = _lanes(coords, u0, v0, control)
     calls = 1
     failed = ~np.isfinite(state[2:]).all(axis=0)
     g_start = state[2].copy()
     iterations = np.zeros(state.shape[1], dtype=np.int64)
     active = ~failed
     converged = np.zeros(state.shape[1], dtype=bool)
-    x_norm = np.hypot(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
+    x_norm = np.hypot(np.hypot(coords[0], coords[1]), coords[2])
     alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
 
     for it in range(_SETTINGS.max_newton_iters + 1):  # the last pass only checks the floor
@@ -147,7 +151,7 @@ def _solve_batch(points, control, u0, v0):
         if idx.size == 0 or it == _SETTINGS.max_newton_iters:
             break
 
-        cand = _lanes(points.take(idx, axis=0), cur[0] + p0, cur[1] + p1, control)
+        cand = _lanes(coords.take(idx, axis=1), cur[0] + p0, cur[1] + p1, control)
         calls += 1
         cand_val = cand[2]
         accepted = np.isfinite(cand_val) & (cand_val <= cur[2] + _SETTINGS.armijo_c * dirderiv)
@@ -164,8 +168,8 @@ def _solve_batch(points, control, u0, v0):
         if length.any():
             trial_u = cur[0, back, None] + alphas * p0[back, None]
             trial_v = cur[1, back, None] + alphas * p1[back, None]
-            ladder = _lanes(points[np.repeat(idx[back], length)], trial_u[rungs], trial_v[rungs],
-                            control)
+            ladder = _lanes(coords.take(np.repeat(idx[back], length), axis=1), trial_u[rungs],
+                            trial_v[rungs], control)
             calls += 1
             bound = cur[2, back, None] + _SETTINGS.armijo_c * alphas * dirderiv[back, None]
             good = np.zeros(rungs.shape, dtype=bool)

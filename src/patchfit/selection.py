@@ -39,10 +39,16 @@ def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
     when S is not finite or is below the smallest normal float: such
     magnitudes would overflow inside the solves or make sigma2 underflow.
     """
+    return _centred_scales(cloud, lam)[:2]
+
+
+def _centred_scales(cloud: PointCloud, lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """``search_scales`` with the centroid and the centred points it measured S on."""
     n = cloud.n_x
     with np.errstate(over="ignore", invalid="ignore"):
         # sum / n is np.mean's centroid, without its warning on an empty cloud
-        centered = cloud.points - cloud.points.sum(axis=0) / n
+        centroid = cloud.points.sum(axis=0) / n
+        centered = cloud.points - centroid
         spread = np.sum(cloud.weights**2 * _dot3(centered, centered))
         mean_spread = spread / n
     if n and (cloud.points == cloud.points[0]).all():
@@ -53,7 +59,8 @@ def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
             f"weighted squared spread of the cloud is {float(spread)!r} over {n} points; "
             f"its mean must be finite and at least {_TINY!r} (rescale the points or the weights)"
         )
-    return lam * float(np.mean(cloud.weights**2)), _REL_FLOOR**2 * float(mean_spread)
+    ridge, floor = lam * float(np.mean(cloud.weights**2)), _REL_FLOOR**2 * float(mean_spread)
+    return ridge, floor, centroid, centered
 
 
 @dataclass

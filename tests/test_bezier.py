@@ -34,7 +34,7 @@ from patchfit.bezier import (
 def surface_jacobian(u, v, surface):
     """Rows (ds/du, ds/dv) of the surface map at (u, v), shape (2, 3)."""
     _, su, sv, _, _, _ = _surface_derivs(np.array([u]), np.array([v]), surface.control)
-    return np.stack((su[0], sv[0]))
+    return np.stack((su[:, 0], sv[:, 0]))
 
 
 def bernstein_loggamma(u, i, n):
@@ -90,6 +90,17 @@ class TestBernstein:
         with pytest.raises(ValueError):
             bernstein(0.5, 4, 3)
 
+    @pytest.mark.parametrize("i, n",
+                             [(1.9, 3.2), (1, 3.0), (True, 3), (1, np.float64(3)), ("1", 3)])
+    def test_arguments_that_are_not_integers_raise(self, i, n):
+        # int() would truncate them: (1.9, 3.2) gave the value of (1, 3)
+        message = f"basis index and order must be integers, got ({i!r}, {n!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bernstein(0.5, i, n)
+
+    def test_numpy_integers_are_integers(self):
+        assert bernstein(0.3, np.int64(2), np.int32(5)) == bernstein(0.3, 2, 5)
+
 
 class TestBasisVector:
     def test_quadratic_midpoint(self):
@@ -129,6 +140,21 @@ class TestBasisVector:
             basis_vector(0.5, 0, 0)
         with pytest.raises(ValueError):
             basis_vector(0.5, 2, 3)
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, True, np.float64(2), "2"])
+    def test_order_that_is_not_an_integer_raises(self, n):
+        # int() would truncate it: 2.7 gave the order-2 basis, True the order-1 one
+        with pytest.raises(ValueError, match=re.escape(f"order must be an integer, got {n!r}")):
+            basis_vector(0.5, n)
+
+    @pytest.mark.parametrize("deriv", [1.0, True, np.float64(2)])
+    def test_derivative_level_that_is_not_an_integer_raises(self, deriv):
+        message = f"derivative level must be 0, 1 or 2, got {deriv!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            basis_vector(0.5, 2, deriv)
+
+    def test_numpy_integers_are_integers(self):
+        npt.assert_array_equal(basis_vector(0.3, np.int64(4), np.int8(1)), basis_vector(0.3, 4, 1))
 
 
 class TestBezierSurface:
@@ -416,12 +442,65 @@ class TestOneKernel:
         npt.assert_array_equal([bernstein(u[k], i, surface.n_u) for i in range(surface.n_u + 1)],
                                _basis_rows(u, surface.n_u)[k])
         values = _basis_rows_derivs(u, surface.n_u)[0]
-        assert values.tobytes() == _basis_rows(u, surface.n_u).tobytes()
+        assert values.T.tobytes() == _basis_rows(u, surface.n_u).tobytes()
         npt.assert_array_equal(surface_eval(u[k], v[k], surface),
-                               _surface_derivs(u, v, control)[0][k])
-        value, g_u, g_v, h11, h12, h22 = _values_grads_hessians(points, u, v, control)
+                               _surface_derivs(u, v, control)[0][:, k])
+        value, g_u, g_v, h11, h12, h22 = _values_grads_hessians(points.T, u, v, control)
         assert g_value(points[k], u[k], v[k], surface) == value[k]
         g, grad, hess = g_eval(points[k], u[k], v[k], surface)
         assert g == value[k]
         npt.assert_array_equal(grad, [g_u[k], g_v[k]])
         npt.assert_array_equal(hess, [[h11[k], h12[k]], [h12[k], h22[k]]])
+
+
+def broadcast_sum_kernel(points, u, v, control):
+    """Oracle for ``_values_grads_hessians`` on the (3, m) block ``points``: each
+    contraction a plain broadcast product summed left to right onto +0.0, over
+    the u basis, then over the v basis, and each dot product likewise over its
+    three coordinate rows. It takes the basis rows from ``_basis_rows_derivs``,
+    which the tests above check against bernstein and finite differences."""
+    bu = _basis_rows_derivs(u, control.shape[0] - 1)
+    bv = _basis_rows_derivs(v, control.shape[1] - 1)
+
+    def left_to_right(terms):
+        total = 0.0
+        for term in terms:
+            total = total + term
+        return total
+
+    t0, t1, t2 = (left_to_right(c[..., None] * row for row, c in zip(rows, control))
+                  for rows in bu)
+    s, su, sv, suu, svv, suv = (
+        left_to_right(plane * row for row, plane in zip(rows, t))
+        for rows, t in zip((bv[0], bv[0], bv[1], bv[0], bv[2], bv[1]), (t0, t1, t0, t2, t0, t1)))
+    r = points - s
+
+    def dot(x, y):
+        return left_to_right(a * b for a, b in zip(x, y))
+
+    return (0.5 * dot(r, r), -dot(su, r), -dot(sv, r), dot(su, su) - dot(suu, r),
+            dot(su, sv) - dot(suv, r), dot(sv, sv) - dot(svv, r))
+
+
+class TestPointsLastKernel:
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 5000])
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
+    def test_equals_broadcast_sum_oracle_and_one_lane_calls_bytewise(self, m, orders):
+        # The control tensor of a fit, as from_flat builds it from an F-ordered
+        # solve: the kernel's sums are those of the oracle only because it
+        # contracts against a C-ordered copy; against this tensor itself the
+        # lanes' last bits would depend on how many lanes share the batch.
+        rng = np.random.default_rng(m)
+        size = (orders[0] + 1) * (orders[1] + 1)
+        control = BezierSurface.from_flat(np.asfortranarray(rng.normal(size=(size, 3))),
+                                          *orders).control
+        assert not control.flags.c_contiguous
+        points = rng.normal(size=(3, m))
+        u, v = rng.uniform(-0.2, 1.2, m), rng.uniform(-0.2, 1.2, m)
+        batch = _values_grads_hessians(points, u, v, control)
+        oracle = broadcast_sum_kernel(points, u, v, control)
+        for got, want in zip(batch, oracle, strict=True):
+            assert got.shape == (m,) and got.tobytes() == want.tobytes()
+        for k in np.unique(rng.integers(0, m, 8)):
+            lane = _values_grads_hessians(points[:, k:k + 1], u[k:k + 1], v[k:k + 1], control)
+            assert np.stack(lane)[:, 0].tobytes() == np.stack(batch)[:, k].tobytes()

@@ -394,7 +394,7 @@ class TestProject:
 
         u0, v0 = 0.4, 0.6
         _, su, sv, _, _, _ = _surface_derivs(np.array([u0]), np.array([v0]), model.surface.control)
-        normal = np.cross(su[0], sv[0])
+        normal = np.cross(su[:, 0], sv[:, 0])
         normal /= np.linalg.norm(normal)
         offset = 0.05
         point = surface_eval(u0, v0, model.surface) + offset * normal

@@ -99,7 +99,7 @@ def sequential_solve(points, control, u0, v0):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x, u, v in zip(points, u0, v0):
             x_norm = np.hypot(np.hypot(x[0], x[1]), x[2])
-            x, u, v = x[None, :], np.array([u]), np.array([v])
+            x, u, v = x[:, None], np.array([u]), np.array([v])
             value, gu, gv, a, b, d = _values_grads_hessians(x, u, v, control)
             g_start, iterations = value, 0
             failed = not np.isfinite([value, gu, gv, a, b, d]).all()
@@ -321,7 +321,7 @@ class TestPrecisionFloor:
         surface = BezierSurface(control)
         u0, v0 = rng.uniform(0.2, 0.8, 2)
         point = surface_eval(u0, v0, surface) + [0.0, 1e153, 0.0]
-        _, gu, gv, h11, h12, h22 = _values_grads_hessians(point[None, :], np.array([u0]),
+        _, gu, gv, h11, h12, h22 = _values_grads_hessians(point[:, None], np.array([u0]),
                                                           np.array([v0]), control)
         assert (gu, h12) == (0.0, 0.0) and 0.0 < h22[0] < np.finfo(np.float64).tiny
         assert abs(gv[0]) > np.finfo(np.float64).max * h22[0]
@@ -365,7 +365,7 @@ class TestPrecisionFloor:
         # ladders, and an accepted step keeps its row, so nothing is refreshed.
         log = []
         monkeypatch.setattr(projection, "_values_grads_hessians",
-                            lambda *a: log.append(len(a[0])) or _values_grads_hessians(*a))
+                            lambda *a: log.append(a[0].shape[1]) or _values_grads_hessians(*a))
         surface, points, u, v = rosenbrock_batch(5, n=200, spread=1.0)
         batch = project_all(PointCloud(points, np.ones(len(points))), surface, u, v)
         assert log[0] == 200
@@ -459,7 +459,7 @@ class TestProjectAll:
         backtracked = set()
 
         def recording(pts, uu, vv, control):
-            lanes, counts = np.unique([lane_of[p.tobytes()] for p in pts], return_counts=True)
+            lanes, counts = np.unique([lane_of[p.tobytes()] for p in pts.T], return_counts=True)
             backtracked.update(lanes[counts > 1].tolist())
             return _values_grads_hessians(pts, uu, vv, control)
 
@@ -515,9 +515,9 @@ class TestProjectAll:
 
         def poisoned(pts, uu, vv, control):
             out = _values_grads_hessians(pts, uu, vv, control)
-            calls.append(len(pts))
+            calls.append(pts.shape[1])
             if len(calls) == 2:  # the full steps of the first Newton iteration
-                hit = (pts == points[target]).all(axis=1)
+                hit = (pts.T == points[target]).all(axis=1)
                 assert hit.sum() == 1
                 out = (out[0], *(np.where(hit, np.nan, a) for a in out[1:]))
             return out
