@@ -25,28 +25,22 @@ Hessian. ``bernstein``, ``basis_vector``, ``surface_eval``, ``g_value`` and
 bit-identical to evaluating its lanes one by one (this is asserted in the
 test suite).
 
-The kernel keeps the points as the last, contiguous axis, so every inner
-loop runs along the points, not along 2-7 basis terms or 3 coordinates.
-Its basis and derivative tables are (n+1, len) C-ordered rows, transposed
-views of the power tables. ``einsum("im,ijk->jkm")`` and then
-``einsum("jm,jkm->km")`` contract them, against a C-ordered copy of the
-control tensor, into one (6, 3, len) stack, and the kernel's points are a
-(3, len) block of coordinate rows. Two conditions, each measured, fix the
-bits: against the C-ordered copy every sum runs left to right onto +0.0,
-equal to a plain broadcast sum, at every lane count checked (1 to 300 and
-nine counts up to 5 000), whereas against the F-ordered tensor of
-``from_flat`` one-lane results differed from the batch's at orders of 2 or
-more; and the nine dot products are summed over the coordinate rows left
-to right onto +0.0 (``_dot3`` on a transposed view), as
-``(x * y).sum(axis=1)`` sums them. Against points-first tables, whose inner
-loops ran over the 2-7 basis terms or 3 coordinates, this layout made the
-kernel 1.5-2.2x faster at 5 000 lanes, 1.6-1.9x at 1 000 and 1.4-1.7x at
-200, and left it within timing noise at 1 to 60 lanes (one CPU of a 2-core
-Xeon, NumPy 2.4.6, orders (1, 1) to (6, 6)).
-
-``design_matrix`` runs along the points too, and is F-ordered, since the
-control solve's Gram product sums in the matrix's memory order: a C-ordered
-design matrix changes the last bits of fitted surfaces.
+Every basis table is points-last: (n+1, len) C-ordered rows with the
+points along each row, as ``_batch_power_tables`` writes them, and
+``design_matrix`` is the C-ordered product of the value rows. The kernel's
+points are a (3, len) block of coordinate rows. ``einsum("im,ijk->jkm")``
+and then ``einsum("jm,jkm->km")`` contract the basis and derivative rows,
+against a C-ordered copy of the control tensor, into one (6, 3, len) stack.
+Two conditions, each measured, fix the bits: against the C-ordered copy
+every sum runs left to right onto +0.0, equal to a plain broadcast sum, at
+every lane count checked (1 to 300 and nine counts up to 5 000), whereas
+against the F-ordered tensor of ``from_flat`` one-lane results differed
+from the batch's at orders of 2 or more; and the nine dot products are
+summed over the coordinate rows left to right onto +0.0 (``_dot3`` on a
+transposed view), as ``(x * y).sum(axis=1)`` sums them. Against
+points-first tables this layout made the kernel 1.4-2.2x faster at 200 to
+5 000 lanes (one CPU of a 2-core Xeon, NumPy 2.4.6). The order in which
+the Gram product sums the design matrix is set by ``control._gram``.
 """
 
 from __future__ import annotations
@@ -100,7 +94,7 @@ def bernstein(u: float, i: int, n: int) -> float:
         raise ValueError(f"order must be nonnegative, got {n}")
     if i < 0 or i > n:
         raise ValueError(f"basis index {i} outside [0, {n}]")
-    return float(_basis_rows(np.array([float(u)]), n)[0, i])
+    return float(_basis_rows(np.array([float(u)]), n)[i, 0])
 
 
 def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
@@ -125,39 +119,33 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
 
 
 def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pu[k] = (0,)*pad + values[k]**(0..n) and qrev[k] = (1-values[k])**(n..0) + (0,)*pad,
-    stored by column, so that every column slice of a table is contiguous."""
-    pu = np.zeros((values.size, pad + n + 1), order="F")
-    qu = np.zeros((values.size, pad + n + 1), order="F")
-    pu[:, pad] = 1.0
-    qu[:, pad] = 1.0
+    """Rows pu[k] = values**(k - pad), k >= pad, and qrev[k] = (1 - values)**(n - k), k <= n,
+    of shape (pad+n+1, len), zero elsewhere; the points run along each contiguous row."""
+    pu = np.zeros((pad + n + 1, values.size))
+    qu = np.zeros((pad + n + 1, values.size))
+    pu[pad] = 1.0
+    qu[pad] = 1.0
     w = 1.0 - values
     for k in range(pad + 1, pad + n + 1):
-        pu[:, k] = pu[:, k - 1] * values
-        qu[:, k] = qu[:, k - 1] * w
-    return pu, qu[:, ::-1]
-
-
-def _basis_table(values: np.ndarray, n: int) -> np.ndarray:
-    """Basis values for a batch of parameters, shape (len, n+1), stored by column."""
-    pu, qrev = _batch_power_tables(values, n)
-    return _binomial_row(n) * pu * qrev
+        pu[k] = pu[k - 1] * values
+        qu[k] = qu[k - 1] * w
+    return pu, qu[::-1]
 
 
 def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
-    """Basis values for a batch of parameters: C-ordered rows of shape (len, n+1)."""
-    return np.ascontiguousarray(_basis_table(values, n))
+    """Basis values for a batch of parameters: C-ordered rows of shape (n+1, len)."""
+    pu, qrev = _batch_power_tables(values, n)
+    return _binomial_row(n)[:, None] * pu * qrev
 
 
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched basis rows with first and second derivative rows, each of shape
     (n+1, len) with the points along its C-ordered rows.
 
-    The value rows equal ``_basis_rows(values, n).T`` bit for bit; all three
-    are taken from the transposed power tables, padded and shifted.
+    The value rows equal ``_basis_rows(values, n)`` bit for bit; all three
+    are taken from the power tables, padded and shifted.
     """
     p, q = _batch_power_tables(values, n, pad=2)
-    p, q = p.T, q.T
     pu, pum1, pum2 = p[2:], p[1:-1], p[:-2]
     qrev, qrevm1, qrevm2 = q[:-2], q[1:-1], q[2:]
     i, j, cii, cij, cjj = (f[:, None] for f in _deriv_factors(n))
@@ -272,7 +260,7 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
         n_u, n_v: Surface orders, integers of at least 1 (bools are not).
 
     Returns:
-        Matrix of shape ((n_u+1)(n_v+1), n_x).
+        C-ordered matrix of shape ((n_u+1)(n_v+1), n_x), the points along each row.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -285,13 +273,8 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
     n_u, n_v = int(n_u), int(n_v)
     if min(n_u, n_v) < 1:
         raise ValueError(f"orders must be at least 1, got ({n_u}, {n_v})")
-    cols_u = _basis_table(u, n_u).T
-    cols_v = _basis_table(v, n_v).T
-    # The product runs along the points; its (n_x, n_v+1, n_u+1) buffer makes
-    # the result F-ordered, the layout the Gram product is summed in.
-    outer = np.empty((u.size, cols_v.shape[0], cols_u.shape[0]))
-    np.multiply(cols_v[:, None, :], cols_u[None, :, :], out=outer.transpose(1, 2, 0))
-    return outer.reshape(u.size, -1).T
+    rows_u, rows_v = _basis_rows(u, n_u), _basis_rows(v, n_v)
+    return (rows_v[:, None, :] * rows_u[None, :, :]).reshape(-1, u.size)
 
 
 @lru_cache(maxsize=None)

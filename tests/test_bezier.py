@@ -269,17 +269,17 @@ class TestDesignMatrix:
 
     @pytest.mark.parametrize("n", [1, 7, 100, 5000])
     @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
-    def test_equals_row_product_oracle_bytewise_and_f_ordered(self, n, orders):
-        # The Gram product of the control solve sums in the matrix's memory
-        # order, so the layout is part of the result: a C-ordered copy changes
-        # the last bits of the solve.
+    def test_equals_row_product_oracle_bytewise_and_c_ordered(self, n, orders):
+        # The matrix is C-ordered with the points along its rows, like the
+        # kernel's basis rows; the order in which the Gram product sums its
+        # entries is fixed by control._gram, not by this layout.
         rng = np.random.default_rng(n)
         u, v = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
-        rows_u, rows_v = _basis_rows(u, orders[0]), _basis_rows(v, orders[1])
+        rows_u, rows_v = _basis_rows(u, orders[0]).T, _basis_rows(v, orders[1]).T
         oracle = (rows_v[:, :, None] * rows_u[:, None, :]).reshape(n, -1).T
         b = design_matrix(u, v, *orders)
-        assert b.flags.f_contiguous and b.shape == oracle.shape
-        assert b.tobytes(order="F") == oracle.tobytes(order="F")
+        assert b.flags.c_contiguous and b.shape == oracle.shape
+        assert b.tobytes() == oracle.tobytes(order="C")
 
 
 def pascal_row(n):
@@ -440,9 +440,9 @@ class TestOneKernel:
         surface, points, u, v, k = batch
         control = surface.control
         npt.assert_array_equal([bernstein(u[k], i, surface.n_u) for i in range(surface.n_u + 1)],
-                               _basis_rows(u, surface.n_u)[k])
+                               _basis_rows(u, surface.n_u)[:, k])
         values = _basis_rows_derivs(u, surface.n_u)[0]
-        assert values.T.tobytes() == _basis_rows(u, surface.n_u).tobytes()
+        assert values.tobytes() == _basis_rows(u, surface.n_u).tobytes()
         npt.assert_array_equal(surface_eval(u[k], v[k], surface),
                                _surface_derivs(u, v, control)[0][:, k])
         value, g_u, g_v, h11, h12, h22 = _values_grads_hessians(points.T, u, v, control)

@@ -1,9 +1,15 @@
 """The regularized control-point solve and translation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import patchfit
 from patchfit import (
     BezierSurface,
     RankDeficiencyError,
@@ -13,6 +19,7 @@ from patchfit import (
     translate_surface,
     weighted_objective,
 )
+from patchfit.control import _gram
 
 
 def synth_points(rng, surface, n):
@@ -139,6 +146,72 @@ class TestSolveControlPoints:
         with pytest.raises(ValueError):
             solve_control_points(np.zeros((4, 3)), np.ones(4), [0, 0.3, 0.6, 1],
                                  [0, 0.3, 0.6, 1], 1, 1, lam=-1.0)
+
+
+def blocked_gram_oracle(points, weights, b):
+    """Oracle for ``_gram``: the Gram matrix and right-hand side summed left to
+    right over blocks of floor(2^18 / m^2) points, m = len(b), one product
+    per block, so that OpenBLAS runs each product on one thread."""
+    step = max(1, 2**18 // len(b) ** 2)
+    bw = b * weights**2
+    gram, rhs = bw[:, :step] @ b[:, :step].T, bw[:, :step] @ points[:step]
+    for start in range(step, b.shape[1], step):
+        gram = gram + bw[:, start:start + step] @ b[:, start:start + step].T
+        rhs = rhs + bw[:, start:start + step] @ points[start:start + step]
+    return gram, rhs
+
+
+# Prints a digest of _gram's bytes on seeded designs: one at 5 000 points,
+# where an unblocked Gram moved with the thread count, and one at 12 345
+# points, where an unblocked right-hand side did.
+GRAM_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from patchfit.bezier import design_matrix
+from patchfit.control import _gram
+digest = hashlib.sha256()
+for n in (5000, 12345):
+    rng = np.random.default_rng(n)
+    u, v = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
+    points, weights = rng.normal(size=(n, 3)), rng.uniform(0.5, 2.0, n)
+    for part in _gram(points, weights, design_matrix(u, v, 6, 6)):
+        digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def available_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+class TestGramSummation:
+    @pytest.mark.parametrize("orders", [(1, 1), (3, 3), (6, 6)])
+    @pytest.mark.parametrize("size", ["one", "step-1", "step", "step+1", "5000"])
+    def test_equals_left_to_right_block_sum_bytewise(self, orders, size):
+        m = (orders[0] + 1) * (orders[1] + 1)
+        step = 2**18 // m**2
+        n = {"one": 1, "step-1": step - 1, "step": step, "step+1": step + 1, "5000": 5000}[size]
+        rng = np.random.default_rng(n)
+        u, v = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
+        points, weights = rng.normal(size=(n, 3)), rng.uniform(0.5, 2.0, n)
+        b = design_matrix(u, v, *orders)
+        for got, want in zip(_gram(points, weights, b), blocked_gram_oracle(points, weights, b),
+                             strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(available_cpus() < 2,
+                        reason="two BLAS threads need two CPUs; with one, OpenBLAS runs one thread")
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        src = str(Path(patchfit.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", GRAM_DIGEST_SCRIPT], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestTranslateSurface:

@@ -287,7 +287,7 @@ class TestDegreeElevation:
         i = np.arange(n + 1)
         assert np.count_nonzero(e) == 2 * (n + 1)
         assert (e[i, i] == (n + 1 - i) / (n + 1)).all() and (e[i, i + 1] == (i + 1) / (n + 1)).all()
-        assert_ulps(_basis_rows(ELEVATION_U, n + 1) @ e.T, _basis_rows(ELEVATION_U, n), 8)
+        assert_ulps(e @ _basis_rows(ELEVATION_U, n + 1), _basis_rows(ELEVATION_U, n), 8)
 
     @pytest.mark.parametrize("n_u, n_v", [(1, 1), (1, 12), (12, 1), (3, 5), (7, 2), (12, 12)])
     def test_kron_maps_the_top_design_to_each_candidate(self, n_u, n_v):
