@@ -46,15 +46,12 @@ the Gram product sums the design matrix is set by ``control._gram``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .errors import _integer
 
 
 @lru_cache(maxsize=None)
@@ -84,16 +81,11 @@ def _deriv_factors(n: int) -> tuple[np.ndarray, ...]:
 def bernstein(u: float, i: int, n: int) -> float:
     """Evaluate the degree-n Bernstein polynomial C(n,i) u^i (1-u)^(n-i).
 
-    Exact at u in {0, 1}. Raises ValueError unless i and n are integers
-    (bools are not) with i in [0, n].
+    Exact at u in {0, 1}. Raises ValueError unless n is an integer of at
+    least 0 and i one in 0..n.
     """
-    if not (_is_int(i) and _is_int(n)):
-        raise ValueError(f"basis index and order must be integers, got ({i!r}, {n!r})")
-    i, n = int(i), int(n)
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if i < 0 or i > n:
-        raise ValueError(f"basis index {i} outside [0, {n}]")
+    n = _integer("order", n, 0)
+    i = _integer("basis index", i, 0, n)
     return float(_basis_rows(np.array([float(u)]), n)[i, 0])
 
 
@@ -102,19 +94,14 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
 
     Args:
         u: Parameter value (any real).
-        n: Polynomial order, an integer of at least 1 (bools are not).
+        n: Polynomial order, an integer of at least 1.
         deriv: 0 for values, 1 or 2 for first/second derivatives in u.
 
     Returns:
         Array of length n+1.
     """
-    if not _is_int(n):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if not (_is_int(deriv) and deriv in (0, 1, 2)):
-        raise ValueError(f"derivative level must be 0, 1 or 2, got {deriv!r}")
+    n = _integer("order", n, 1)
+    deriv = _integer("derivative level", deriv, 0, 2)
     return _basis_rows_derivs(np.array([float(u)]), n)[deriv][:, 0]
 
 
@@ -233,6 +220,8 @@ class BezierSurface:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, n_u: int, n_v: int) -> "BezierSurface":
+        """The patch of orders (n_u, n_v), integers of at least 1, whose ``flat`` is ``flat``."""
+        n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
         flat = np.asarray(flat, dtype=np.float64)
         expected = (n_u + 1) * (n_v + 1)
         if flat.shape != (expected, 3):
@@ -257,7 +246,7 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
 
     Args:
         u, v: Parameter vectors of equal length n_x >= 1.
-        n_u, n_v: Surface orders, integers of at least 1 (bools are not).
+        n_u, n_v: Surface orders, integers of at least 1.
 
     Returns:
         C-ordered matrix of shape ((n_u+1)(n_v+1), n_x), the points along each row.
@@ -268,11 +257,7 @@ def design_matrix(u: np.ndarray, v: np.ndarray, n_u: int, n_v: int) -> np.ndarra
         raise ValueError(f"u and v must be 1D vectors of equal length, got {u.shape} and {v.shape}")
     if u.size < 1:
         raise ValueError("need at least one parameter pair")
-    if not (_is_int(n_u) and _is_int(n_v)):
-        raise ValueError(f"orders must be integers, got ({n_u!r}, {n_v!r})")
-    n_u, n_v = int(n_u), int(n_v)
-    if min(n_u, n_v) < 1:
-        raise ValueError(f"orders must be at least 1, got ({n_u}, {n_v})")
+    n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
     rows_u, rows_v = _basis_rows(u, n_u), _basis_rows(v, n_v)
     return (rows_v[:, None, :] * rows_u[None, :, :]).reshape(-1, u.size)
 

@@ -14,30 +14,14 @@ from time import perf_counter
 
 import numpy as np
 
-from .bezier import _is_int
 from .control import DEFAULT_LAMBDA, _ridge_penalty, translate_surface
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, _integer, _integers, _nonnegative_real
 from .projection import project_all
 from .selection import FitModel, _centred_scales, _search_orders
 from .voxel import PointCloud
 
 _DEGENERATE_RATIO = 1e-10
-
-
-def _check_count(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer (bools are not)."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_orders(name: str, pair, too_low: str) -> None:
-    """Raise a ValueError unless ``pair`` is two integers of at least 1: one that
-    names ``name`` if it is not two integers (bools are not), ``too_low`` if one is below 1."""
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(_is_int, pair))):
-        raise ValueError(f"{name} must be two integers, got {pair!r}")
-    if min(pair) < 1:
-        raise ValueError(too_low)
 
 
 @dataclass
@@ -52,16 +36,12 @@ class FitSettings:
     fixed_orders: tuple[int, int] | None = None
 
     def __post_init__(self):
-        _check_count("max_outer_iters", self.max_outer_iters)
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        _check_orders("order_cap", self.order_cap, "order caps must be at least 1")
+        _integer("max_outer_iters", self.max_outer_iters, 1)
+        _integers("order_cap", self.order_cap, 2, 1)
         if self.fixed_orders is not None:
-            _check_orders("fixed_orders", self.fixed_orders, "fixed_orders must be at least 1")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and nonnegative")
-        if not (math.isfinite(self.rel_sigma2_tol) and self.rel_sigma2_tol >= 0):
-            raise ValueError("rel_sigma2_tol must be finite and nonnegative")
+            _integers("fixed_orders", self.fixed_orders, 2, 1)
+        _nonnegative_real("lam", self.lam)
+        _nonnegative_real("rel_sigma2_tol", self.rel_sigma2_tol)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from .bezier import BezierSurface, _dot3, _elevation, design_matrix
 from .control import _gram, _residual_sum, _ridge_penalty, _solve_gram, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
-from .errors import DegenerateGeometryError, RankDeficiencyError
+from .errors import DegenerateGeometryError, RankDeficiencyError, _integer, _integers
 from .voxel import PointCloud
 
 # The order search floors the noise variance at this fraction of the cloud's
@@ -104,9 +104,9 @@ def sigma2_hat(cloud: PointCloud, surface: BezierSurface, u: np.ndarray, v: np.n
 
 
 def param_count(n_x: int, n_u: int, n_v: int) -> int:
-    """Total free parameters: two locations per point, control coords, variance."""
-    if n_x < 1 or n_u < 1 or n_v < 1:
-        raise ValueError("point count and orders must be at least 1")
+    """Total free parameters: two locations per point, control coords, variance;
+    the point count and the orders are integers of at least 1."""
+    n_x, n_u, n_v = _integer("n_x", n_x, 1), _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
     return 2 * n_x + 3 * (n_u + 1) * (n_v + 1) + 1
 
 
@@ -114,10 +114,10 @@ def bic_statistic(sigma2: float, d: int, n_x: int) -> float:
     """Selection statistic: -3 n_x ln(sigma2) - d ln(n_x). Larger is better.
 
     A zero variance (degenerate exact interpolation) returns +inf; callers
-    comparing candidates must fall back to the parsimony tie-break.
+    comparing candidates must fall back to the parsimony tie-break. ``d``
+    is an integer of at least 0 and ``n_x`` one of at least 1.
     """
-    if n_x < 1:
-        raise ValueError("point count must be at least 1")
+    d, n_x = _integer("d", d, 0), _integer("n_x", n_x, 1)
     if not sigma2 >= 0:
         raise ValueError(f"variance must be nonnegative, got {sigma2}")
     if sigma2 == 0.0:
@@ -204,7 +204,9 @@ def mdl_select(
     never decrease. ``search_scales`` first checks the cloud and sets the
     ridge and the variance floor. A candidate whose solve is rank deficient
     is skipped; if every candidate fails, the last one's error propagates.
+    The orders and the caps are integers of at least 1.
     """
+    n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
+    cap = (math.inf, math.inf) if order_cap is None else _integers("order_cap", order_cap, 2, 1)
     ridge, floor = search_scales(cloud, lam)
-    cap = order_cap or (math.inf, math.inf)
     return _search_orders(cloud, u, v, n_u, n_v, ridge, cap, floor)[0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bezier import design_matrix
 from .control import DEFAULT_LAMBDA
-from .errors import PatchFitError
-from .pipeline import FitSettings, _check_count, _check_orders, fit_surface, outer_iterations
+from .errors import PatchFitError, _integer, _integers, _nonnegative_real
+from .pipeline import FitSettings, fit_surface, outer_iterations
 from .projection import project_nearest
 from .projection import project_point  # noqa: F401  kept bound for perfbench's tracer test
 from .selection import FitModel, _rank_key
@@ -91,18 +91,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("auto", "fixed", "brute"):
             raise ValueError(f"unknown mode: {self.mode!r}")
-        for count in ("n_tr", "n_te", "trials", "seed"):
-            _check_count(count, getattr(self, count))
-        if self.n_tr < 3 or self.n_te < 1 or self.trials < 1:
-            raise ValueError("n_tr must be >= 3 and n_te, trials >= 1")
-        if not (math.isfinite(self.sigma2_y) and self.sigma2_y >= 0):
-            raise ValueError("noise variance must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for count, low in (("n_tr", 3), ("n_te", 1), ("trials", 1), ("seed", 0)):
+            _integer(count, getattr(self, count), low)
+        _nonnegative_real("noise variance", self.sigma2_y)
         for pair in ("orders", "brute_cap"):
-            _check_orders(pair, getattr(self, pair), "orders and brute_cap must be at least 1")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and nonnegative")
+            _integers(pair, getattr(self, pair), 2, 1)
+        _nonnegative_real("lam", self.lam)
         LatentSurface(self.surface)  # rejects an unknown kind
         if not self.name:
             self.name = f"{self.surface}_n{self.n_tr}_s{self.sigma2_y:g}_{self.mode}"
@@ -120,8 +114,9 @@ def make_dataset(spec: ExperimentSpec, trial: int = 0) -> Dataset:
 
     Train and test latent points come from disjoint draws; only the training
     copy receives additive Gaussian noise of variance sigma2_y per coordinate.
+    ``trial`` is an integer of at least 0.
     """
-    rng = np.random.default_rng([spec.seed, trial])
+    rng = np.random.default_rng([spec.seed, _integer("trial", trial, 0)])
     surface = LatentSurface(spec.surface, random_rotation(rng))
     (x_lo, x_hi), (y_lo, y_hi) = surface.domain
     total = spec.n_tr + spec.n_te

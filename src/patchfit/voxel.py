@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bezier import _is_int
-from .errors import EmptySelectionError, PerimeterTruncationWarning
+from .errors import EmptySelectionError, PerimeterTruncationWarning, _integer, _integers
 
 DEFAULT_EPSILON = 9
 DEFAULT_NEIGHBORHOOD = 3
@@ -114,10 +113,11 @@ class Region:
 
 
 def _box_size(l: int, dims: tuple[int, int, int] | None = None) -> int:
-    """``l`` as an int, checked odd and positive and, given ``dims``, within them."""
-    l = int(l)
-    if l < 1 or l % 2 == 0:
-        raise ValueError(f"neighborhood size must be odd and positive, got {l}")
+    """``l`` as an int, checked to be an odd integer of at least 1 and, given ``dims``,
+    within them."""
+    l = _integer("neighborhood size", l, 1)
+    if l % 2 == 0:
+        raise ValueError(f"neighborhood size must be odd, got {l}")
     if dims is not None and any(l > d for d in dims):
         raise ValueError(f"kernel dims {(l, l, l)} exceed grid dims {dims}")
     return l
@@ -156,10 +156,12 @@ def boundary_mask(grid: VoxelGrid, epsilon: int = DEFAULT_EPSILON) -> VoxelGrid:
     exterior. That count, 27 - box_3(occupancy), is the Laplacian response
     at an occupied voxel. The occupancy requirement excludes exterior voxels
     adjacent to the volume, which would otherwise pass the threshold.
+    ``epsilon`` may be any integer.
     """
+    epsilon = _integer("epsilon", epsilon, None)
     _require_binary(grid)
     exterior = 27 - convolve3(grid, 3).data
-    mask = ((exterior >= int(epsilon)) & (grid.data == 1)).astype(np.int64)
+    mask = ((exterior >= epsilon) & (grid.data == 1)).astype(np.int64)
     return VoxelGrid(mask, grid.spacing, grid.origin)
 
 
@@ -224,7 +226,8 @@ def select_points(
     max_iters + 1 - h: the seed holds max_iters + 1, the outermost voxels 1.
     Once reached_k equals reached_(k-1) it stays so, and the remaining hops
     are added in closed form, so at most ``max_iters`` growth box sums run.
-    ``max_iters`` + 1 must fit in int64.
+    ``max_iters`` must lie in 1..2^63 - 2, so that the seed's hop count
+    ``max_iters`` + 1 fits in int64.
 
     The support thus lies within Chebyshev distance
     ``l + max_iters*(l-1)/2`` of the query voxel, so the mask and the growth
@@ -236,23 +239,14 @@ def select_points(
     to the grid perimeter that the next dilation would leave the grid.
     ``epsilon`` must lie in 1..26: an occupied voxel has 0..26 exterior
     neighbours, so below 1 every occupied voxel is boundary and above 26 none is.
-    ``seed`` is a tuple or list of three integers; numpy integers count, bools do not.
+    ``seed`` is a tuple or list of three integers.
     """
-    epsilon = int(epsilon)
-    if not 1 <= epsilon <= 26:
-        raise ValueError(f"epsilon must lie in 1..26, got {epsilon}")
-    max_iters = int(max_iters)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    if max_iters >= np.iinfo(np.int64).max:
-        raise ValueError(f"max_iters must be at most {np.iinfo(np.int64).max - 1}, so that the "
-                         f"seed's hop count max_iters + 1 fits in int64, got {max_iters}")
+    epsilon = _integer("epsilon", epsilon, 1, 26)
+    max_iters = _integer("max_iters", max_iters, 1, np.iinfo(np.int64).max - 1)
     l = _box_size(l)
     _require_binary(grid)
     _box_size(3, grid.dims)
-    if not (isinstance(seed, (tuple, list)) and len(seed) == 3 and all(map(_is_int, seed))):
-        raise ValueError(f"seed must be three integers, got {seed!r}")
-    seed = tuple(int(s) for s in seed)
+    seed = _integers("seed", seed, 3)
     margin = (l - 1) // 2
     reach = l + max_iters * margin + 1
     window = _window(seed, reach, grid.dims, max(3, l))

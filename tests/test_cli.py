@@ -134,13 +134,17 @@ class TestSelect:
         assert result.stderr == f"error: epsilon must lie in 1..26, got {epsilon}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("l", ["0", "2", "-3"])
-    def test_bad_neighborhood_is_a_usage_error(self, tmp_path, half_space_grid, l):
+    @pytest.mark.parametrize("l, message", [
+        ("0", "neighborhood size must be at least 1, got 0"),
+        ("2", "neighborhood size must be odd, got 2"),
+        ("-3", "neighborhood size must be at least 1, got -3"),
+    ])
+    def test_bad_neighborhood_is_a_usage_error(self, tmp_path, half_space_grid, l, message):
         # the seed lies inside the solid, off the boundary mask
         result = run_cli("select", str(half_space_grid), "-o", str(tmp_path / "cloud.csv"),
                          "--seed-voxel", "10", "10", "5", "--l", l)
         assert result.returncode == 2
-        assert result.stderr == f"error: neighborhood size must be odd and positive, got {l}\n"
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("mode", [None, "uniform", "inverse-distance"])
     def test_weight_grid_needs_external_map(self, tmp_path, mode):
@@ -213,8 +217,7 @@ class TestSelect:
         out = tmp_path / "cloud.csv"
         assert cli.main(["select", str(half_space_grid), "-o", str(out),
                          "--seed-voxel", "10", "10", "9", "--max-iters", str(2**63)]) == 2
-        assert capsys.readouterr() == ("", f"error: max_iters must be at most {2**63 - 2}, so that "
-                                           f"the seed's hop count max_iters + 1 fits in int64, "
+        assert capsys.readouterr() == ("", f"error: max_iters must lie in 1..{2**63 - 2}, "
                                            f"got {2**63}\n")
         assert not out.exists()
 
@@ -288,14 +291,14 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        ("--fixed-orders -1 2", "fixed_orders must be at least 1"),
-        ("--fixed-orders 0 3", "fixed_orders must be at least 1"),
+        ("--fixed-orders -1 2", "fixed_orders[0] must be at least 1, got -1"),
+        ("--fixed-orders 0 3", "fixed_orders[0] must be at least 1, got 0"),
         ("--lam nan", "lam must be finite and nonnegative"),
         ("--lam inf", "lam must be finite and nonnegative"),
         ("--rel-sigma2-tol nan", "rel_sigma2_tol must be finite and nonnegative"),
-        ("--max-outer-iters 0", "max_outer_iters must be at least 1"),
-        ("--order-cap-u 0", "order caps must be at least 1"),
-        ("--order-cap-v 0", "order caps must be at least 1"),
+        ("--max-outer-iters 0", "max_outer_iters must be at least 1, got 0"),
+        ("--order-cap-u 0", "order_cap[0] must be at least 1, got 0"),
+        ("--order-cap-v 0", "order_cap[1] must be at least 1, got 0"),
         ("--fixed-orders 1100 1", "order 1100 has binomial coefficients beyond the float range"),
     ])
     def test_bad_settings_are_a_usage_error(self, tmp_path, saddle_cloud, flags, message):
@@ -551,7 +554,7 @@ class TestStudy:
         assert len(long_rows) == 3  # header + 2 trials
 
     @pytest.mark.parametrize("line, message", [
-        ("brute_cap = 0 0", "spec 1: orders and brute_cap must be at least 1"),
+        ("brute_cap = 0 0", "spec 1: brute_cap[0] must be at least 1, got 0"),
         ("sigma2_y = nan", "spec 1: noise variance must be finite and nonnegative"),
     ])
     def test_bad_spec_is_a_usage_error(self, tmp_path, line, message):
@@ -568,9 +571,9 @@ class TestStudy:
         assert not (tmp_path / "o_table.csv").exists()
 
     @pytest.mark.parametrize("override, message", [
-        (["--seed", "-1"], "seed must be nonnegative"),
-        (["--trials", "0"], "n_tr must be >= 3 and n_te, trials >= 1"),
-        (["--trials", "-2"], "n_tr must be >= 3 and n_te, trials >= 1"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
+        (["--trials", "0"], "trials must be at least 1, got 0"),
+        (["--trials", "-2"], "trials must be at least 1, got -2"),
     ])
     def test_bad_override_is_a_usage_error(self, tmp_path, override, message):
         config = tmp_path / "tiny.cfg"

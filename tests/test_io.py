@@ -553,8 +553,8 @@ class TestStudyConfig:
         assert str(err.value) == f"cfg:3: {message}"
 
     @pytest.mark.parametrize("line, message", [
-        ("brute_cap = 0 0", "orders and brute_cap must be at least 1"),
-        ("orders = 0 3", "orders and brute_cap must be at least 1"),
+        ("brute_cap = 0 0", "brute_cap[0] must be at least 1, got 0"),
+        ("orders = 0 3", "orders[0] must be at least 1, got 0"),
         ("sigma2_y = nan", "noise variance must be finite and nonnegative"),
         ("lam = -1", "lam must be finite and nonnegative"),
         ("lam = inf", "lam must be finite and nonnegative"),

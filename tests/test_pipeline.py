@@ -1,6 +1,7 @@
 """Initialization and the alternating fit loop."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -342,24 +343,24 @@ class TestFitSurface:
         with pytest.raises(ValueError):
             FitSettings(order_cap=(0, 3))
 
-    @pytest.mark.parametrize("cls, name, value", [
-        (FitSettings, "fixed_orders", (-1, 2)),
-        (FitSettings, "fixed_orders", (0, 3)),
-        (FitSettings, "lam", -1e-3),
-        (FitSettings, "lam", math.nan),
-        (FitSettings, "lam", math.inf),
-        (FitSettings, "rel_sigma2_tol", -1.0),
-        (FitSettings, "rel_sigma2_tol", math.nan),
-        (FitSettings, "rel_sigma2_tol", math.inf),
-        (FitSettings, "order_cap", (6,)),
-        (FitSettings, "order_cap", (True, 3)),
-        (FitSettings, "fixed_orders", (2,)),
-        (FitSettings, "fixed_orders", (2.5, 2)),
-        (FitSettings, "max_outer_iters", 2.5),
-        (FitSettings, "max_outer_iters", True),
+    @pytest.mark.parametrize("cls, name, value, message", [
+        (FitSettings, "fixed_orders", (-1, 2), "fixed_orders[0] must be at least 1, got -1"),
+        (FitSettings, "fixed_orders", (0, 3), "fixed_orders[0] must be at least 1, got 0"),
+        (FitSettings, "lam", -1e-3, "lam must be finite and nonnegative"),
+        (FitSettings, "lam", math.nan, "lam must be finite and nonnegative"),
+        (FitSettings, "lam", math.inf, "lam must be finite and nonnegative"),
+        (FitSettings, "rel_sigma2_tol", -1.0, "rel_sigma2_tol must be finite and nonnegative"),
+        (FitSettings, "rel_sigma2_tol", math.nan, "rel_sigma2_tol must be finite and nonnegative"),
+        (FitSettings, "rel_sigma2_tol", math.inf, "rel_sigma2_tol must be finite and nonnegative"),
+        (FitSettings, "order_cap", (6,), "order_cap must be 2 integers, got (6,)"),
+        (FitSettings, "order_cap", (True, 3), "order_cap[0] must be an integer, got True"),
+        (FitSettings, "fixed_orders", (2,), "fixed_orders must be 2 integers, got (2,)"),
+        (FitSettings, "fixed_orders", (2.5, 2), "fixed_orders[0] must be an integer, got 2.5"),
+        (FitSettings, "max_outer_iters", 2.5, "max_outer_iters must be an integer, got 2.5"),
+        (FitSettings, "max_outer_iters", True, "max_outer_iters must be an integer, got True"),
     ])
-    def test_bad_settings_rejected_at_construction(self, cls, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be"):
+    def test_bad_settings_rejected_at_construction(self, cls, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{name: value})
 
     def test_numpy_integers_are_counts(self):

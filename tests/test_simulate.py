@@ -119,18 +119,18 @@ class TestMakeDataset:
             ExperimentSpec(surface="plane", n_tr=10, sigma2_y=0.1, seed=1, mode="magic")
 
     @pytest.mark.parametrize("field, value, message", [
-        ("orders", (0, 2), "orders and brute_cap must be at least 1"),
-        ("orders", (2, -1), "orders and brute_cap must be at least 1"),
-        ("brute_cap", (0, 0), "orders and brute_cap must be at least 1"),
+        ("orders", (0, 2), "orders[0] must be at least 1, got 0"),
+        ("orders", (2, -1), "orders[1] must be at least 1, got -1"),
+        ("brute_cap", (0, 0), "brute_cap[0] must be at least 1, got 0"),
         ("sigma2_y", math.nan, "noise variance must be finite"),
         ("sigma2_y", math.inf, "noise variance must be finite"),
         ("lam", -1e-3, "lam must be finite and nonnegative"),
         ("lam", math.nan, "lam must be finite and nonnegative"),
         ("lam", math.inf, "lam must be finite and nonnegative"),
         ("surface", "sphere", "unknown latent surface kind: 'sphere'"),
-        ("orders", (2,), "orders must be two integers, got (2,)"),
-        ("orders", (2, 2.5), "orders must be two integers, got (2, 2.5)"),
-        ("brute_cap", (True, 3), "brute_cap must be two integers, got (True, 3)"),
+        ("orders", (2,), "orders must be 2 integers, got (2,)"),
+        ("orders", (2, 2.5), "orders[1] must be an integer, got 2.5"),
+        ("brute_cap", (True, 3), "brute_cap[0] must be an integer, got True"),
         ("n_tr", 30.5, "n_tr must be an integer, got 30.5"),
         ("n_te", True, "n_te must be an integer, got True"),
         ("trials", 1.5, "trials must be an integer, got 1.5"),

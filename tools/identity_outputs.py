@@ -56,6 +56,12 @@ Outputs:
   bad token, and grids on each side of the bytewise 0/1 reading: separated
   only by tabs and form feeds, with one ``1`` written ``1.0``, separated by
   ``\\x1c``, and holding a byte that is not UTF-8.
+  One usage error per integer option that a library check rejects (exit 2,
+  one ``error:`` line on stderr, no output file): ``select`` with
+  ``--epsilon 0``, ``--l 4`` and ``--max-iters 0``; ``fit`` with
+  ``--max-outer-iters 0``, ``--order-cap-u 0`` and ``--fixed-orders 0 3``;
+  ``study table1_trends`` with ``--trials 0`` and with ``--seed -1``; so that
+  a change to the library's messages shows up too.
   The ``--help`` text of each subcommand, at ``COLUMNS=80``, so that a
   change to the CLI's interface shows up too.
   Wall-clock timings in stdout are masked as ``<t>``, and the file:line
@@ -263,6 +269,7 @@ def cli_outputs(outdir: Path, src: Path) -> None:
     run_cli("fit_coincident", ["fit", "cloud_coincident.csv", "-o", "surface_coincident.json"],
             outdir, env)
     run_cli("study", ["study", "table1_trends", "--trials", "2", "-o", "study"], outdir, env)
+    usage_outputs(outdir, env, seed)
     help_env = dict(env, COLUMNS="80")
     for command in ("select", "fit", "project", "study"):
         run_cli(f"help_{command}", [command, "--help"], outdir, help_env)
@@ -325,6 +332,22 @@ def select_outputs(outdir: Path, env: dict, text: str, seed: tuple[int, int, int
         (outdir / f"grid_{name}.vox").write_bytes(data)
         run_cli(f"select_{name}", ["select", f"grid_{name}.vox", "-o", f"cloud_{name}.csv",
                                    *common, "--seed-voxel", *map(str, seed)], outdir, env)
+
+
+def usage_outputs(outdir: Path, env: dict, seed: tuple[int, int, int]) -> None:
+    """Runs whose integer options the library rejects; each should exit 2."""
+    select = ["select", "grid.vox", "-o", "cloud_usage.csv", "--seed-voxel", *map(str, seed)]
+    for name, flags in (("epsilon0", ["--epsilon", "0"]), ("l4", ["--l", "4"]),
+                        ("maxiters0", ["--max-iters", "0"])):
+        run_cli(f"usage_select_{name}", select + flags, outdir, env)
+    fit = ["fit", "cloud.csv", "-o", "surface_usage.json"]
+    for name, flags in (("maxouter0", ["--max-outer-iters", "0"]),
+                        ("ordercapu0", ["--order-cap-u", "0"]),
+                        ("fixed03", ["--fixed-orders", "0", "3"])):
+        run_cli(f"usage_fit_{name}", fit + flags, outdir, env)
+    study = ["study", "table1_trends", "-o", "study_usage"]
+    for name, flags in (("trials0", ["--trials", "0"]), ("seedneg", ["--seed", "-1"])):
+        run_cli(f"usage_study_{name}", study + flags, outdir, env)
 
 
 def trial_specs():
