@@ -3,7 +3,9 @@
 The loop interleaves two blocks: per-point foot-point updates on the current
 surface, and a closed-form control-point refit that may also grow the surface
 order. Location parameters are initialized by projecting the cloud onto its
-top two principal directions.
+top two principal directions. After the first iteration the foot-point
+update takes a fixed budget of Newton steps per point, which makes the loop
+inexact block-coordinate descent; its last update is finished exactly.
 """
 
 from __future__ import annotations
@@ -58,8 +60,22 @@ class FitIteration:
     ``kernel_calls``, ``newton_steps`` (accepted Newton steps summed over the
     points) and ``unconverged_lanes`` (points not at the precision floor,
     failed ones included) describe the foot-point solve; iteration 0 has none.
-    ``stop`` is empty except on the last row, where it says why the loop
-    ended: ``"tolerance"`` or ``"iteration cap"``.
+    Iteration 1's solve runs to the floor; from iteration 2 on each point
+    takes at most the Newton budget ``ProjectionSettings.loop_newton_iters``,
+    so there ``unconverged_lanes`` counts the points that the budget left
+    short of the floor. ``stop`` is empty except on the last row, where it
+    says why the loop ended: ``"tolerance"`` or ``"iteration cap"``.
+
+    When the last iteration's solve leaves points neither converged nor
+    failed, ``fit_surface`` runs a final exact pass: it finishes that solve
+    at the floor, on the same surface and from where the budget left each
+    point, then searches again from the same orders. The pass adds no row,
+    and ``outer_iterations`` does not count it. The last row reports it:
+    its kernel calls, Newton steps and seconds are the sums over both solves
+    and both searches, ``f_before_projection`` is the iteration's start, and
+    every other field (orders, ``sigma2``, ``t``, the other f_* values,
+    ``projection_failures``, ``unconverged_lanes``) comes from the pass, so
+    the last row always describes a solve to the floor.
     """
 
     iteration: int
@@ -129,6 +145,13 @@ def fit_surface(
     estimate drops below ``rel_sigma2_tol``. The returned surface is
     translated back to the original frame.
 
+    The first foot-point solve runs to the precision floor; later ones, warm
+    started at the previous foot points, take at most a fixed budget of
+    Newton steps per point. If the last one leaves a point short of the
+    floor, that solve is finished at the floor and the last search rerun
+    (``FitIteration``), so the returned (u, v) are foot points at the floor
+    on the surface before the last search, as with exact solves throughout.
+
     The check of ``search_scales`` runs on the cloud before any solve, and
     the same pass centres it and sets the order search's ridge and floor
     from mean(w^2) and the cloud's weighted spread; ``init_uv``'s SVD and
@@ -158,33 +181,59 @@ def fit_surface(
 
     prev_sigma2 = model.sigma2
     for it in range(1, settings.max_outer_iters + 1):
-        tic = perf_counter()
-        batch = project_all(inner, model.surface, u, v)
-        projection_seconds = perf_counter() - tic
+        # Lanes started at the previous foot points take a Newton budget; the
+        # first solve starts at the principal-direction parameters, far from
+        # them, and runs to the floor.
+        projected = model
+        model, batch, row = _iteration(inner, projected, u, v, ridge, cap, floor, it,
+                                       budgeted=it > 1)
         u, v = batch.u, batch.v
-        f_before = float(np.sum(inner.weights**2 * batch.g_start))
-        f_after = float(np.sum(inner.weights**2 * batch.g_final))
-        f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
-        search_tic = perf_counter()
-        model, f_reg_after = _search_orders(inner, u, v, model.n_u, model.n_v, ridge, cap, floor)
-        search_seconds = perf_counter() - search_tic
-        trace.append(
-            FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f_before, f_after,
-                         f_reg_before, f_reg_after, len(batch.failed), perf_counter() - tic,
-                         projection_seconds=projection_seconds, search_seconds=search_seconds,
-                         kernel_calls=batch.kernel_calls,
-                         newton_steps=int(batch.iterations.sum()),
-                         unconverged_lanes=int(np.count_nonzero(~batch.converged)))
-        )
-
+        trace.append(row)
         settled = abs(model.sigma2 - prev_sigma2) < settings.rel_sigma2_tol * prev_sigma2
         prev_sigma2 = model.sigma2
         if settled:
             break
+
+    if np.count_nonzero(~batch.converged) > len(batch.failed):
+        # Finish the last projection at the floor from where its budget left
+        # it, on the same surface, and search again from the same orders.
+        model, _, exact = _iteration(inner, projected, u, v, ridge, cap, floor, it,
+                                     budgeted=False)
+        last = trace[-1]
+        trace[-1] = replace(
+            exact, f_before_projection=last.f_before_projection,
+            seconds=last.seconds + exact.seconds,
+            projection_seconds=last.projection_seconds + exact.projection_seconds,
+            search_seconds=last.search_seconds + exact.search_seconds,
+            kernel_calls=last.kernel_calls + exact.kernel_calls,
+            newton_steps=last.newton_steps + exact.newton_steps)
     trace[-1].stop = "tolerance" if settled else "iteration cap"
 
     final = replace(model, surface=translate_surface(model.surface, centroid), centroid=centroid)
     return final, trace
+
+
+def _iteration(inner: PointCloud, model: FitModel, u: np.ndarray, v: np.ndarray, ridge: float,
+               cap: tuple, floor: float, it: int, *, budgeted: bool):
+    """One outer iteration: foot points on ``model``'s surface from (u, v), then the
+    order search from ``model``'s orders. Returns the search's model, the
+    projection and the iteration's ``FitIteration``."""
+    tic = perf_counter()
+    batch = project_all(inner, model.surface, u, v, budgeted=budgeted)
+    projection_seconds = perf_counter() - tic
+    f_before = float(np.sum(inner.weights**2 * batch.g_start))
+    f_after = float(np.sum(inner.weights**2 * batch.g_final))
+    f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
+    search_tic = perf_counter()
+    model, f_reg_after = _search_orders(inner, batch.u, batch.v, model.n_u, model.n_v, ridge, cap,
+                                        floor)
+    search_seconds = perf_counter() - search_tic
+    row = FitIteration(it, model.n_u, model.n_v, model.sigma2, model.t, f_before, f_after,
+                       f_reg_before, f_reg_after, len(batch.failed), perf_counter() - tic,
+                       projection_seconds=projection_seconds, search_seconds=search_seconds,
+                       kernel_calls=batch.kernel_calls, newton_steps=int(batch.iterations.sum()),
+                       unconverged_lanes=int(np.count_nonzero(~batch.converged)))
+    return model, batch, row
 
 
 def outer_iterations(trace: FitTrace) -> int:

@@ -3,8 +3,9 @@
 Each point is an independent 2D minimization of the half squared distance,
 solved by Newton's method on a modified Hessian with Armijo backtracking:
 (H + mu I) p = -g, with mu = 0 when H is positive definite and otherwise
-mu = |g| - 2 lambda_min(H), so every step descends. The one stop rule is the
-precision floor, and a point that stops there is converged: its gradient is
+mu = |g| - 2 lambda_min(H), so every step descends. A point stops at the
+precision floor, or, in a budgeted solve, after a fixed number of Newton
+steps. A point that stops at the floor is converged: its gradient is
 exactly zero, or its decrement -g.p is within the rounding noise ``floor_ulp``
 eps |r| (|x| + |r|) of its objective, |r| = sqrt(2 g), or no step length
 alpha = 1, 1/2, ... whose predicted decrease alpha (-g.p) is above that noise
@@ -53,9 +54,15 @@ from .voxel import PointCloud
 
 @dataclass(frozen=True)
 class ProjectionSettings:
-    """Fixed solver constants, no arguments; the solver reads ``_SETTINGS`` but not ``grad_tol``."""
+    """Fixed solver constants, no arguments; the solver reads ``_SETTINGS`` but not ``grad_tol``.
+
+    ``max_newton_iters`` bounds the accepted Newton steps of each lane of an
+    exact solve, and ``loop_newton_iters`` those of a budgeted one, which
+    ``fit_surface`` runs inside its loop.
+    """
 
     max_newton_iters: int = field(default=20, init=False)
+    loop_newton_iters: int = field(default=2, init=False)
     grad_tol: float = field(default=1e-10, init=False)
     armijo_c: float = field(default=1e-4, init=False)
     backtrack_factor: float = field(default=0.5, init=False)
@@ -100,11 +107,13 @@ def _lanes(coords, u, v, control):
 # Overflow and invalid-value warnings are expected when trial parameters run
 # away; non-finite lanes are rejected or marked failed explicitly.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve_batch(points, control, u0, v0):
+def _solve_batch(points, control, u0, v0, budgeted=False):
     """Foot points of a batch. Column k of ``state`` holds lane k's kernel values
     at its current point; a lane that accepts a trial takes the trial's column,
     unless its derivatives are not finite, which fails the lane and keeps its
-    last finite column."""
+    last finite column. A lane takes at most ``loop_newton_iters`` Newton steps
+    when ``budgeted``, and ``max_newton_iters`` otherwise."""
+    max_iters = _SETTINGS.loop_newton_iters if budgeted else _SETTINGS.max_newton_iters
     coords = np.ascontiguousarray(points.T)  # one (3, n) block: each coordinate a contiguous row
     state = _lanes(coords, u0, v0, control)
     calls = 1
@@ -116,7 +125,7 @@ def _solve_batch(points, control, u0, v0):
     x_norm = np.hypot(np.hypot(coords[0], coords[1]), coords[2])
     alphas = np.cumprod(np.full(_SETTINGS.max_backtracks - 1, _SETTINGS.backtrack_factor))
 
-    for it in range(_SETTINGS.max_newton_iters + 1):  # the last pass only checks the floor
+    for it in range(max_iters + 1):  # the last pass only checks the floor
         idx = np.flatnonzero(active)
         # While every lane is active, cur is state itself: state is written
         # only after the pass's last read of cur.
@@ -148,7 +157,7 @@ def _solve_batch(points, control, u0, v0):
         if stop.size:
             idx, p0, p1, dirderiv, noise = (y[~done] for y in (idx, p0, p1, dirderiv, noise))
             cur = cur.compress(~done, axis=1)
-        if idx.size == 0 or it == _SETTINGS.max_newton_iters:
+        if idx.size == 0 or it == max_iters:
             break
 
         cand = _lanes(coords.take(idx, axis=1), cur[0] + p0, cur[1] + p1, control)
@@ -221,19 +230,23 @@ def project_all(
     surface: BezierSurface,
     u: np.ndarray,
     v: np.ndarray,
+    *,
+    budgeted: bool = False,
 ) -> BatchProjection:
     """Foot points for every cloud point, warm-started from (u, v).
 
     Each solve is independent and deterministic. Points whose solve fails
     keep their previous parameters; their indices are reported in ``failed``.
     ``converged`` marks the points that stopped at the precision floor (see
-    the module docstring).
+    the module docstring). A ``budgeted`` solve stops each point after
+    ``loop_newton_iters`` Newton steps, so a point may end neither converged
+    nor failed; on every step it keeps its Armijo descent.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.shape != (cloud.n_x,):
         raise ValueError("parameter vectors must match the cloud size")
-    return _solve_batch(cloud.points, surface.control, u, v)
+    return _solve_batch(cloud.points, surface.control, u, v, budgeted)
 
 
 def project_nearest(points, surface: BezierSurface, refs, ref_u, ref_v) -> BatchProjection:

@@ -73,11 +73,13 @@ class FitModel:
     sigma2: float
     t: float
     centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    _d: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
-        """Free-parameter count of ``param_count``, from the point count and orders."""
-        return param_count(self.u.size, self.n_u, self.n_v)
+        """Free-parameter count of ``param_count``: the one the order search
+        computed, or else one from the point count and orders."""
+        return param_count(self.u.size, self.n_u, self.n_v) if self._d is None else self._d
 
     @property
     def n_u(self) -> int:
@@ -182,7 +184,7 @@ def _search_orders(
         sigma2 = total / (3.0 * cloud.n_x)
         d = param_count(cloud.n_x, cand_u, cand_v)
         models.append(FitModel(surface, u, v, sigma2,
-                               bic_statistic(max(sigma2, floor), d, cloud.n_x)))
+                               bic_statistic(max(sigma2, floor), d, cloud.n_x), _d=d))
     if not models:
         raise last_error
     return min(models, key=_rank_key), f_reg_same

@@ -53,6 +53,18 @@ def heightfield_cloud(rng, n_u=2, n_v=2, n=120, height=0.4, noise=0.0):
     return PointCloud(points, np.ones(n)), surface
 
 
+def record_solves(monkeypatch):
+    """Record the fit's ``project_all`` calls, each as (budgeted, batch)."""
+    solves = []
+
+    def recording(*args, budgeted=False):
+        solves.append((budgeted, project_all(*args, budgeted=budgeted)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(pipeline, "project_all", recording)
+    return solves
+
+
 def select_at_start(cloud):
     """``mdl_select`` at (1, 1), at start parameters of no particular meaning."""
     u = np.linspace(0.0, 1.0, cloud.n_x)
@@ -243,8 +255,8 @@ class TestFitSurface:
     def test_trace_reports_projection_work_and_a_tolerance_stop(self, monkeypatch):
         batches = []
 
-        def recording(*args):
-            batches.append(project_all(*args))
+        def recording(*args, **kwargs):
+            batches.append(project_all(*args, **kwargs))
             return batches[-1]
 
         monkeypatch.setattr(pipeline, "project_all", recording)
@@ -315,7 +327,7 @@ class TestFitSurface:
         with pytest.raises(DegenerateGeometryError, match="^all 10 points coincide; "):
             search(cloud)
 
-    def test_one_design_matrix_per_order_search(self, monkeypatch):
+    def test_one_design_matrix_per_order_search_and_one_for_the_final_search(self, monkeypatch):
         import patchfit.bezier
 
         original = patchfit.bezier.design_matrix
@@ -328,14 +340,58 @@ class TestFitSurface:
         for name, module in list(sys.modules.items()):
             if name.startswith("patchfit") and getattr(module, "design_matrix", None) is original:
                 monkeypatch.setattr(module, "design_matrix", counted)
+        solves = record_solves(monkeypatch)
         rng = np.random.default_rng(12)
         cloud, _ = heightfield_cloud(rng, n=90, noise=0.05)
         settings = FitSettings(order_cap=(20, 20))
         model, trace = fit_surface(cloud, settings)
         assert max(max(r.n_u, r.n_v) for r in trace) < 20  # the caps never bind
+        # The last loop solve left lanes off the floor, so the loop is followed
+        # by one exact solve and one more search from the last search's start.
+        assert len(solves) == outer_iterations(trace) + 1
         # each search starts at the orders the previous one kept, (1, 1) at first
         starts = [(1, 1)] + [(r.n_u, r.n_v) for r in trace[:-1]]
-        assert calls == [(n_u + 1, n_v + 1) for n_u, n_v in starts]
+        assert calls == [(n_u + 1, n_v + 1) for n_u, n_v in starts + starts[-1:]]
+
+    def test_budgeted_solves_that_all_converge_leave_the_fit_unchanged(self, monkeypatch):
+        # On the plane every budgeted lane reaches the floor, so no final pass
+        # runs, and the fit equals one whose every solve is exact, bit for bit.
+        spec = ExperimentSpec(surface="plane", n_tr=5000, sigma2_y=1e-4, seed=0)
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(5000))
+        settings = FitSettings(max_outer_iters=4, rel_sigma2_tol=0.0)
+        solves = record_solves(monkeypatch)
+        model, trace = fit_surface(cloud, settings)
+        assert [budgeted for budgeted, _ in solves] == [False, True, True, True]
+        assert [row.unconverged_lanes for row in trace] == [0] * 5
+
+        monkeypatch.setattr(pipeline, "project_all",
+                            lambda *args, budgeted: project_all(*args))
+        exact, exact_trace = fit_surface(cloud, settings)
+        assert model.surface.control.tobytes() == exact.surface.control.tobytes()
+        assert (model.u.tobytes(), model.v.tobytes()) == (exact.u.tobytes(), exact.v.tobytes())
+        assert (model.sigma2, model.t) == (exact.sigma2, exact.t)
+        assert [row.newton_steps for row in trace] == [row.newton_steps for row in exact_trace]
+
+    def test_trace_folds_the_final_pass_into_the_last_row(self, monkeypatch):
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(100))
+        solves = record_solves(monkeypatch)
+        model, trace = fit_surface(cloud, FitSettings(max_outer_iters=3))
+        assert outer_iterations(trace) == 3 and len(trace) == 4
+        (_, loop), (budgeted, final) = solves[-2:]
+        assert len(solves) == 4 and not budgeted
+        last = trace[-1]
+        assert (last.n_u, last.n_v, last.sigma2, last.t) == (model.n_u, model.n_v, model.sigma2,
+                                                              model.t)
+        assert last.kernel_calls == loop.kernel_calls + final.kernel_calls
+        assert last.newton_steps == loop.iterations.sum() + final.iterations.sum()
+        assert last.unconverged_lanes == np.count_nonzero(~final.converged) == 0
+        assert last.f_before_projection == np.sum(loop.g_start)
+        assert last.f_after_projection == np.sum(final.g_final) <= np.sum(loop.g_final)
+        assert last.f_reg_after_solve <= last.f_reg_before_solve
+        assert last.projection_seconds + last.search_seconds <= last.seconds
+        assert model.u.tobytes() == final.u.tobytes()
+        assert last.stop == "iteration cap"
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

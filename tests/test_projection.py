@@ -21,7 +21,7 @@ from patchfit import (
     project_point,
     surface_eval,
 )
-from patchfit import design_matrix, fit_surface, pipeline, projection
+from patchfit import design_matrix, fit_surface, outer_iterations, pipeline, projection
 from patchfit.bezier import _values_grads_hessians
 from patchfit.simulate import (ExperimentSpec, LatentSurface, latent_eval, make_dataset,
                                random_rotation)
@@ -221,8 +221,9 @@ class TestProjectPoint:
 
 
 class TestSettings:
-    @pytest.mark.parametrize("name", ["max_newton_iters", "grad_tol", "armijo_c",
-                                      "backtrack_factor", "max_backtracks", "floor_ulp"])
+    @pytest.mark.parametrize("name", ["max_newton_iters", "loop_newton_iters", "grad_tol",
+                                      "armijo_c", "backtrack_factor", "max_backtracks",
+                                      "floor_ulp"])
     def test_constants_are_not_constructor_arguments(self, name):
         settings = projection.ProjectionSettings()
         assert settings == projection._SETTINGS
@@ -290,23 +291,66 @@ class TestPrecisionFloor:
         npt.assert_array_equal(again.v, first.v[ok])
         assert again.converged.all()
 
-    def test_every_lane_of_a_fit_converges(self, monkeypatch):
-        # Lanes whose Hessian is indefinite take a shifted Newton step, so
-        # none of them creeps through the whole Newton budget.
-        batches = []
+    @staticmethod
+    def fit_solves(monkeypatch, spec, trial=0):
+        """The fit's ``project_all`` calls, each as (budgeted, batch), and its trace."""
+        solves = []
 
-        def recording(*args):
-            batches.append(project_all(*args))
-            return batches[-1]
+        def recording(*args, budgeted=False):
+            solves.append((budgeted, project_all(*args, budgeted=budgeted)))
+            return solves[-1][1]
 
         monkeypatch.setattr(pipeline, "project_all", recording)
+        data = make_dataset(spec, trial)
+        _, trace = fit_surface(PointCloud(data.x_tr, np.ones(spec.n_tr)))
+        return solves, trace
+
+    def test_loop_lanes_take_at_most_the_budget(self, monkeypatch):
+        # The loop's first solve starts at the principal-direction parameters
+        # and runs to the floor; each later one stops a lane after the budget.
+        # Lanes whose Hessian is indefinite take a shifted Newton step, so no
+        # exact lane creeps through the whole Newton budget.
         spec = ExperimentSpec(surface="rosenbrock", n_tr=1000, sigma2_y=1e-2, seed=0)
-        data = make_dataset(spec, 0)
-        fit_surface(PointCloud(data.x_tr, np.ones(spec.n_tr)))
-        assert batches
-        for batch in batches:
-            assert batch.converged.all()
-            assert batch.iterations.max() < projection._SETTINGS.max_newton_iters
+        solves, trace = self.fit_solves(monkeypatch, spec)
+        loop = solves[:outer_iterations(trace)]
+        assert [budgeted for budgeted, _ in loop] == [False] + [True] * (len(loop) - 1)
+        budget = projection._SETTINGS.loop_newton_iters
+        for budgeted, batch in loop[1:]:
+            assert batch.iterations.max() <= budget
+            assert (batch.g_final <= batch.g_start).all()
+        assert any((~batch.converged).any() for _, batch in loop[1:])
+        first = loop[0][1]
+        assert first.converged.all()
+        assert first.iterations.max() < projection._SETTINGS.max_newton_iters
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_budgeted_solve_is_the_solve_cut_at_the_budget(self, monkeypatch, seed):
+        surface, points, u0, v0 = rosenbrock_batch(seed, spread=1.0)
+        budgeted = project_all(PointCloud(points, np.ones(len(points))), surface, u0, v0,
+                               budgeted=True)
+        cut = SimpleNamespace(**{**asdict(projection._SETTINGS),
+                                 "max_newton_iters": projection._SETTINGS.loop_newton_iters})
+        monkeypatch.setattr(projection, "_SETTINGS", cut)
+        expected = projection._solve_batch(points, surface.control, u0, v0)
+        for f in fields(BatchProjection):
+            a, b = getattr(budgeted, f.name), getattr(expected, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+        assert (~budgeted.converged).any()
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_final_pass_leaves_every_lane_converged_or_failed(self, monkeypatch, trial):
+        # The last loop solve left lanes off the floor, so one exact solve
+        # follows the loop, and it leaves no lane neither converged nor failed.
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=1000, sigma2_y=1e-2, seed=0)
+        solves, trace = self.fit_solves(monkeypatch, spec, trial)
+        assert len(solves) == outer_iterations(trace) + 1
+        last, (budgeted, final) = solves[-2][1], solves[-1]
+        assert not budgeted
+        assert np.count_nonzero(~last.converged) > len(last.failed)
+        settled = final.converged.copy()
+        settled[list(final.failed)] = True
+        assert settled.all()
+        assert final.iterations.max() < projection._SETTINGS.max_newton_iters
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_finite_step_is_not_a_floor(self, seed):

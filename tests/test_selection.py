@@ -154,6 +154,21 @@ class TestRankKey:
         assert ranked(5.0, 10, 1, 3) < ranked(5.0, 10, 2, 3)
         assert ranked(5.0, 10, 1, 2) < ranked(5.0, 10, 2, 1)
 
+    def test_search_counts_each_candidates_parameters_once(self, monkeypatch):
+        # The search hands each candidate the d it computed, so ranking the
+        # candidates computes none again.
+        import patchfit.selection as selection
+
+        counted = []
+        monkeypatch.setattr(selection, "param_count",
+                            lambda *args: counted.append(args) or param_count(*args))
+        rng = np.random.default_rng(4)
+        cloud, u, v = synth_cloud(rng, BezierSurface(rng.normal(size=(3, 3, 3))), 80, noise=0.01)
+        ridge, floor = search_scales(cloud, 1e-3)
+        model, _ = _search_orders(cloud, u, v, 1, 1, ridge, (6, 6), floor)
+        assert counted == [(80, 1, 1), (80, 1, 2), (80, 2, 1), (80, 2, 2)]
+        assert model.d == param_count(80, model.n_u, model.n_v)
+
 
 class TestMdlSelect:
     def test_noisy_plane_keeps_bilinear(self):

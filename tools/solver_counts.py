@@ -2,11 +2,17 @@
 
 Runs ``simulate.run_trial`` on the Rosenbrock sheet (sigma2_y = 1e-2, seed 7,
 trials 0-4) at n = 100 and 1 000, and keeps the ``BatchProjection`` of every
-``project_all`` call: those of the fit (``pipeline.project_all``) and those of
-the test points (``projection.project_all``, reached through
-``project_nearest``). For each size and caller it prints the number of
-solves, the median, maximum and total ``kernel_calls``, the total of kernel
-lanes evaluated (``len(u)`` summed over the calls of
+``project_all`` call, in three rows:
+- ``loop``: the fit loop's solves (``pipeline.project_all``), one per outer
+  iteration, budgeted or not;
+- ``final``: the fit's solves after its loop, the pass that finishes the last
+  loop solve at the precision floor (none in a checkout without that pass);
+- ``test``: the test points' solves (``projection.project_all``, reached
+  through ``project_nearest``).
+A fit's solves are split by ``outer_iterations`` of its trace: the first that
+many are the loop's. For each size and row it prints the number of solves,
+the median, maximum and total ``kernel_calls``, the total of kernel lanes
+evaluated (``len(u)`` summed over the calls of
 ``projection._values_grads_hessians``), the median and maximum of
 ``iterations.max()`` per solve, and the total of unconverged lanes
 (``~converged``, failed lanes included), so that a change to a stop rule
@@ -33,44 +39,60 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SIZES = (100, 1000)
 TRIALS = range(5)
+ROWS = ("loop", "final", "test")
 
 
-def record_solves(pipeline, projection) -> tuple[dict[str, list], dict[str, int]]:
-    """Wrap both ``project_all`` bindings so that each keeps its results, and the
-    solve's kernel so that each caller sums the lanes that its calls evaluate."""
-    solves: dict[str, list] = {"fit": [], "test": []}
-    lanes = dict.fromkeys(solves, 0)
-    callers: list[str] = []
+def record_solves(simulate, pipeline, projection) -> dict[str, list]:
+    """Wrap both ``project_all`` bindings so that each keeps its results with the
+    kernel lanes that its calls evaluate, and ``simulate``'s ``fit_surface`` so
+    that each fit files its solves under ``loop`` and ``final``."""
+    solves: dict[str, list] = {row: [] for row in ROWS}
+    fit_solves: list = []
+    open_lanes: list[int] = []
 
-    def recording(caller, solve):
+    def recording(out, solve):
         def wrapper(*args, **kwargs):
-            callers.append(caller)
+            open_lanes.append(0)
             try:
-                solves[caller].append(solve(*args, **kwargs))
+                batch = solve(*args, **kwargs)
             finally:
-                callers.pop()
-            return solves[caller][-1]
+                lanes = open_lanes.pop()
+            out.append((batch, lanes))
+            return batch
         return wrapper
 
     def counting(kernel):
         def wrapper(points, u, v, control):
-            lanes[callers[-1]] += len(u)
+            open_lanes[-1] += len(u)
             return kernel(points, u, v, control)
         return wrapper
 
-    pipeline.project_all = recording("fit", pipeline.project_all)
-    projection.project_all = recording("test", projection.project_all)
+    def fitting(fit):
+        def wrapper(*args, **kwargs):
+            fit_solves.clear()
+            model, trace = fit(*args, **kwargs)
+            loop = pipeline.outer_iterations(trace)
+            solves["loop"].extend(fit_solves[:loop])
+            solves["final"].extend(fit_solves[loop:])
+            return model, trace
+        return wrapper
+
+    pipeline.project_all = recording(fit_solves, pipeline.project_all)
+    projection.project_all = recording(solves["test"], projection.project_all)
     projection._values_grads_hessians = counting(projection._values_grads_hessians)
-    return solves, lanes
+    simulate.fit_surface = fitting(simulate.fit_surface)
+    return solves
 
 
-def summary(batches: list, lanes: int) -> str:
-    calls = np.array([b.kernel_calls for b in batches])
-    iters = np.array([int(b.iterations.max()) for b in batches])
-    return (f"{len(batches):3d} solves  kernel_calls median {np.median(calls):5.1f} "
-            f"max {calls.max():3d} total {calls.sum():5d}  lanes {lanes:7d}  "
+def summary(solves: list) -> str:
+    if not solves:
+        return "  0 solves"
+    calls = np.array([b.kernel_calls for b, _ in solves])
+    iters = np.array([int(b.iterations.max()) for b, _ in solves])
+    return (f"{len(solves):3d} solves  kernel_calls median {np.median(calls):5.1f} "
+            f"max {calls.max():3d} total {calls.sum():5d}  lanes {sum(n for _, n in solves):7d}  "
             f"iterations.max() median {np.median(iters):4.1f} max {iters.max():2d}  "
-            f"unconverged {sum(int((~b.converged).sum()) for b in batches):3d}")
+            f"unconverged {sum(int((~b.converged).sum()) for b, _ in solves):3d}")
 
 
 def main(argv=None) -> int:
@@ -79,18 +101,17 @@ def main(argv=None) -> int:
                         help="src directory of the checkout to run (default %(default)s)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
-    from patchfit import ExperimentSpec, pipeline, projection, run_trial
+    from patchfit import ExperimentSpec, pipeline, projection, run_trial, simulate
 
-    solves, lanes = record_solves(pipeline, projection)
+    solves = record_solves(simulate, pipeline, projection)
     for n in SIZES:
         spec = ExperimentSpec(surface="rosenbrock", n_tr=n, sigma2_y=1e-2, seed=7)
-        for caller, batches in solves.items():
-            batches.clear()
-            lanes[caller] = 0
+        for row in solves.values():
+            row.clear()
         for trial in TRIALS:
             run_trial(spec, trial)
-        for caller, batches in solves.items():
-            print(f"n={n:<5d} {caller:4s} {summary(batches, lanes[caller])}")
+        for name, row in solves.items():
+            print(f"n={n:<5d} {name:5s} {summary(row)}")
     return 0
 
 
