@@ -66,8 +66,8 @@ class FitIteration:
     short of the floor. ``stop`` is empty except on the last row, where it
     says why the loop ended: ``"tolerance"`` or ``"iteration cap"``.
 
-    When the last iteration's solve leaves points neither converged nor
-    failed, ``fit_surface`` runs a final exact pass: it finishes that solve
+    When the last iteration's solve was budgeted and left points neither
+    converged nor failed, ``fit_surface`` runs a final exact pass: it finishes that solve
     at the floor, on the same surface and from where the budget left each
     point, then searches again from the same orders. The pass adds no row,
     and ``outer_iterations`` does not count it. The last row reports it:
@@ -75,7 +75,8 @@ class FitIteration:
     and both searches, ``f_before_projection`` is the iteration's start, and
     every other field (orders, ``sigma2``, ``t``, the other f_* values,
     ``projection_failures``, ``unconverged_lanes``) comes from the pass, so
-    the last row always describes a solve to the floor.
+    the last row always describes an exact solve. A fit that ends at
+    iteration 1 has made only exact solves and runs no pass.
     """
 
     iteration: int
@@ -147,8 +148,8 @@ def fit_surface(
 
     The first foot-point solve runs to the precision floor; later ones, warm
     started at the previous foot points, take at most a fixed budget of
-    Newton steps per point. If the last one leaves a point short of the
-    floor, that solve is finished at the floor and the last search rerun
+    Newton steps per point. If the last loop solve was such a one and left a
+    point short of the floor, that solve is finished at the floor and the last search rerun
     (``FitIteration``), so the returned (u, v) are foot points at the floor
     on the surface before the last search, as with exact solves throughout.
 
@@ -194,9 +195,10 @@ def fit_surface(
         if settled:
             break
 
-    if np.count_nonzero(~batch.converged) > len(batch.failed):
-        # Finish the last projection at the floor from where its budget left
-        # it, on the same surface, and search again from the same orders.
+    if it > 1 and np.count_nonzero(~batch.converged) > len(batch.failed):
+        # Finish the last projection, which was budgeted, at the floor from where
+        # its budget left it, on the same surface, and search again from the same
+        # orders.
         model, _, exact = _iteration(inner, projected, u, v, ridge, cap, floor, it,
                                      budgeted=False)
         last = trace[-1]

@@ -73,13 +73,11 @@ class FitModel:
     sigma2: float
     t: float
     centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    _d: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
-        """Free-parameter count of ``param_count``: the one the order search
-        computed, or else one from the point count and orders."""
-        return param_count(self.u.size, self.n_u, self.n_v) if self._d is None else self._d
+        """Free-parameter count of ``param_count``, from the point count and orders."""
+        return param_count(self.u.size, self.n_u, self.n_v)
 
     @property
     def n_u(self) -> int:
@@ -128,8 +126,13 @@ def bic_statistic(sigma2: float, d: int, n_x: int) -> float:
 
 
 def _rank_key(model: FitModel) -> tuple:
-    """Sort key for candidate models: best statistic first, then parsimony."""
-    return (-model.t, model.d, model.n_u + model.n_v, model.n_u)
+    """Sort key for candidate models: best statistic first, then parsimony.
+
+    Parsimony is the control-point count, then the total order, then n_u.
+    Every ranking compares models of one cloud, where ``param_count`` orders
+    the models as their control-point count does.
+    """
+    return (-model.t, (model.n_u + 1) * (model.n_v + 1), model.n_u + model.n_v, model.n_u)
 
 
 def _search_orders(
@@ -184,7 +187,7 @@ def _search_orders(
         sigma2 = total / (3.0 * cloud.n_x)
         d = param_count(cloud.n_x, cand_u, cand_v)
         models.append(FitModel(surface, u, v, sigma2,
-                               bic_statistic(max(sigma2, floor), d, cloud.n_x), _d=d))
+                               bic_statistic(max(sigma2, floor), d, cloud.n_x)))
     if not models:
         raise last_error
     return min(models, key=_rank_key), f_reg_same

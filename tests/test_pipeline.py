@@ -4,6 +4,8 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +25,7 @@ from patchfit import (
     outer_iterations,
     pipeline,
     project_all,
+    projection,
     random_rotation,
     select_points,
     surface_eval,
@@ -392,6 +395,22 @@ class TestFitSurface:
         assert last.projection_seconds + last.search_seconds <= last.seconds
         assert model.u.tobytes() == final.u.tobytes()
         assert last.stop == "iteration cap"
+
+    def test_a_fit_that_ends_at_iteration_1_makes_one_solve(self, monkeypatch):
+        # Iteration 1's solve is exact; lanes it leaves at the step cap get no
+        # second solve, budgeted lanes being the only ones the pass finishes.
+        short = SimpleNamespace(**{**asdict(projection._SETTINGS), "max_newton_iters": 1})
+        monkeypatch.setattr(projection, "_SETTINGS", short)
+        spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(100))
+        solves = record_solves(monkeypatch)
+        model, trace = fit_surface(cloud, FitSettings(max_outer_iters=1))
+        assert [budgeted for budgeted, _ in solves] == [False]
+        (_, batch), = solves
+        assert np.count_nonzero(~batch.converged) > len(batch.failed)
+        assert trace[-1].unconverged_lanes == np.count_nonzero(~batch.converged)
+        assert model.u.tobytes() == batch.u.tobytes()
+        assert trace[-1].stop == "iteration cap"
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

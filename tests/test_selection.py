@@ -138,25 +138,33 @@ class TestSearchScales:
         assert caught == []
 
 
-def ranked(t, d, n_u, n_v):
-    """Rank key of a model-like object with the given statistic, count and orders."""
-    return _rank_key(SimpleNamespace(t=t, d=d, n_u=n_u, n_v=n_v))
+def ranked(t, n_u, n_v):
+    """Rank key of a model-like object with the given statistic and orders."""
+    return _rank_key(SimpleNamespace(t=t, n_u=n_u, n_v=n_v))
 
 
 class TestRankKey:
     def test_statistic_dominates(self):
-        assert ranked(10.0, 99, 3, 3) < ranked(9.0, 4, 1, 1)
+        assert ranked(10.0, 3, 3) < ranked(9.0, 1, 1)
 
     def test_tie_breaks_by_parameter_count(self):
-        assert ranked(5.0, 10, 2, 2) < ranked(5.0, 11, 1, 1)
+        assert ranked(5.0, 1, 1) < ranked(5.0, 2, 2)
+        # 2 * 7 = 14 control points against 4 * 4 = 16, at a larger total order
+        assert ranked(5.0, 1, 6) < ranked(5.0, 3, 3)
 
     def test_then_by_total_order_then_u(self):
-        assert ranked(5.0, 10, 1, 3) < ranked(5.0, 10, 2, 3)
-        assert ranked(5.0, 10, 1, 2) < ranked(5.0, 10, 2, 1)
+        # 3 * 4 = 12 control points on both sides
+        assert ranked(5.0, 2, 3) < ranked(5.0, 1, 5)
+        assert ranked(5.0, 1, 2) < ranked(5.0, 2, 1)
+
+    def test_rank_follows_the_parameter_count_of_one_cloud(self):
+        orders = [(n_u, n_v) for n_u in range(1, 8) for n_v in range(1, 8)]
+        by_key = sorted(orders, key=lambda o: ranked(5.0, *o))
+        by_d = sorted(orders, key=lambda o: (param_count(80, *o), sum(o), o[0]))
+        assert by_key == by_d
 
     def test_search_counts_each_candidates_parameters_once(self, monkeypatch):
-        # The search hands each candidate the d it computed, so ranking the
-        # candidates computes none again.
+        # The search computes each candidate's d once, and ranking computes none.
         import patchfit.selection as selection
 
         counted = []
