@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import BezierSurface, _dot3, design_matrix
-from .errors import FileFormatError
+from .errors import FileFormatError, _integer
 from .selection import FitModel
 from .simulate import ExperimentSpec, StudyRow, TrialRecord
 from .voxel import PointCloud, VoxelGrid
@@ -265,8 +265,10 @@ def read_surface_model(path) -> tuple[FitModel, np.ndarray]:
                         ("t", model.t), ("centroid", model.centroid)):
         if not np.isfinite(value).all():
             raise FileFormatError(f"{path}: {name} values must be finite")
-    if not (type(n_u) is int and type(n_v) is int):  # a bool or 2.9 is no order
-        raise FileFormatError(f"{path}: n_u and n_v must be integers, got {n_u!r} and {n_v!r}")
+    try:
+        n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
     if model.centroid.shape != (3,) or not all(type(c) in (int, float) for c in doc["centroid"]):
         raise FileFormatError(f"{path}: centroid must be 3 numbers, got {doc['centroid']!r}")
     if (surface.n_u, surface.n_v) != (n_u, n_v):

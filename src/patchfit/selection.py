@@ -5,7 +5,8 @@ candidate is scored by an information statistic that trades the log of the
 estimated noise variance against a parameter-count penalty; the candidate
 with the largest statistic wins, with ties broken toward parsimony. One
 design matrix and one Gram matrix, built at the largest candidate, serve
-every candidate of a search through Bernstein degree elevation.
+every candidate of a search through Bernstein degree elevation, and one
+stacked factorization and pair of solves solve all the candidates at once.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .bezier import BezierSurface, _dot3, _elevation, design_matrix
-from .control import _gram, _residual_sum, _ridge_penalty, _solve_gram, weighted_objective
+from .control import _gram, _residual_sums, _ridge_penalty, _solve_gram, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
-from .errors import DegenerateGeometryError, RankDeficiencyError, _integer, _integers
+from .errors import DegenerateGeometryError, _integer, _integers
 from .voxel import PointCloud
 
 # The order search floors the noise variance at this fraction of the cloud's
@@ -135,6 +137,25 @@ def _rank_key(model: FitModel) -> tuple:
     return (-model.t, (model.n_u + 1) * (model.n_v + 1), model.n_u + model.n_v, model.n_u)
 
 
+@lru_cache(maxsize=64)  # all 35 stacked searches under the default order cap take 1.6 MB
+def _stacked_lift(n_u: int, n_v: int, top_u: int, top_v: int) -> tuple:
+    """The candidates of a search from (n_u, n_v) with top orders (top_u, top_v), in
+    ``itertools.product`` order, with their read-only (C, m, m) stacks ``lift`` and
+    ``pad``, m the top's control-point count: ``lift[c]`` holds candidate c's
+    ``bezier._elevation`` K in its leading rows and 0 below, and ``pad[c]`` is 1 on
+    the diagonal below them and 0 elsewhere, so that ``lift @ G @ lift^T + pad``
+    holds each candidate's K G K^T and keeps its padded rows out of the solution."""
+    orders = tuple(itertools.product(range(n_u, top_u + 1), range(n_v, top_v + 1)))
+    m = (top_u + 1) * (top_v + 1)
+    lift, pad = np.zeros((2, len(orders), m, m))
+    for c, cand in enumerate(orders):
+        size = (cand[0] + 1) * (cand[1] + 1)
+        lift[c, :size] = _elevation(*cand, top_u, top_v)
+        pad[c, range(size, m), range(size, m)] = 1.0
+    lift.flags.writeable = pad.flags.writeable = False
+    return orders, lift, pad
+
+
 def _search_orders(
     cloud: PointCloud,
     u: np.ndarray,
@@ -145,18 +166,22 @@ def _search_orders(
     order_cap: tuple[float, float],
     floor: float,
 ) -> tuple[FitModel, float]:
-    """``mdl_select`` with one design matrix B and one Gram matrix G per search.
+    """``mdl_select`` with one design matrix B, one Gram matrix G and one stacked
+    solve per search.
 
     B and G are built at the top candidate, each order one up unless already
-    at its ``order_cap``; it solves with G and the right-hand side R, any other
-    candidate solves with K G K^T and K R, its K from ``bezier._elevation``.
-    A candidate's weighted residual sum, taken directly against B^T (K^T A)
-    since the expansion through G and R cancels at exact recovery, gives its
-    noise variance (sum / 3n). ``ridge`` and ``floor`` are those of
-    ``search_scales``, which a fit computes once. Returns the candidate of
-    least ``_rank_key``, and the regularized objective of the refit at the
-    start order, NaN when that refit is rank deficient. The models hold one
-    copy of ``u`` and ``v``.
+    at its ``order_cap``. With one candidate, the top, it solves with G and
+    the right-hand side R. With more, every candidate solves at once through
+    ``_stacked_lift``: the systems ``lift @ G @ lift^T + pad`` and right-hand
+    sides ``lift @ R`` go through one ``control._solve_gram`` call. One
+    product (lift^T A)^T @ B then gives every candidate's residual, from
+    which its weighted residual sum, taken directly since the expansion
+    through G and R cancels at exact recovery, gives its noise variance
+    (sum / 3n). A candidate whose solve is rank deficient is skipped.
+    ``ridge`` and ``floor`` are those of ``search_scales``, which a fit
+    computes once. Returns the candidate of least ``_rank_key``, and the
+    regularized objective of the refit at the start order, NaN when that
+    refit is rank deficient. The models hold one copy of ``u`` and ``v``.
     """
     u = np.array(u, dtype=np.float64)
     v = np.array(v, dtype=np.float64)
@@ -164,24 +189,24 @@ def _search_orders(
     top = (n_u + (n_u < order_cap[0]), n_v + (n_v < order_cap[1]))
     b = design_matrix(u, v, *top)
     gram, rhs = _gram(points, weights, b)
+    if top == (n_u, n_v):
+        orders = (top,)
+        flat, errors = _solve_gram(gram, rhs, ridge)
+        flats, totals = flat[None], [_residual_sums(points, weights, b, flat.T)]
+    else:
+        orders, lift, pad = _stacked_lift(n_u, n_v, *top)
+        with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
+            flats, errors = _solve_gram(lift @ gram @ lift.swapaxes(1, 2), lift @ rhs, ridge, pad)
+        totals = _residual_sums(points, weights, b, flats.swapaxes(1, 2) @ lift)  # (lift^T A)^T B
 
     models = []
     f_reg_same = math.nan
-    last_error = None
-    for cand_u, cand_v in itertools.product(range(n_u, top[0] + 1), range(n_v, top[1] + 1)):
-        if (cand_u, cand_v) == top:
-            k, cand_gram, cand_rhs = None, gram, rhs
-        else:
-            k = _elevation(cand_u, cand_v, *top)
-            with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
-                cand_gram, cand_rhs = k @ gram @ k.T, k @ rhs
-        try:
-            surface = _solve_gram(cand_gram, cand_rhs, cand_u, cand_v, ridge)
-        except RankDeficiencyError as exc:
-            last_error = exc
+    for (cand_u, cand_v), flat, total, error in zip(orders, flats, totals, errors):
+        if error is not None:
             continue
-        total = _residual_sum(points, weights, b,
-                              surface.flat if k is None else k.T @ surface.flat)
+        surface = BezierSurface.from_flat(
+            np.asfortranarray(flat[:(cand_u + 1) * (cand_v + 1)]), cand_u, cand_v)
+        total = float(total)
         if (cand_u, cand_v) == (n_u, n_v):
             f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
         sigma2 = total / (3.0 * cloud.n_x)
@@ -189,7 +214,7 @@ def _search_orders(
         models.append(FitModel(surface, u, v, sigma2,
                                bic_statistic(max(sigma2, floor), d, cloud.n_x)))
     if not models:
-        raise last_error
+        raise errors[-1]
     return min(models, key=_rank_key), f_reg_same
 
 

@@ -161,7 +161,10 @@ def eval_fit(model: FitModel, x_tr: np.ndarray, s_te: np.ndarray) -> EvalMetrics
 
 @dataclass
 class TrialRecord:
-    """Metrics for one (spec, trial) fit; ``error`` marks a failed trial."""
+    """Metrics for one (spec, trial) fit; ``error`` marks a failed trial.
+
+    ``ms`` is the fit's wall time, up to its failure in a failed trial; the
+    evaluation of ``eval_fit`` is not in it."""
 
     name: str
     trial: int
@@ -215,16 +218,18 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:
     )
     tic = perf_counter()
     try:
-        if spec.mode == "brute":
-            model, trace = _fit_brute(cloud, settings, spec.brute_cap)
-        else:
-            model, trace = fit_surface(cloud, settings)
+        try:
+            if spec.mode == "brute":
+                model, trace = _fit_brute(cloud, settings, spec.brute_cap)
+            else:
+                model, trace = fit_surface(cloud, settings)
+        finally:
+            ms = (perf_counter() - tic) * 1e3  # the fit's time, without the evaluation
         metrics = eval_fit(model, dataset.x_tr, dataset.s_te)
     except (PatchFitError, ValueError) as exc:  # LinAlgError is a ValueError
         return TrialRecord(spec.name, trial, spec.surface, spec.mode, spec.n_tr,
                            spec.sigma2_y, 0, 0, 0, 0, math.nan, math.nan,
-                           (perf_counter() - tic) * 1e3, 0, error=str(exc))
-    ms = (perf_counter() - tic) * 1e3
+                           ms, 0, error=str(exc))
     return TrialRecord(
         spec.name, trial, spec.surface, spec.mode, spec.n_tr, spec.sigma2_y,
         outer_iterations(trace), model.size, model.n_u, model.n_v,

@@ -101,8 +101,8 @@ def test_sizes_iterations_and_latent_shares(tmp_path, capsys, base_values):
     new_rows = [(x, 1, 1, 5, "") for x in base_values]
     status, out, _ = run(tmp_path, capsys, {"rb": ("rosenbrock", old_rows), "pl": ("plane", new_rows)},
                       {"rb": ("rosenbrock", new_rows), "pl": ("plane", old_rows)})
-    assert cell_fields(out, "rb")[7:] == ["15.5/4.0", "10.00/5.00", "0.50/0.00"]
-    assert cell_fields(out, "pl")[7:] == ["4.0/15.5", "5.00/10.00", "1.00/0.00"]
+    assert cell_fields(out, "rb")[7:10] == ["15.5/4.0", "10.00/5.00", "0.50/0.00"]
+    assert cell_fields(out, "pl")[7:10] == ["4.0/15.5", "5.00/10.00", "1.00/0.00"]
 
 
 def test_trials_that_fail_on_a_side_are_left_out(tmp_path, capsys, base_values):
@@ -121,3 +121,36 @@ def test_tables_of_different_trials_do_not_pair(tmp_path, capsys, base_values):
                            {"rb": ("rosenbrock", rows(base_values[:10]))})
     assert (status, out) == (2, "")
     assert err.startswith("the two tables do not hold the same cells and trials")
+
+
+def test_moved_trials_and_the_largest_relative_difference(tmp_path, capsys, base_values):
+    # Trial 0 grows an order, trial 1 takes one more iteration and trial 2
+    # keeps both but moves its test sigma2 by 1e-13 of itself.
+    old = rows(base_values)
+    new = rows(base_values)
+    new[0] = (base_values[0], 3, 4, 10, "")
+    new[1] = (base_values[1], 2, 4, 11, "")
+    new[2] = (base_values[2] * (1 + 1e-13), 2, 4, 10, "")
+    status, out, _ = run(tmp_path, capsys, {"rb": ("rosenbrock", old), "pl": ("plane", old)},
+                         {"rb": ("rosenbrock", new), "pl": ("plane", old)})
+    rel = abs(new[2][0] - old[2][0]) / old[2][0]
+    assert 5e-14 < rel < 2e-13
+    assert cell_fields(out, "rb")[10:] == ["2", f"{rel:.1e}"]
+    assert cell_fields(out, "pl")[10:] == ["0", "0.0e+00"]
+    assert status == 0
+
+
+def test_total_row_sums_the_cells(tmp_path, capsys, base_values):
+    old = rows(base_values)
+    moved = rows(base_values * 1.5)
+    moved[4] = (base_values[4] * 1.5, 1, 1, 10, "")
+    failed = rows(base_values)
+    failed[7] = (float("nan"), 0, 0, 0, "fit failed")
+    status, out, _ = run(
+        tmp_path, capsys,
+        {"a": ("rosenbrock", old), "b": ("rosenbrock", old), "c": ("rosenbrock", old)},
+        {"a": ("rosenbrock", moved), "b": ("rosenbrock", failed), "c": ("rosenbrock", old)})
+    assert cell_fields(out, "total") == ["total", "59", "1", "5.0e-01"]
+    assert out.splitlines()[-2].startswith("total ")
+    assert out.splitlines()[-1] == "3 cells: 1 worse, 0 better, 2 neither"
+    assert status == 1

@@ -418,10 +418,11 @@ class TestSurfaceDocument:
             read_surface_model(path)
 
     @pytest.mark.parametrize("name, value, message", [
-        ("n_u", 2.9, "n_u and n_v must be integers, got 2.9 and 1"),
-        ("n_u", "1", "n_u and n_v must be integers, got '1' and 1"),
-        ("n_v", 1.0, "n_u and n_v must be integers, got 1 and 1.0"),
-        ("n_v", True, "n_u and n_v must be integers, got 1 and True"),
+        ("n_u", 2.9, "n_u must be an integer, got 2.9$"),
+        ("n_u", "1", "n_u must be an integer, got '1'$"),
+        ("n_v", 1.0, "n_v must be an integer, got 1.0$"),
+        ("n_v", True, "n_v must be an integer, got True$"),
+        ("n_u", 0, "n_u must be at least 1, got 0$"),
         ("centroid", [0.0, 0.0], r"centroid must be 3 numbers, got \[0\.0, 0\.0\]"),
         ("centroid", [0.0, 0.0, 0.0, 0.0], "centroid must be 3 numbers"),
         ("centroid", ["0", 0.0, 0.0], "centroid must be 3 numbers"),
@@ -436,9 +437,9 @@ class TestSurfaceDocument:
                          r"got '2'\)$"),
         ("control", None, r"malformed surface document \(control values must be JSON numbers, "
                           r"got None\)$"),
-    ], ids=["n_u_fraction", "n_u_text", "n_v_float", "n_v_bool", "centroid_2", "centroid_4",
-            "centroid_text", "centroid_scalar", "sigma2_text", "t_bool", "record_u_text",
-            "record_v_bool", "control_text", "control_null"])
+    ], ids=["n_u_fraction", "n_u_text", "n_v_float", "n_v_bool", "n_u_zero", "centroid_2",
+            "centroid_4", "centroid_text", "centroid_scalar", "sigma2_text", "t_bool",
+            "record_u_text", "record_v_bool", "control_text", "control_null"])
     def test_field_type_is_a_format_error(self, tmp_path, name, value, message):
         doc = bilinear_document()
         if name in ("u", "v"):

@@ -275,8 +275,10 @@ class TestPrecisionFloor:
 
     @pytest.mark.parametrize("trial", range(10))
     def test_converged_foot_points_are_a_fixed_point(self, trial):
-        # Re-projecting the lanes that converged onto the fitted surface
-        # takes no step and makes only the first kernel call.
+        # Re-projecting the lanes that converged onto the fitted surface takes
+        # no step and keeps every lane's bytes. A lane that stopped on an empty
+        # Armijo ladder takes the same path again, so the re-projection makes at
+        # most the two kernel calls of one Newton iteration.
         spec = ExperimentSpec(surface="rosenbrock", n_tr=300, sigma2_y=1e-2, seed=0)
         data = make_dataset(spec, trial)
         cloud = PointCloud(data.x_tr, np.ones(spec.n_tr))
@@ -286,9 +288,10 @@ class TestPrecisionFloor:
         again = project_all(PointCloud(data.x_tr[ok], np.ones(ok.sum())), model.surface,
                             first.u[ok], first.v[ok])
         assert again.iterations.sum() == 0
-        assert again.kernel_calls == 1
+        assert again.kernel_calls <= 2
         npt.assert_array_equal(again.u, first.u[ok])
         npt.assert_array_equal(again.v, first.v[ok])
+        assert again.g_final.tobytes() == first.g_final[ok].tobytes()
         assert again.converged.all()
 
     @staticmethod

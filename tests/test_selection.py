@@ -396,3 +396,111 @@ class TestSearchAgainstPerCandidateSolves:
             per_candidate_search(cloud, u, v, 1, 1, 0.0, (math.inf, math.inf))
         with pytest.raises(RankDeficiencyError, match=f"^{re.escape(str(expected.value))}$"):
             _search_orders(cloud, u, v, 1, 1, 0.0, (math.inf, math.inf), 0.0)
+
+
+def search_candidates(monkeypatch, *args):
+    """Every candidate model that ``_search_orders(*args)`` ranks, in its order,
+    and the search's result."""
+    import patchfit.selection as selection
+
+    ranked_models = []
+    monkeypatch.setattr(selection, "_rank_key",
+                        lambda model: ranked_models.append(model) or _rank_key(model))
+    result = _search_orders(*args)
+    monkeypatch.undo()
+    return ranked_models, result
+
+
+def within_ulps(actual, expected, ulps):
+    """Every entry within ``ulps`` units of the largest |expected| entry."""
+    return np.abs(actual - expected).max() <= ulps * EPS * np.abs(expected).max()
+
+
+class TestStackedSearch:
+    @staticmethod
+    def cloud(seed, n=90):
+        rng = np.random.default_rng(seed)
+        surface = BezierSurface(rng.normal(size=(3, 4, 3)))
+        return synth_cloud(rng, surface, n, noise=0.05, weights=rng.uniform(0.3, 2.0, n))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("start, cap, count", [
+        ((1, 2), (math.inf, math.inf), 4),
+        ((2, 3), (2, math.inf), 2),
+        ((2, 3), (2, 3), 1),
+    ])
+    def test_every_candidate_equals_its_own_solve(self, monkeypatch, seed, start, cap, count):
+        # The reference solves K G K^T + ridge I for each candidate on its own, by
+        # the Cholesky factorization and two solves, with G and R summed here.
+        cloud, u, v = self.cloud(seed)
+        ridge, floor = search_scales(cloud, 1e-3)
+        models, _ = search_candidates(monkeypatch, cloud, u, v, *start, ridge, cap, floor)
+        top = (start[0] + (start[0] < cap[0]), start[1] + (start[1] < cap[1]))
+        b = design_matrix(u, v, *top)
+        bw = b * cloud.weights**2
+        gram, rhs = bw @ b.T, bw @ cloud.points
+        assert [(m.n_u, m.n_v) for m in models] == [
+            (cu, cv) for cu in range(start[0], top[0] + 1) for cv in range(start[1], top[1] + 1)]
+        assert len(models) == count
+        for model in models:
+            k = _elevation(model.n_u, model.n_v, *top)
+            factor = np.linalg.cholesky(k @ gram @ k.T + ridge * np.eye(len(k)))
+            flat = np.linalg.solve(factor.T, np.linalg.solve(factor, k @ rhs))
+            residual = cloud.points - design_matrix(u, v, model.n_u, model.n_v).T @ flat
+            n = cloud.n_x
+            sigma2 = float(np.sum(cloud.weights**2 * np.sum(residual**2, axis=1))) / (3 * n)
+            assert within_ulps(model.surface.flat, flat, 32)
+            assert model.sigma2 == pytest.approx(sigma2, rel=16 * EPS)
+            t = bic_statistic(max(sigma2, floor), param_count(n, model.n_u, model.n_v), n)
+            assert model.t == pytest.approx(t, rel=16 * EPS)
+
+    def test_rank_deficient_candidates_are_skipped_and_no_other(self, monkeypatch):
+        # 8 points at lam = 0: on their own, (1, 2) and (1, 3) solve, (2, 2) with
+        # 9 control points fails the pivot test and (2, 3) with 12 the factorization.
+        cloud, u, v = self.cloud(3, n=8)
+        messages = {}
+        for cand in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+            try:
+                solve_control_points(cloud.points, cloud.weights, u, v, *cand, 0.0)
+            except RankDeficiencyError as exc:
+                messages[cand] = str(exc)
+        assert list(messages) == [(2, 2), (2, 3)]
+        assert "numerically singular" in messages[(2, 2)]
+        assert "numerically" not in messages[(2, 3)]
+        _, floor = search_scales(cloud, 0.0)
+        models, (model, f_reg_same) = search_candidates(
+            monkeypatch, cloud, u, v, 1, 2, 0.0, (math.inf, math.inf), floor)
+        assert [(m.n_u, m.n_v) for m in models] == [(1, 2), (1, 3)]
+        assert any(model is m for m in models) and math.isfinite(f_reg_same)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_padding_stays_out_of_the_pivot_test(self, monkeypatch, scale):
+        # A padded diagonal entry is 1 at any weight scale; the pivot test at lam = 0
+        # reads only each candidate's own pivots, so every candidate solves.
+        cloud, u, v = self.cloud(7)
+        cloud = PointCloud(cloud.points, scale * cloud.weights)
+        _, floor = search_scales(cloud, 0.0)
+        models, _ = search_candidates(monkeypatch, cloud, u, v, 1, 1, 0.0,
+                                      (math.inf, math.inf), floor)
+        assert [(m.n_u, m.n_v) for m in models] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("start, cap", [
+        ((1, 1), (math.inf, math.inf)), ((2, 3), (math.inf, 3)), ((2, 3), (2, 3))])
+    def test_one_factorization_and_one_pair_of_solves(self, monkeypatch, start, cap):
+        calls = []
+        for name in ("cholesky", "solve"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, _f=original, **kw:
+                                calls.append(_name) or _f(*args, **kw))
+        cloud, u, v = self.cloud(5)
+        ridge, floor = search_scales(cloud, 1e-3)
+        _search_orders(cloud, u, v, *start, ridge, cap, floor)
+        assert calls == ["cholesky", "solve", "solve"]
+
+    @pytest.mark.parametrize("cap", [(math.inf, math.inf), (1, 1)])
+    def test_non_finite_system_is_rejected(self, cap):
+        # w^2 = 1e400 overflows the normal equations of every candidate to inf
+        cloud, u, v = self.cloud(6)
+        cloud = PointCloud(cloud.points, np.full(cloud.n_x, 1e200))
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _search_orders(cloud, u, v, 1, 1, 1e-3, cap, 0.0)

@@ -258,6 +258,44 @@ class TestStudies:
                                                        expected_model.t.hex())
         assert untimed(trace) == untimed(expected_trace)
 
+    @pytest.mark.parametrize("mode", ["auto", "brute"])
+    def test_ms_times_only_the_fit(self, monkeypatch, mode):
+        # A fake clock that the fit advances by 2 s and the evaluation by 5 s.
+        import patchfit.simulate as simulate
+
+        clock = [0.0]
+
+        def advancing(function, seconds):
+            def wrapped(*args, **kwargs):
+                result = function(*args, **kwargs)
+                clock[0] += seconds
+                return result
+            return wrapped
+
+        fit = "_fit_brute" if mode == "brute" else "fit_surface"
+        monkeypatch.setattr(simulate, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(simulate, fit, advancing(getattr(simulate, fit), 2.0))
+        monkeypatch.setattr(simulate, "eval_fit", advancing(simulate.eval_fit, 5.0))
+        spec = ExperimentSpec(surface="plane", n_tr=30, n_te=10, sigma2_y=0.05, seed=16,
+                              trials=1, mode=mode, brute_cap=(1, 2))
+        record = run_trial(spec, 0)
+        assert record.error == "" and record.ms == 2000.0
+
+    def test_failed_fit_is_timed_to_its_failure(self, monkeypatch):
+        import patchfit.simulate as simulate
+
+        clock = [0.0]
+
+        def failing(*args, **kwargs):
+            clock[0] += 3.0
+            raise ProjectionError("stopped")
+
+        monkeypatch.setattr(simulate, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(simulate, "fit_surface", failing)
+        spec = ExperimentSpec(surface="plane", n_tr=30, n_te=10, sigma2_y=0.05, seed=16)
+        record = run_trial(spec, 0)
+        assert record.error == "stopped" and record.ms == 3000.0
+
     def test_rosenbrock_fit_grows_and_tracks_noise(self):
         # curved sheet at moderate noise: model must outgrow bilinear and the
         # train variance estimate must sit near the injected noise level

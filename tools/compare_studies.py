@@ -17,7 +17,15 @@ For each cell, over the trials that succeeded on both sides, it prints:
   neither);
 - each side's mean size (control points) and mean outer-iteration count;
 - each side's share of trials whose sorted orders equal the latent ones:
-  (1, 1) for the plane and (2, 4) for the Rosenbrock sheet.
+  (1, 1) for the plane and (2, 4) for the Rosenbrock sheet;
+- for information, not for the verdict: the number of trials whose orders,
+  size or iteration count differ between the sides (``moved``), and the
+  largest per-trial relative difference |new - old| / old of test sigma2
+  (``max rel diff``). A verdict of ``better`` or ``worse`` read from
+  differences of 1e-13 is rounding, and these two columns show it.
+
+A ``total`` row sums the pairs and the moved trials over the cells and gives
+the largest relative difference of any cell.
 
 The output depends only on the two tables, so two runs print the same
 bytes. Trials that failed on either side are left out of the pairs and
@@ -38,6 +46,7 @@ import numpy as np
 SEED = 20_190_001
 RESAMPLES = 10_000
 LATENT_ORDERS = {"plane": (1, 1), "rosenbrock": (2, 4)}
+MOVED_FIELDS = ("n_u", "n_v", "size", "iterations")
 
 
 def read_long(path: Path) -> dict[str, dict[int, dict[str, str]]]:
@@ -88,14 +97,22 @@ def compare_cell(old: dict[int, dict[str, str]], new: dict[int, dict[str, str]])
                ratio=float(b.mean() / a.mean()), lo=lo, hi=hi, verdict=verdict(lo, hi),
                old_better=int(np.count_nonzero(a < b)), new_better=int(np.count_nonzero(b < a)),
                old_side=side_means([old[k] for k in trials]),
-               new_side=side_means([new[k] for k in trials]))
+               new_side=side_means([new[k] for k in trials]),
+               moved=sum(any(old[k][f] != new[k][f] for f in MOVED_FIELDS) for k in trials),
+               max_rel=max_relative_difference(a, b))
     return out
+
+
+def max_relative_difference(old: np.ndarray, new: np.ndarray) -> float:
+    """The largest |new - old| / |old| over the trials; equal values count 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(new == old, 0.0, np.abs(new - old) / np.abs(old)).max())
 
 
 # (title, width) of each output column; columns are two spaces apart.
 COLUMNS = (("cell", 20), ("pairs", 5), ("mean sigma2_te old -> new", 25), ("ratio", 6),
            ("95% interval", 14), ("verdict", 8), ("better old/new", 14), ("size old/new", 12),
-           ("iters old/new", 13), ("latent old/new", 14))
+           ("iters old/new", 13), ("latent old/new", 14), ("moved", 5), ("max rel diff", 12))
 
 
 def table_row(values) -> str:
@@ -110,7 +127,8 @@ def format_cell(name: str, cell: dict) -> str:
         name, str(cell["pairs"]), f"{cell['old_mean']:.4e} -> {cell['new_mean']:.4e}",
         f"{cell['ratio']:.3f}", f"[{cell['lo']:.3f}, {cell['hi']:.3f}]", cell["verdict"],
         f"{cell['old_better']}/{cell['new_better']}", f"{s_old:.1f}/{s_new:.1f}",
-        f"{i_old:.2f}/{i_new:.2f}", f"{l_old:.2f}/{l_new:.2f}"])
+        f"{i_old:.2f}/{i_new:.2f}", f"{l_old:.2f}/{l_new:.2f}", str(cell["moved"]),
+        f"{cell['max_rel']:.1e}"])
     if cell["failed"]:
         line += f"  ({cell['failed']} trials failed on a side)"
     return line
@@ -130,6 +148,11 @@ def main(argv=None) -> int:
     cells = {name: compare_cell(old[name], new[name]) for name in old}
     for name, cell in cells.items():
         print(format_cell(name, cell))
+    paired = [cell for cell in cells.values() if cell["pairs"]]
+    print(table_row(["total", str(sum(cell["pairs"] for cell in cells.values()))]
+                    + [""] * (len(COLUMNS) - 4)
+                    + [str(sum(cell["moved"] for cell in paired)),
+                       f"{max((cell['max_rel'] for cell in paired), default=0.0):.1e}"]))
     verdicts = [cell.get("verdict") for cell in cells.values()]
     print(f"{len(cells)} cells: {verdicts.count('worse')} worse, "
           f"{verdicts.count('better')} better, {verdicts.count('neither')} neither")

@@ -3,14 +3,17 @@
 Loads the ``patchfit`` of another checkout under the package name
 ``patchfit_other``, beside this tree's ``patchfit``, and alternates
 ``fit_surface`` calls of the two in one process, pinned to one CPU with one
-BLAS thread, on three workload shapes:
+BLAS thread, on four workload shapes:
 
 * ``plane-5000``: a rotated noisy plane of 5 000 points (sigma2_y 1e-4), the
   fit of the benchmark's ``fit-plane-large``;
 * ``rosenbrock-100``: the 100 training points of a Rosenbrock trial
   (sigma2_y 1e-2), the fit inside the benchmark's ``study-cell``;
 * ``select-212``: the 212-point cloud that ``select_points`` grows on a wavy
-  40^3 grid at the default growth settings, the size of ``volume-cli``'s fits.
+  40^3 grid at the default growth settings, the size of ``volume-cli``'s fits;
+* ``fixed33-100``: the ``rosenbrock-100`` sets fitted at
+  ``FitSettings(fixed_orders=(3, 3))``, so that every order search has one
+  candidate.
 
 The plane and Rosenbrock pairs cycle through five seeded datasets. Each pair
 times one call of each side, and the side that runs first alternates from
@@ -28,7 +31,7 @@ On a shared 2-core Xeon, ten separate 8-s benchmark runs of one commit read
 resolve a gain of 10 % only after many runs; within one process both sides
 meet the same conditions. The inputs are made with this tree's code, and
 both sides fit the same bytes.
-A run at the default 50 pairs takes about 8 s (2-core Xeon).
+A run at the default 50 pairs takes about 10 s (2-core Xeon).
 """
 
 from __future__ import annotations
@@ -75,40 +78,44 @@ def select_cloud(patchfit) -> np.ndarray:
     return patchfit.extract_cloud(region).points
 
 
-def workloads(patchfit) -> dict[str, list[np.ndarray]]:
-    """Each shape's point sets; a pair fits set ``pair % len(sets)``."""
+def workloads(patchfit) -> dict[str, tuple[list[np.ndarray], dict]]:
+    """Each shape's point sets and ``FitSettings`` keywords; a pair fits set
+    ``pair % len(sets)``."""
     def training_points(surface, n, sigma2_y):
         spec = patchfit.ExperimentSpec(surface=surface, n_tr=n, n_te=1, sigma2_y=sigma2_y, seed=4)
         return [patchfit.make_dataset(spec, trial).x_tr for trial in range(DATASETS)]
 
-    return {"plane-5000": training_points("plane", 5000, 1e-4),
-            "rosenbrock-100": training_points("rosenbrock", 100, 1e-2),
-            "select-212": [select_cloud(patchfit)]}
+    rosenbrock = training_points("rosenbrock", 100, 1e-2)
+    return {"plane-5000": (training_points("plane", 5000, 1e-4), {}),
+            "rosenbrock-100": (rosenbrock, {}),
+            "select-212": ([select_cloud(patchfit)], {}),
+            "fixed33-100": (rosenbrock, {"fixed_orders": (3, 3)})}
 
 
-def fit_seconds(patchfit, points: np.ndarray) -> tuple[float, float, float]:
+def fit_seconds(patchfit, points: np.ndarray, settings: dict) -> tuple[float, float, float]:
     """Wall time of one fit, and the search and projection seconds its trace sums."""
     cloud = patchfit.PointCloud(points, np.ones(points.shape[0]))
+    settings = patchfit.FitSettings(**settings)
     start = perf_counter()
-    _, trace = patchfit.fit_surface(cloud)
+    _, trace = patchfit.fit_surface(cloud, settings)
     seconds = perf_counter() - start
     return (seconds, sum(row.search_seconds for row in trace),
             sum(row.projection_seconds for row in trace))
 
 
-def compare(this, other, sets: list[np.ndarray], pairs: int) -> str:
+def compare(this, other, sets: list[np.ndarray], settings: dict, pairs: int) -> str:
     for points in sets:  # untimed: first calls fill caches and finish lazy set-up
-        fit_seconds(this, points)
-        fit_seconds(other, points)
+        fit_seconds(this, points, settings)
+        fit_seconds(other, points, settings)
     mine, theirs = [], []
     for pair in range(pairs):
         points = sets[pair % len(sets)]
         if pair % 2:
-            theirs.append(fit_seconds(other, points))
-            mine.append(fit_seconds(this, points))
+            theirs.append(fit_seconds(other, points, settings))
+            mine.append(fit_seconds(this, points, settings))
         else:
-            mine.append(fit_seconds(this, points))
-            theirs.append(fit_seconds(other, points))
+            mine.append(fit_seconds(this, points, settings))
+            theirs.append(fit_seconds(other, points, settings))
     ratio = statistics.median(m[0] / t[0] for m, t in zip(mine, theirs))
     wins = sum(m[0] < t[0] for m, t in zip(mine, theirs))
 
@@ -138,8 +145,8 @@ def main(argv=None) -> int:
     other = load_other(args.src)
     print(f"this: {ROOT / 'src'}  other: {args.src.resolve()}  "
           f"numpy {np.__version__}  {args.pairs} pairs per shape")
-    for name, sets in workloads(patchfit).items():
-        print(f"{name:15s} {compare(patchfit, other, sets, args.pairs)}", flush=True)
+    for name, (sets, settings) in workloads(patchfit).items():
+        print(f"{name:15s} {compare(patchfit, other, sets, settings, args.pairs)}", flush=True)
     return 0
 
 
