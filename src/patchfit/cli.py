@@ -114,6 +114,8 @@ def cmd_select(args) -> None:
         raise PatchFitError("--weight-grid is read only with --weight-mode external-map")
     if args.weight_grid is None and args.weight_mode == "external-map":
         raise PatchFitError("external-map mode requires a weight grid")
+    # a bad weight grid fails before the occupancy grid is parsed and grown
+    weight_grid = io.read_voxel_grid(args.weight_grid) if args.weight_grid else None
     grid = io.read_voxel_grid(args.grid)
     if args.seed_voxel is not None:
         seed = tuple(args.seed_voxel)
@@ -125,7 +127,6 @@ def cmd_select(args) -> None:
                                 f"{' '.join(map(repr, args.query))}")
         seed = tuple(int(round(c)) for c in index)
     region = select_points(grid, seed, l=args.l, max_iters=args.max_iters, epsilon=args.epsilon)
-    weight_grid = io.read_voxel_grid(args.weight_grid) if args.weight_grid else None
     cloud = extract_cloud(region, args.weight_mode, weight_grid)
     io.write_point_cloud(cloud, args.output)
     hops = args.max_iters + 1 - int(region.window[region.window > 0].min())

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bezier import BezierSurface, design_matrix
-from .errors import RankDeficiencyError
+from .errors import RankDeficiencyError, _nonnegative_real
 
 DEFAULT_LAMBDA = 1e-3
 _ONE_THREAD_MADDS = 1 << 18  # 65 536 x the default GEMM_MULTITHREAD_THRESHOLD, 4
@@ -76,9 +76,12 @@ def solve_control_points(
 
     Raises:
         RankDeficiencyError: the system is singular and ``lam`` is 0.
+        ValueError: ``lam`` is not a finite nonnegative real number.
     """
-    gram, rhs = _gram(points, weights, design_matrix(u, v, n_u, n_v))
-    flat, errors = _solve_gram(gram, rhs, lam)
+    _nonnegative_real("lam", lam)
+    b = design_matrix(u, v, n_u, n_v)
+    gram, rhs = _gram(points, weights, b)
+    flat, errors = _solve_gram(gram, rhs, lam, b.shape[1])
     if errors[0] is not None:
         raise errors[0]
     # Fortran order keeps from_flat's reshape, and the surface's ``flat``, contiguous views.
@@ -108,7 +111,7 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
-def _solve_gram(gram, rhs, lam: float, pad=None) -> tuple[np.ndarray, list]:
+def _solve_gram(gram, rhs, lam: float, n_x: int, pad=None) -> tuple[np.ndarray, list]:
     """Solve (gram + pad + lam I) flat = rhs for every system of a stack.
 
     ``gram`` is a (..., m, m) stack of systems and ``rhs`` the (..., m, 3)
@@ -121,11 +124,9 @@ def _solve_gram(gram, rhs, lam: float, pad=None) -> tuple[np.ndarray, list]:
 
     Returns the (..., m, 3) solutions and, per system in C order, None or the
     RankDeficiencyError that ``solve_control_points`` raises for it; a failed
-    system's solution is 0. Raises ValueError for a negative ``lam`` or
-    non-finite entries in any system.
+    system's solution is 0. Raises ValueError for non-finite entries in any
+    system; ``lam`` comes checked from the public entry points.
     """
-    if lam < 0:
-        raise ValueError(f"regularization strength must be nonnegative, got {lam}")
     m = gram.shape[-1]
     shift = lam * _identity(m)
     systems = gram + (shift if pad is None else pad + shift)
@@ -146,12 +147,13 @@ def _solve_gram(gram, rhs, lam: float, pad=None) -> tuple[np.ndarray, list]:
                     "strength or supply more points")
                 errors[c].__cause__ = exc
     if lam == 0.0:
-        # rank deficiency can slip through the factorization as a tiny pivot
+        # rank deficiency can slip through the factorization as a tiny pivot; a
+        # system larger than the n_x points summed into it has rank at most n_x
         pivots = np.abs(np.diagonal(factors, axis1=-2, axis2=-1))
-        own = True if pad is None else np.diagonal(pad, axis1=-2, axis2=-1) == 0
+        own = np.full(m, True) if pad is None else np.diagonal(pad, axis1=-2, axis2=-1) == 0
         tiny = (np.where(own, pivots, np.inf).min(axis=-1)
                 <= 1e-7 * np.where(own, pivots, 0.0).max(axis=-1))
-        for c in np.flatnonzero(tiny):
+        for c in np.flatnonzero(tiny | (own.sum(axis=-1) > n_x)):
             errors[c] = errors[c] or RankDeficiencyError(
                 "control-point system is numerically singular at lam=0; "
                 "increase the regularization strength or supply more points")

@@ -48,35 +48,31 @@ class FitSettings:
 
 @dataclass
 class FitIteration:
-    """One record per outer iteration; iteration 0 is the initial fit.
+    """One record per foot-point solve and order search; row 0 is the initial fit.
 
     The f_* pairs instrument the two descent blocks: the projection pair uses
     the projector's own objective values, the solve pair compares the
     regularized objective of the previous surface (``f_after_projection`` plus
     its ridge penalty) against a refit at unchanged orders.
 
-    ``seconds`` is the iteration's wall time, of which ``projection_seconds``
-    went to the foot-point solve and ``search_seconds`` to the order search.
+    ``seconds`` is the row's wall time, of which ``projection_seconds`` went
+    to the foot-point solve and ``search_seconds`` to the order search.
     ``kernel_calls``, ``newton_steps`` (accepted Newton steps summed over the
     points) and ``unconverged_lanes`` (points not at the precision floor,
-    failed ones included) describe the foot-point solve; iteration 0 has none.
+    failed ones included) describe the foot-point solve; row 0 has none.
     Iteration 1's solve runs to the floor; from iteration 2 on each point
     takes at most the Newton budget ``ProjectionSettings.loop_newton_iters``,
     so there ``unconverged_lanes`` counts the points that the budget left
     short of the floor. ``stop`` is empty except on the last row, where it
     says why the loop ended: ``"tolerance"`` or ``"iteration cap"``.
 
-    When the last iteration's solve was budgeted and left points neither
-    converged nor failed, ``fit_surface`` runs a final exact pass: it finishes that solve
-    at the floor, on the same surface and from where the budget left each
-    point, then searches again from the same orders. The pass adds no row,
-    and ``outer_iterations`` does not count it. The last row reports it:
-    its kernel calls, Newton steps and seconds are the sums over both solves
-    and both searches, ``f_before_projection`` is the iteration's start, and
-    every other field (orders, ``sigma2``, ``t``, the other f_* values,
-    ``projection_failures``, ``unconverged_lanes``) comes from the pass, so
-    the last row always describes an exact solve. A fit that ends at
-    iteration 1 has made only exact solves and runs no pass.
+    When the last loop solve was budgeted and left points neither converged
+    nor failed, ``fit_surface`` finishes it: an exact solve on the same
+    surface from where the budget left each point, then a search from the
+    same orders. The finish is a row of its own, the last, and repeats the
+    ``iteration`` of the row before, since it redoes that iteration; its
+    ``f_before_projection`` is that row's ``f_after_projection``. A fit that
+    ends at iteration 1 has made only exact solves and has no finish.
     """
 
     iteration: int
@@ -149,9 +145,10 @@ def fit_surface(
     The first foot-point solve runs to the precision floor; later ones, warm
     started at the previous foot points, take at most a fixed budget of
     Newton steps per point. If the last loop solve was such a one and left a
-    point short of the floor, that solve is finished at the floor and the last search rerun
-    (``FitIteration``), so the returned (u, v) are foot points at the floor
-    on the surface before the last search, as with exact solves throughout.
+    point short of the floor, a finish solves it at the floor and reruns the
+    last search, in a trace row of its own (``FitIteration``), so the returned
+    (u, v) are foot points at the floor on the surface before the last search,
+    as with exact solves throughout.
 
     The check of ``search_scales`` runs on the cloud before any solve, and
     the same pass centres it and sets the order search's ridge and floor
@@ -180,7 +177,6 @@ def fit_surface(
                      math.nan, math.nan, 0, seconds, search_seconds=seconds)
     )
 
-    prev_sigma2 = model.sigma2
     for it in range(1, settings.max_outer_iters + 1):
         # Lanes started at the previous foot points take a Newton budget; the
         # first solve starts at the principal-direction parameters, far from
@@ -190,25 +186,17 @@ def fit_surface(
                                        budgeted=it > 1)
         u, v = batch.u, batch.v
         trace.append(row)
-        settled = abs(model.sigma2 - prev_sigma2) < settings.rel_sigma2_tol * prev_sigma2
-        prev_sigma2 = model.sigma2
+        settled = (abs(model.sigma2 - trace[-2].sigma2)
+                   < settings.rel_sigma2_tol * trace[-2].sigma2)
         if settled:
             break
 
     if it > 1 and np.count_nonzero(~batch.converged) > len(batch.failed):
         # Finish the last projection, which was budgeted, at the floor from where
         # its budget left it, on the same surface, and search again from the same
-        # orders.
-        model, _, exact = _iteration(inner, projected, u, v, ridge, cap, floor, it,
-                                     budgeted=False)
-        last = trace[-1]
-        trace[-1] = replace(
-            exact, f_before_projection=last.f_before_projection,
-            seconds=last.seconds + exact.seconds,
-            projection_seconds=last.projection_seconds + exact.projection_seconds,
-            search_seconds=last.search_seconds + exact.search_seconds,
-            kernel_calls=last.kernel_calls + exact.kernel_calls,
-            newton_steps=last.newton_steps + exact.newton_steps)
+        # orders; the finish's row repeats the iteration it redoes.
+        model, _, row = _iteration(inner, projected, u, v, ridge, cap, floor, it, budgeted=False)
+        trace.append(row)
     trace[-1].stop = "tolerance" if settled else "iteration cap"
 
     final = replace(model, surface=translate_surface(model.surface, centroid), centroid=centroid)
@@ -217,9 +205,9 @@ def fit_surface(
 
 def _iteration(inner: PointCloud, model: FitModel, u: np.ndarray, v: np.ndarray, ridge: float,
                cap: tuple, floor: float, it: int, *, budgeted: bool):
-    """One outer iteration: foot points on ``model``'s surface from (u, v), then the
+    """One trace row: foot points on ``model``'s surface from (u, v), then the
     order search from ``model``'s orders. Returns the search's model, the
-    projection and the iteration's ``FitIteration``."""
+    projection and the row's ``FitIteration``."""
     tic = perf_counter()
     batch = project_all(inner, model.surface, u, v, budgeted=budgeted)
     projection_seconds = perf_counter() - tic
@@ -239,5 +227,6 @@ def _iteration(inner: PointCloud, model: FitModel, u: np.ndarray, v: np.ndarray,
 
 
 def outer_iterations(trace: FitTrace) -> int:
-    """Number of alternating iterations executed (excludes the initial fit)."""
-    return sum(1 for row in trace if row.iteration > 0)
+    """Number of alternating iterations executed (excludes the initial fit); a
+    finish row repeats the iteration it redoes, so this is the last row's."""
+    return trace[-1].iteration

@@ -21,7 +21,7 @@ import numpy as np
 from .bezier import BezierSurface, _dot3, _elevation, design_matrix
 from .control import _gram, _residual_sums, _ridge_penalty, _solve_gram, weighted_objective
 from .control import solve_control_points  # noqa: F401  kept bound for perfbench's tracer test
-from .errors import DegenerateGeometryError, _integer, _integers
+from .errors import DegenerateGeometryError, _integer, _integers, _nonnegative_real
 from .voxel import PointCloud
 
 # The order search floors the noise variance at this fraction of the cloud's
@@ -191,12 +191,13 @@ def _search_orders(
     gram, rhs = _gram(points, weights, b)
     if top == (n_u, n_v):
         orders = (top,)
-        flat, errors = _solve_gram(gram, rhs, ridge)
+        flat, errors = _solve_gram(gram, rhs, ridge, cloud.n_x)
         flats, totals = flat[None], [_residual_sums(points, weights, b, flat.T)]
     else:
         orders, lift, pad = _stacked_lift(n_u, n_v, *top)
         with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
-            flats, errors = _solve_gram(lift @ gram @ lift.swapaxes(1, 2), lift @ rhs, ridge, pad)
+            flats, errors = _solve_gram(lift @ gram @ lift.swapaxes(1, 2), lift @ rhs, ridge,
+                                        cloud.n_x, pad)
         totals = _residual_sums(points, weights, b, flats.swapaxes(1, 2) @ lift)  # (lift^T A)^T B
 
     models = []
@@ -234,9 +235,11 @@ def mdl_select(
     never decrease. ``search_scales`` first checks the cloud and sets the
     ridge and the variance floor. A candidate whose solve is rank deficient
     is skipped; if every candidate fails, the last one's error propagates.
-    The orders and the caps are integers of at least 1.
+    The orders and the caps are integers of at least 1, and ``lam`` is a
+    finite nonnegative real number.
     """
     n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
+    _nonnegative_real("lam", lam)
     cap = (math.inf, math.inf) if order_cap is None else _integers("order_cap", order_cap, 2, 1)
     ridge, floor = search_scales(cloud, lam)
     return _search_orders(cloud, u, v, n_u, n_v, ridge, cap, floor)[0]

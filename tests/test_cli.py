@@ -165,6 +165,23 @@ class TestSelect:
         assert result.stderr == "error: external-map mode requires a weight grid\n"
         assert not (tmp_path / "cloud.csv").exists()
 
+    @pytest.mark.parametrize("weights", [None, "not a grid\n"], ids=["missing", "malformed"])
+    def test_weight_grid_is_read_before_the_region_grows(self, tmp_path, half_space_grid,
+                                                         monkeypatch, capsys, weights):
+        def never(*args, **kwargs):
+            raise AssertionError("select_points ran before the weight grid was read")
+
+        monkeypatch.setattr(cli, "select_points", never)
+        path = tmp_path / "w.vox"
+        if weights is not None:
+            path.write_text(weights)
+        code = cli.main(["select", str(half_space_grid), "-o", str(tmp_path / "cloud.csv"),
+                         "--seed-voxel", "10", "10", "9", "--weight-mode", "external-map",
+                         "--weight-grid", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "cloud.csv").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.vox"
         bad.write_text("not a grid\n")

@@ -1,5 +1,6 @@
 """The regularized control-point solve and translation."""
 
+import math
 import os
 import subprocess
 import sys
@@ -142,10 +143,11 @@ class TestSolveControlPoints:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_control_points(points, np.full(20, 1e200), u, v, 1, 1, lam=lam)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_negative_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
             solve_control_points(np.zeros((4, 3)), np.ones(4), [0, 0.3, 0.6, 1],
-                                 [0, 0.3, 0.6, 1], 1, 1, lam=-1.0)
+                                 [0, 0.3, 0.6, 1], 1, 1, lam=lam)
 
 
 def blocked_gram_oracle(points, weights, b):

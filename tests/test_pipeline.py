@@ -255,40 +255,14 @@ class TestFitSurface:
         model, trace = fit_surface(cloud, FitSettings(max_outer_iters=3))
         assert outer_iterations(trace) <= 3
 
-    def test_trace_reports_projection_work_and_a_tolerance_stop(self, monkeypatch):
-        batches = []
-
-        def recording(*args, **kwargs):
-            batches.append(project_all(*args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(pipeline, "project_all", recording)
-        rng = np.random.default_rng(21)
-        cloud, _ = planar_cloud(rng, n=200, rotation=random_rotation(rng))
-        cloud = PointCloud(cloud.points + rng.normal(0.0, 0.01, cloud.points.shape),
-                           cloud.weights)
-        model, trace = fit_surface(cloud)
-        assert outer_iterations(trace) < FitSettings().max_outer_iters
-        assert [row.stop for row in trace] == [""] * (len(trace) - 1) + ["tolerance"]
-        first = trace[0]
-        assert first.search_seconds == first.seconds > 0.0
-        assert (first.projection_seconds, first.kernel_calls, first.newton_steps,
-                first.unconverged_lanes) == (0.0, 0, 0, 0)
-        assert len(batches) == len(trace) - 1
-        for row, batch in zip(trace[1:], batches):
-            assert row.kernel_calls == batch.kernel_calls >= 1
-            assert row.newton_steps == batch.iterations.sum()
-            assert row.unconverged_lanes == np.count_nonzero(~batch.converged)
-            assert 0.0 < row.projection_seconds and 0.0 < row.search_seconds
-            assert row.projection_seconds + row.search_seconds <= row.seconds
-        assert sum(row.newton_steps for row in trace) > 0
-
     def test_trace_reports_an_iteration_cap_stop(self):
         spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
         cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(100))
         model, trace = fit_surface(cloud, FitSettings(max_outer_iters=2))
         assert outer_iterations(trace) == 2
-        assert [row.stop for row in trace] == ["", "", "iteration cap"]
+        # the last loop solve, budgeted, left lanes off the floor: a finish row follows it
+        assert [row.iteration for row in trace] == [0, 1, 2, 2]
+        assert [row.stop for row in trace] == ["", "", "", "iteration cap"]
 
     def test_fixed_orders_mode(self):
         rng = np.random.default_rng(10)
@@ -350,14 +324,17 @@ class TestFitSurface:
         model, trace = fit_surface(cloud, settings)
         assert max(max(r.n_u, r.n_v) for r in trace) < 20  # the caps never bind
         # The last loop solve left lanes off the floor, so the loop is followed
-        # by one exact solve and one more search from the last search's start.
-        assert len(solves) == outer_iterations(trace) + 1
-        # each search starts at the orders the previous one kept, (1, 1) at first
-        starts = [(1, 1)] + [(r.n_u, r.n_v) for r in trace[:-1]]
-        assert calls == [(n_u + 1, n_v + 1) for n_u, n_v in starts + starts[-1:]]
+        # by a finish row: one exact solve and one more search from the last
+        # search's start.
+        assert len(solves) == len(trace) - 1
+        assert trace[-1].iteration == trace[-2].iteration
+        # each search starts at the orders kept by the previous iteration, (1, 1) at first
+        kept = {r.iteration: (r.n_u, r.n_v) for r in trace}
+        starts = [(1, 1)] + [kept[r.iteration - 1] for r in trace[1:]]
+        assert calls == [(n_u + 1, n_v + 1) for n_u, n_v in starts]
 
     def test_budgeted_solves_that_all_converge_leave_the_fit_unchanged(self, monkeypatch):
-        # On the plane every budgeted lane reaches the floor, so no final pass
+        # On the plane every budgeted lane reaches the floor, so no finish
         # runs, and the fit equals one whose every solve is exact, bit for bit.
         spec = ExperimentSpec(surface="plane", n_tr=5000, sigma2_y=1e-4, seed=0)
         cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(5000))
@@ -375,30 +352,72 @@ class TestFitSurface:
         assert (model.sigma2, model.t) == (exact.sigma2, exact.t)
         assert [row.newton_steps for row in trace] == [row.newton_steps for row in exact_trace]
 
-    def test_trace_folds_the_final_pass_into_the_last_row(self, monkeypatch):
+    @staticmethod
+    def noisy_plane_200():
+        rng = np.random.default_rng(21)
+        cloud, _ = planar_cloud(rng, n=200, rotation=random_rotation(rng))
+        return PointCloud(cloud.points + rng.normal(0.0, 0.01, cloud.points.shape),
+                          cloud.weights), FitSettings()
+
+    @staticmethod
+    def plane_5000():
+        spec = ExperimentSpec(surface="plane", n_tr=5000, sigma2_y=1e-4, seed=0)
+        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(5000))
+        return cloud, FitSettings(max_outer_iters=4, rel_sigma2_tol=0.0)
+
+    @staticmethod
+    def rosenbrock_capped():
         spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)
-        cloud = PointCloud(make_dataset(spec, 0).x_tr, np.ones(100))
+        return PointCloud(make_dataset(spec, 0).x_tr, np.ones(100)), FitSettings(max_outer_iters=3)
+
+    @staticmethod
+    def fixed_orders():
+        cloud, _ = heightfield_cloud(np.random.default_rng(10), n=60, noise=0.05)
+        return cloud, FitSettings(fixed_orders=(2, 3))
+
+    @pytest.mark.parametrize("make, stop, finish", [
+        (noisy_plane_200, "tolerance", False),
+        (plane_5000, "iteration cap", False),
+        (rosenbrock_capped, "iteration cap", True),
+        (fixed_orders, "iteration cap", True),
+    ], ids=["plane-200", "plane-5000", "rosenbrock-cap3", "fixed-orders"])
+    def test_each_row_after_the_first_is_one_solve_and_one_search(self, monkeypatch, make,
+                                                                   stop, finish):
+        cloud, settings = make()
         solves = record_solves(monkeypatch)
-        model, trace = fit_surface(cloud, FitSettings(max_outer_iters=3))
-        assert outer_iterations(trace) == 3 and len(trace) == 4
-        (_, loop), (budgeted, final) = solves[-2:]
-        assert len(solves) == 4 and not budgeted
+        model, trace = fit_surface(cloud, settings)
+        first = trace[0]
+        assert first.search_seconds == first.seconds > 0.0
+        assert (first.projection_seconds, first.kernel_calls, first.newton_steps,
+                first.unconverged_lanes) == (0.0, 0, 0, 0)
+        assert len(solves) == len(trace) - 1
+        for row, (_, batch) in zip(trace[1:], solves):
+            assert row.kernel_calls == batch.kernel_calls >= 1
+            assert row.newton_steps == batch.iterations.sum()
+            assert row.unconverged_lanes == np.count_nonzero(~batch.converged)
+            assert 0.0 < row.projection_seconds and 0.0 < row.search_seconds
+            assert row.projection_seconds + row.search_seconds <= row.seconds
+            assert row.f_after_projection <= row.f_before_projection
+        assert sum(row.newton_steps for row in trace) > 0
+        # Only a finish, the exact solve after a budgeted last loop solve, repeats
+        # the iteration of the row before it; it starts where that row's solve ended.
+        loop = len(trace) - finish
+        assert [r.iteration for r in trace] == list(range(loop)) + [loop - 1] * finish
+        if finish:
+            (budgeted, cut), (finish_budgeted, finished) = solves[-2:]
+            assert budgeted and not finish_budgeted
+            assert np.count_nonzero(~cut.converged) > len(cut.failed)
+            assert trace[-1].f_before_projection == trace[-2].f_after_projection
+            assert model.u.tobytes() == finished.u.tobytes()
+        assert outer_iterations(trace) == trace[-1].iteration <= settings.max_outer_iters
+        assert [r.stop for r in trace] == [""] * (len(trace) - 1) + [stop]
         last = trace[-1]
         assert (last.n_u, last.n_v, last.sigma2, last.t) == (model.n_u, model.n_v, model.sigma2,
                                                               model.t)
-        assert last.kernel_calls == loop.kernel_calls + final.kernel_calls
-        assert last.newton_steps == loop.iterations.sum() + final.iterations.sum()
-        assert last.unconverged_lanes == np.count_nonzero(~final.converged) == 0
-        assert last.f_before_projection == np.sum(loop.g_start)
-        assert last.f_after_projection == np.sum(final.g_final) <= np.sum(loop.g_final)
-        assert last.f_reg_after_solve <= last.f_reg_before_solve
-        assert last.projection_seconds + last.search_seconds <= last.seconds
-        assert model.u.tobytes() == final.u.tobytes()
-        assert last.stop == "iteration cap"
 
     def test_a_fit_that_ends_at_iteration_1_makes_one_solve(self, monkeypatch):
         # Iteration 1's solve is exact; lanes it leaves at the step cap get no
-        # second solve, budgeted lanes being the only ones the pass finishes.
+        # second solve, budgeted lanes being the only ones a finish solves.
         short = SimpleNamespace(**{**asdict(projection._SETTINGS), "max_newton_iters": 1})
         monkeypatch.setattr(projection, "_SETTINGS", short)
         spec = ExperimentSpec(surface="rosenbrock", n_tr=100, sigma2_y=1e-2, seed=3)

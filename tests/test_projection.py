@@ -342,11 +342,13 @@ class TestPrecisionFloor:
 
     @pytest.mark.parametrize("trial", range(3))
     def test_final_pass_leaves_every_lane_converged_or_failed(self, monkeypatch, trial):
-        # The last loop solve left lanes off the floor, so one exact solve
-        # follows the loop, and it leaves no lane neither converged nor failed.
+        # The last loop solve left lanes off the floor, so a finish row, one
+        # exact solve, follows the loop, and it leaves no lane neither converged
+        # nor failed.
         spec = ExperimentSpec(surface="rosenbrock", n_tr=1000, sigma2_y=1e-2, seed=0)
         solves, trace = self.fit_solves(monkeypatch, spec, trial)
-        assert len(solves) == outer_iterations(trace) + 1
+        assert len(solves) == len(trace) - 1
+        assert trace[-1].iteration == trace[-2].iteration == outer_iterations(trace)
         last, (budgeted, final) = solves[-2][1], solves[-1]
         assert not budgeted
         assert np.count_nonzero(~last.converged) > len(last.failed)

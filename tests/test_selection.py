@@ -282,6 +282,15 @@ class TestMdlSelect:
         with pytest.raises(RankDeficiencyError, match="^control-point system is numerically"):
             mdl_select(cloud, u, v, 1, 1, lam=0.0, order_cap=(1, 1))
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_lambda_rejected_as_the_argument(self, lam):
+        # weights of 2 scale the ridge by 4, which the message must not report
+        rng = np.random.default_rng(4)
+        cloud = PointCloud(rng.normal(size=(20, 3)), np.full(20, 2.0))
+        u = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
+            mdl_select(cloud, u, u[::-1] ** 2, 1, 1, lam=lam)
+
     def test_all_candidates_failing_raises(self):
         # The last candidate, (2, 2), raises its own solve's error.
         rng = np.random.default_rng(9)
@@ -472,6 +481,18 @@ class TestStackedSearch:
             monkeypatch, cloud, u, v, 1, 2, 0.0, (math.inf, math.inf), floor)
         assert [(m.n_u, m.n_v) for m in models] == [(1, 2), (1, 3)]
         assert any(model is m for m in models) and math.isfinite(f_reg_same)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_more_control_points_than_points_is_singular_at_lam_0(self, monkeypatch, seed):
+        # B W^2 B^T from 8 points has rank at most 8, so (2, 2), with 9 control
+        # points, is singular whatever its pivots read after rounding.
+        cloud, u, v = self.cloud(seed, n=8)
+        with pytest.raises(RankDeficiencyError):
+            solve_control_points(cloud.points, cloud.weights, u, v, 2, 2, 0.0)
+        _, floor = search_scales(cloud, 0.0)
+        models, _ = search_candidates(
+            monkeypatch, cloud, u, v, 1, 2, 0.0, (math.inf, math.inf), floor)
+        assert {(m.n_u, m.n_v) for m in models} <= {(1, 2), (1, 3)}
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_padding_stays_out_of_the_pivot_test(self, monkeypatch, scale):

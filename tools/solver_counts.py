@@ -5,12 +5,15 @@ trials 0-4) at n = 100 and 1 000, and keeps the ``BatchProjection`` of every
 ``project_all`` call, in three rows:
 - ``loop``: the fit loop's solves (``pipeline.project_all``), one per outer
   iteration, budgeted or not;
-- ``final``: the fit's solves after its loop, the pass that finishes the last
-  loop solve at the precision floor (none in a checkout without that pass);
+- ``final``: the fit's finish, the solve after its loop that finishes the
+  last loop solve at the precision floor (none in a checkout without it);
 - ``test``: the test points' solves (``projection.project_all``, reached
   through ``project_nearest``).
-A fit's solves are split by ``outer_iterations`` of its trace: the first that
-many are the loop's. For each size and row it prints the number of solves,
+Each trace row after the first is one solve, and a finish row repeats the
+iteration of the row before it, so ``outer_iterations`` of a trace counts the
+loop's solves: a fit's first that many solves are the loop's and the rest
+its finish. Checkouts that folded the finish into the last row split the
+same way. For each size and row it prints the number of solves,
 the median, maximum and total ``kernel_calls``, the total of kernel lanes
 evaluated (``len(u)`` summed over the calls of
 ``projection._values_grads_hessians``), the median and maximum of
