@@ -43,8 +43,8 @@ def _residual_sums(points, weights, b, coeffs: np.ndarray) -> np.ndarray:
     return np.sum(weights**2 * np.square(residual, out=residual).sum(axis=-2), axis=-1)
 
 
-def _ridge_penalty(surface: BezierSurface, lam: float) -> float:
-    return 0.5 * lam * float(np.sum(surface.flat**2))
+def _ridge_penalty(flat: np.ndarray, lam: float) -> float:
+    return 0.5 * lam * float(np.sum(flat**2))
 
 
 def weighted_objective(

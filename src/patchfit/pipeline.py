@@ -150,13 +150,13 @@ def fit_surface(
     (u, v) are foot points at the floor on the surface before the last search,
     as with exact solves throughout.
 
-    The check of ``search_scales`` runs on the cloud before any solve, and
-    the same pass centres it and sets the order search's ridge and floor
-    from mean(w^2) and the cloud's weighted spread; ``init_uv``'s SVD and
-    each Newton step run at a power-of-two scale of their own. So scaling
-    every weight by c changes only sigma2, by c^2, and scaling the points by
-    2^k only the control points, by 2^k, and sigma2, by 4^k, while sigma2
-    stays a normal float.
+    The check of ``search_scales`` runs on ``lam`` and the cloud before any
+    solve, and the same pass centres the cloud and sets the order search's
+    ridge and floor from mean(w^2) and its weighted spread; ``init_uv``'s
+    SVD and each Newton step run at a power-of-two scale of their own. So
+    scaling every weight by c changes only sigma2, by c^2, and scaling the
+    points by 2^k only the control points, by 2^k, and sigma2, by 4^k, while
+    sigma2 stays a normal float.
     """
     if settings is None:
         settings = FitSettings()
@@ -213,7 +213,7 @@ def _iteration(inner: PointCloud, model: FitModel, u: np.ndarray, v: np.ndarray,
     projection_seconds = perf_counter() - tic
     f_before = float(np.sum(inner.weights**2 * batch.g_start))
     f_after = float(np.sum(inner.weights**2 * batch.g_final))
-    f_reg_before = f_after + _ridge_penalty(model.surface, ridge)
+    f_reg_before = f_after + _ridge_penalty(model.surface.flat, ridge)
     search_tic = perf_counter()
     model, f_reg_after = _search_orders(inner, batch.u, batch.v, model.n_u, model.n_v, ridge, cap,
                                         floor)

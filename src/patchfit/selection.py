@@ -37,6 +37,7 @@ def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
 
     With S = sum_i w_i^2 |x_i - mean(x)|^2 / n, the mean weighted squared
     spread, returns (``lam`` * mean(w^2), ``_REL_FLOOR``^2 * S). Raises
+    ValueError when ``lam`` is not a finite nonnegative real number,
     DegenerateGeometryError when all the points coincide, and ValueError
     when S is not finite or is below the smallest normal float: such
     magnitudes would overflow inside the solves or make sigma2 underflow.
@@ -46,6 +47,7 @@ def search_scales(cloud: PointCloud, lam: float) -> tuple[float, float]:
 
 def _centred_scales(cloud: PointCloud, lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """``search_scales`` with the centroid and the centred points it measured S on."""
+    _nonnegative_real("lam", lam)
     n = cloud.n_x
     with np.errstate(over="ignore", invalid="ignore"):
         # sum / n is np.mean's centroid, without its warning on an empty cloud
@@ -127,24 +129,26 @@ def bic_statistic(sigma2: float, d: int, n_x: int) -> float:
     return -3.0 * n_x * math.log(sigma2) - d * math.log(n_x)
 
 
-def _rank_key(model: FitModel) -> tuple:
-    """Sort key for candidate models: best statistic first, then parsimony.
+def _rank_key(t: float, n_u: int, n_v: int) -> tuple:
+    """Sort key of a candidate with statistic ``t`` at orders (n_u, n_v): best
+    statistic first, then parsimony.
 
     Parsimony is the control-point count, then the total order, then n_u.
-    Every ranking compares models of one cloud, where ``param_count`` orders
-    the models as their control-point count does.
+    Every ranking compares candidates of one cloud, where ``param_count``
+    orders them as their control-point count does.
     """
-    return (-model.t, (model.n_u + 1) * (model.n_v + 1), model.n_u + model.n_v, model.n_u)
+    return (-t, (n_u + 1) * (n_v + 1), n_u + n_v, n_u)
 
 
-@lru_cache(maxsize=64)  # all 35 stacked searches under the default order cap take 1.6 MB
+@lru_cache(maxsize=64)  # 36 searches under the default order cap (1.6 MB), +1 per fixed pair
 def _stacked_lift(n_u: int, n_v: int, top_u: int, top_v: int) -> tuple:
     """The candidates of a search from (n_u, n_v) with top orders (top_u, top_v), in
     ``itertools.product`` order, with their read-only (C, m, m) stacks ``lift`` and
     ``pad``, m the top's control-point count: ``lift[c]`` holds candidate c's
     ``bezier._elevation`` K in its leading rows and 0 below, and ``pad[c]`` is 1 on
     the diagonal below them and 0 elsewhere, so that ``lift @ G @ lift^T + pad``
-    holds each candidate's K G K^T and keeps its padded rows out of the solution."""
+    holds each candidate's K G K^T and keeps its padded rows out of the solution.
+    With one candidate, the top, ``lift`` is the identity and ``pad`` is 0."""
     orders = tuple(itertools.product(range(n_u, top_u + 1), range(n_v, top_v + 1)))
     m = (top_u + 1) * (top_v + 1)
     lift, pad = np.zeros((2, len(orders), m, m))
@@ -169,54 +173,49 @@ def _search_orders(
     """``mdl_select`` with one design matrix B, one Gram matrix G and one stacked
     solve per search.
 
-    B and G are built at the top candidate, each order one up unless already
-    at its ``order_cap``. With one candidate, the top, it solves with G and
-    the right-hand side R. With more, every candidate solves at once through
-    ``_stacked_lift``: the systems ``lift @ G @ lift^T + pad`` and right-hand
-    sides ``lift @ R`` go through one ``control._solve_gram`` call. One
-    product (lift^T A)^T @ B then gives every candidate's residual, from
-    which its weighted residual sum, taken directly since the expansion
-    through G and R cancels at exact recovery, gives its noise variance
-    (sum / 3n). A candidate whose solve is rank deficient is skipped.
-    ``ridge`` and ``floor`` are those of ``search_scales``, which a fit
-    computes once. Returns the candidate of least ``_rank_key``, and the
-    regularized objective of the refit at the start order, NaN when that
-    refit is rank deficient. The models hold one copy of ``u`` and ``v``.
+    B and G, with right-hand side R, are built at the top candidate, each
+    order one up unless already at its ``order_cap``. Every candidate, the
+    top alone included, solves at once through ``_stacked_lift``: the systems
+    ``lift @ G @ lift^T + pad`` and right-hand sides ``lift @ R`` go through
+    one ``control._solve_gram`` call. One product (lift^T A)^T @ B then gives
+    every candidate's residual, from which its weighted residual sum, taken
+    directly since the expansion through G and R cancels at exact recovery,
+    gives its noise variance (sum / 3n). A candidate whose solve is rank
+    deficient is skipped. The candidates are ranked on their statistics by
+    ``_rank_key``, and only the winner becomes a model, holding one copy of
+    ``u`` and ``v``. ``ridge`` and ``floor`` are those of ``search_scales``,
+    which a fit computes once. Returns the winner and the regularized
+    objective of the refit at the start order, NaN when that refit is rank
+    deficient.
     """
     u = np.array(u, dtype=np.float64)
     v = np.array(v, dtype=np.float64)
-    points, weights = cloud.points, cloud.weights
+    points, weights, n_x = cloud.points, cloud.weights, cloud.n_x
     top = (n_u + (n_u < order_cap[0]), n_v + (n_v < order_cap[1]))
     b = design_matrix(u, v, *top)
     gram, rhs = _gram(points, weights, b)
-    if top == (n_u, n_v):
-        orders = (top,)
-        flat, errors = _solve_gram(gram, rhs, ridge, cloud.n_x)
-        flats, totals = flat[None], [_residual_sums(points, weights, b, flat.T)]
-    else:
-        orders, lift, pad = _stacked_lift(n_u, n_v, *top)
-        with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
-            flats, errors = _solve_gram(lift @ gram @ lift.swapaxes(1, 2), lift @ rhs, ridge,
-                                        cloud.n_x, pad)
-        totals = _residual_sums(points, weights, b, flats.swapaxes(1, 2) @ lift)  # (lift^T A)^T B
+    orders, lift, pad = _stacked_lift(n_u, n_v, *top)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_gram rejects them
+        flats, errors = _solve_gram(lift @ gram @ lift.swapaxes(1, 2), lift @ rhs, ridge, n_x, pad)
+    # (lift^T A)^T; for the top alone it has A^T's layout, so a direct solve's bits
+    totals = _residual_sums(points, weights, b, (lift.swapaxes(1, 2) @ flats).swapaxes(1, 2))
 
-    models = []
-    f_reg_same = math.nan
-    for (cand_u, cand_v), flat, total, error in zip(orders, flats, totals, errors):
-        if error is not None:
-            continue
-        surface = BezierSurface.from_flat(
-            np.asfortranarray(flat[:(cand_u + 1) * (cand_v + 1)]), cand_u, cand_v)
-        total = float(total)
-        if (cand_u, cand_v) == (n_u, n_v):
-            f_reg_same = 0.5 * total + _ridge_penalty(surface, ridge)
-        sigma2 = total / (3.0 * cloud.n_x)
-        d = param_count(cloud.n_x, cand_u, cand_v)
-        models.append(FitModel(surface, u, v, sigma2,
-                               bic_statistic(max(sigma2, floor), d, cloud.n_x)))
-    if not models:
+    def own_flat(c):  # candidate c's flat without its padding, in from_flat's F order
+        return np.asfortranarray(flats[c, :(orders[c][0] + 1) * (orders[c][1] + 1)])
+
+    ranked = []
+    for c, ((cand_u, cand_v), total, error) in enumerate(zip(orders, totals.tolist(), errors)):
+        if error is None:
+            sigma2 = total / (3.0 * n_x)
+            t = bic_statistic(max(sigma2, floor), param_count(n_x, cand_u, cand_v), n_x)
+            ranked.append((_rank_key(t, cand_u, cand_v), c, sigma2, t))
+    if not ranked:
         raise errors[-1]
-    return min(models, key=_rank_key), f_reg_same
+    _, c, sigma2, t = min(ranked)
+    model = FitModel(BezierSurface.from_flat(own_flat(c), *orders[c]), u, v, sigma2, t)
+    f_reg_same = (math.nan if errors[0] else  # orders[0] is the start order
+                  0.5 * float(totals[0]) + _ridge_penalty(own_flat(0), ridge))
+    return model, f_reg_same
 
 
 def mdl_select(
@@ -232,14 +231,13 @@ def mdl_select(
 
     Location parameters are held fixed. The candidate grid is
     {n_u, n_u+1} x {n_v, n_v+1}, clipped at ``order_cap``; orders therefore
-    never decrease. ``search_scales`` first checks the cloud and sets the
-    ridge and the variance floor. A candidate whose solve is rank deficient
-    is skipped; if every candidate fails, the last one's error propagates.
-    The orders and the caps are integers of at least 1, and ``lam`` is a
-    finite nonnegative real number.
+    never decrease. ``search_scales`` first checks ``lam`` and the cloud and
+    sets the ridge and the variance floor. A candidate whose solve is rank
+    deficient is skipped; if every candidate fails, the last one's error
+    propagates. The orders and the caps are integers of at least 1, and
+    ``lam`` is a finite nonnegative real number.
     """
     n_u, n_v = _integer("n_u", n_u, 1), _integer("n_v", n_v, 1)
-    _nonnegative_real("lam", lam)
     cap = (math.inf, math.inf) if order_cap is None else _integers("order_cap", order_cap, 2, 1)
     ridge, floor = search_scales(cloud, lam)
     return _search_orders(cloud, u, v, n_u, n_v, ridge, cap, floor)[0]

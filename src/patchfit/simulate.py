@@ -206,7 +206,7 @@ def _fit_brute(cloud: PointCloud, settings: FitSettings, cap: tuple[int, int]):
     """Fit every order on the grid independently, keep the fit of least ``_rank_key``."""
     fits = (fit_surface(cloud, replace(settings, fixed_orders=(n_u, n_v)))
             for n_u in range(1, cap[0] + 1) for n_v in range(1, cap[1] + 1))
-    return min(fits, key=lambda fit: _rank_key(fit[0]))
+    return min(fits, key=lambda fit: _rank_key(fit[0].t, fit[0].n_u, fit[0].n_v))
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialRecord:

@@ -457,6 +457,13 @@ class TestFitSurface:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(**{name: value})
 
+    def test_lambda_set_after_construction_rejected_by_the_fit(self):
+        # the check of search_scales, not a singular solve, reports it
+        settings = FitSettings()
+        settings.lam = -1.0
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
+            fit_surface(planar_cloud(np.random.default_rng(3))[0], settings)
+
     def test_numpy_integers_are_counts(self):
         settings = FitSettings(max_outer_iters=np.int64(3), order_cap=(np.int32(4), 5))
         assert settings.max_outer_iters == 3 and settings.order_cap == (4, 5)

@@ -3,11 +3,11 @@
 import math
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import patchfit.selection as selection
 from patchfit import (
     BezierSurface,
     PointCloud,
@@ -22,6 +22,7 @@ from patchfit import (
     weighted_objective,
 )
 from patchfit.bezier import _basis_rows, _dot3, _elevation
+from patchfit.control import _residual_sums, _solve_gram
 from patchfit.selection import _REL_FLOOR, FitModel, _rank_key, _search_orders, search_scales
 
 
@@ -137,10 +138,21 @@ class TestSearchScales:
                 search(PointCloud(np.zeros((0, 3)), np.zeros(0)))
         assert caught == []
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, True])
+    def test_lambda_rejected(self, lam):
+        # weights of 2 would scale the ridge by 4
+        cloud = PointCloud(scattered_points(10, 10), np.full(10, 2.0))
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
+            search_scales(cloud, lam)
+
 
 def ranked(t, n_u, n_v):
-    """Rank key of a model-like object with the given statistic and orders."""
-    return _rank_key(SimpleNamespace(t=t, n_u=n_u, n_v=n_v))
+    """Rank key of a candidate with the given statistic and orders."""
+    return _rank_key(t, n_u, n_v)
+
+
+def model_key(model):
+    return _rank_key(model.t, model.n_u, model.n_v)
 
 
 class TestRankKey:
@@ -165,8 +177,6 @@ class TestRankKey:
 
     def test_search_counts_each_candidates_parameters_once(self, monkeypatch):
         # The search computes each candidate's d once, and ranking computes none.
-        import patchfit.selection as selection
-
         counted = []
         monkeypatch.setattr(selection, "param_count",
                             lambda *args: counted.append(args) or param_count(*args))
@@ -358,7 +368,7 @@ def per_candidate_search(cloud, u, v, n_u, n_v, lam, cap):
             models.append(FitModel(surface, u, v, sigma2, t))
     if not models:
         raise last_error
-    return min(models, key=_rank_key), f_reg_same
+    return min(models, key=model_key), f_reg_same
 
 
 class TestSearchAgainstPerCandidateSolves:
@@ -407,17 +417,35 @@ class TestSearchAgainstPerCandidateSolves:
             _search_orders(cloud, u, v, 1, 1, 0.0, (math.inf, math.inf), 0.0)
 
 
-def search_candidates(monkeypatch, *args):
-    """Every candidate model that ``_search_orders(*args)`` ranks, in its order,
-    and the search's result."""
-    import patchfit.selection as selection
-
-    ranked_models = []
-    monkeypatch.setattr(selection, "_rank_key",
-                        lambda model: ranked_models.append(model) or _rank_key(model))
-    result = _search_orders(*args)
+def search_candidates(monkeypatch, cloud, u, v, n_u, n_v, ridge, cap, floor):
+    """Every solvable candidate of the search ``_search_orders(...)``, in its order,
+    as a model built here from the flats of the search's ``_solve_gram`` call and
+    the totals of its ``_residual_sums`` call, and the search's result."""
+    seen = {}
+    for function in (_solve_gram, _residual_sums):
+        def wrapped(*args, _function=function):
+            seen[_function] = _function(*args)
+            return seen[_function]
+        monkeypatch.setattr(selection, function.__name__, wrapped)
+    result = _search_orders(cloud, u, v, n_u, n_v, ridge, cap, floor)
     monkeypatch.undo()
-    return ranked_models, result
+    top = (n_u + (n_u < cap[0]), n_v + (n_v < cap[1]))
+    orders = selection._stacked_lift(n_u, n_v, *top)[0]
+    (flats, errors), totals, n = seen[_solve_gram], seen[_residual_sums], cloud.n_x
+    models = []
+    for (cu, cv), flat, total, error in zip(orders, flats, totals, errors):
+        if error is None:
+            surface = BezierSurface.from_flat(flat[:(cu + 1) * (cv + 1)], cu, cv)
+            sigma2 = float(total) / (3.0 * n)
+            t = bic_statistic(max(sigma2, floor), param_count(n, cu, cv), n)
+            models.append(FitModel(surface, result[0].u, result[0].v, sigma2, t))
+    return models, result
+
+
+def same_model(a, b):
+    """Whether two models have the same orders, statistics and control bytes."""
+    return ((a.n_u, a.n_v, a.sigma2, a.t) == (b.n_u, b.n_v, b.sigma2, b.t)
+            and a.surface.control.tobytes() == b.surface.control.tobytes())
 
 
 def within_ulps(actual, expected, ulps):
@@ -443,7 +471,8 @@ class TestStackedSearch:
         # the Cholesky factorization and two solves, with G and R summed here.
         cloud, u, v = self.cloud(seed)
         ridge, floor = search_scales(cloud, 1e-3)
-        models, _ = search_candidates(monkeypatch, cloud, u, v, *start, ridge, cap, floor)
+        models, (winner, _) = search_candidates(monkeypatch, cloud, u, v, *start, ridge, cap,
+                                                floor)
         top = (start[0] + (start[0] < cap[0]), start[1] + (start[1] < cap[1]))
         b = design_matrix(u, v, *top)
         bw = b * cloud.weights**2
@@ -462,6 +491,22 @@ class TestStackedSearch:
             assert model.sigma2 == pytest.approx(sigma2, rel=16 * EPS)
             t = bic_statistic(max(sigma2, floor), param_count(n, model.n_u, model.n_v), n)
             assert model.t == pytest.approx(t, rel=16 * EPS)
+        # only the winner becomes a model, and it is the candidate of least rank key
+        assert same_model(winner, min(models, key=model_key))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lam", [1e-3, 0.0])
+    def test_one_candidate_is_a_direct_solve_bit_for_bit(self, seed, lam):
+        # start = cap: a stack of one, with the identity lift and no padding
+        cloud, u, v = self.cloud(seed)
+        ridge, floor = search_scales(cloud, lam)
+        model, f_reg_same = _search_orders(cloud, u, v, 2, 3, ridge, (2, 3), floor)
+        surface = solve_control_points(cloud.points, cloud.weights, u, v, 2, 3, ridge)
+        assert model.surface.control.tobytes() == surface.control.tobytes()
+        # the residual sum of the direct solve's C-ordered (m, 3) flat
+        flat = np.ascontiguousarray(surface.flat)
+        total = _residual_sums(cloud.points, cloud.weights, design_matrix(u, v, 2, 3), flat.T)
+        assert f_reg_same == 0.5 * float(total) + 0.5 * ridge * float(np.sum(surface.flat**2))
 
     def test_rank_deficient_candidates_are_skipped_and_no_other(self, monkeypatch):
         # 8 points at lam = 0: on their own, (1, 2) and (1, 3) solve, (2, 2) with
@@ -480,7 +525,7 @@ class TestStackedSearch:
         models, (model, f_reg_same) = search_candidates(
             monkeypatch, cloud, u, v, 1, 2, 0.0, (math.inf, math.inf), floor)
         assert [(m.n_u, m.n_v) for m in models] == [(1, 2), (1, 3)]
-        assert any(model is m for m in models) and math.isfinite(f_reg_same)
+        assert any(same_model(model, m) for m in models) and math.isfinite(f_reg_same)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_more_control_points_than_points_is_singular_at_lam_0(self, monkeypatch, seed):

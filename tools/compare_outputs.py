@@ -7,7 +7,7 @@ shows with this script what moved and by how much:
 
 For every file it prints whether the bytes match. For a file that differs
 it compares the parsed fields:
-- surface documents and ``trials.json`` (JSON), field by field;
+- surface documents, ``trials.json`` and ``traces.json`` (JSON), field by field;
 - the ``project`` and ``study`` tables (CSV), column by column;
 - any other file token by token, where a token with a decimal point or an
   exponent that parses as a number counts as a float.
@@ -37,6 +37,7 @@ from pathlib import Path
 FLOAT_FIELDS = frozenset({
     "control", "centroid", "sigma2", "t", "u", "v", "residual", "distance",
     "sigma2_y", "sigma2_tr", "sigma2_te", "mean_sigma2_tr", "mean_sigma2_te",
+    "f_before_projection", "f_after_projection", "f_reg_before_solve", "f_reg_after_solve",
 })
 SHOWN_MISMATCHES = 5
 

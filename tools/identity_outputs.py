@@ -71,13 +71,23 @@ Outputs:
   noise levels, then ``brute`` mode on both surfaces at ``BRUTE_N`` points,
   sigma2_y 1e-2 and ``brute_cap`` ``BRUTE_CAP``), floats written with
   ``float.hex``. ``ms`` is left out.
+- ``traces.json``: the ``FitIteration`` trace of ``fit_surface`` on the
+  training cloud of each automatic and fixed-order trial of ``trials.json``,
+  and of each fixed-order fit on the ``BRUTE_CAP`` grid of the first brute
+  cell's trials, one row per line. Every field but the timings
+  (``TRACE_TIMINGS``) is written, floats with ``float.hex``, so a change
+  that moves a row's sigma2, t, orders, f_* descent pairs or foot-point
+  solver counts shows here even where the final outputs agree. A fit that
+  raises is one line holding its error.
 
-Not part of the test suite: a full run takes about 12 s (2-core Xeon).
+Not part of the test suite: a full run takes about 12 s on a 2-core Xeon and
+5 s on a 2-core AMD EPYC, of which the traces take about 0.2 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -98,6 +108,7 @@ TRIAL_NOISE = (1e-4, 1e-2, 0.25)
 TRIALS_PER_SPEC = 2
 BRUTE_N = 40
 BRUTE_CAP = (3, 3)
+TRACE_TIMINGS = ("seconds", "projection_seconds", "search_seconds")
 # Voxel spacing and origin (mm) of the anisotropic copy of the test grid. They
 # are not dyadic, so origin + (local + offset) * spacing and
 # (origin + offset * spacing) + local * spacing round differently.
@@ -382,6 +393,46 @@ def trial_outputs(path: Path) -> int:
     return len(records)
 
 
+def trace_fits():
+    """(label, cloud, settings) of each fit of ``traces.json``, in file order."""
+    from patchfit import FitSettings, PointCloud, make_dataset
+
+    brute = next(spec for spec in trial_specs() if spec.mode == "brute")
+    for spec in trial_specs():
+        for trial in range(TRIALS_PER_SPEC):
+            dataset = make_dataset(spec, trial)
+            cloud = PointCloud(dataset.x_tr, np.ones(spec.n_tr))
+            label = {"name": spec.name, "trial": trial}
+            if spec.mode != "brute":
+                fixed = spec.orders if spec.mode == "fixed" else None
+                yield label, cloud, FitSettings(lam=spec.lam, fixed_orders=fixed)
+            elif spec == brute:
+                for fixed in itertools.product(range(1, BRUTE_CAP[0] + 1),
+                                               range(1, BRUTE_CAP[1] + 1)):
+                    yield ({**label, "fixed_orders": fixed}, cloud,
+                           FitSettings(lam=spec.lam, fixed_orders=fixed))
+
+
+def trace_outputs(path: Path) -> int:
+    from dataclasses import asdict
+
+    from patchfit import PatchFitError, fit_surface
+
+    lines = []
+    for label, cloud, settings in trace_fits():
+        try:
+            _, trace = fit_surface(cloud, settings)
+        except (PatchFitError, ValueError) as exc:
+            lines.append(json.dumps({**label, "error": str(exc)}))
+            continue
+        for row in trace:
+            fields = {key: value.hex() if isinstance(value, float) else value
+                      for key, value in asdict(row).items() if key not in TRACE_TIMINGS}
+            lines.append(json.dumps({**label, **fields}))
+    path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    return len(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path, help="new directory for the outputs")
@@ -393,7 +444,8 @@ def main(argv=None) -> int:
     args.outdir.mkdir(parents=True)
     cli_outputs(args.outdir / "cli", src)
     count = trial_outputs(args.outdir / "trials.json")
-    print(f"wrote CLI outputs and {count} trial records under {args.outdir}")
+    rows = trace_outputs(args.outdir / "traces.json")
+    print(f"wrote CLI outputs, {count} trial records and {rows} trace rows under {args.outdir}")
     return 0
 
 
