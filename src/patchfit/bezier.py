@@ -70,9 +70,10 @@ def _binomial_row(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _deriv_factors(n: int) -> tuple[np.ndarray, ...]:
-    i = np.arange(n + 1, dtype=np.float64)
+    """Read-only (n+1, 1) columns C(n, i), i, j = n - i, i (i - 1), 2 i j and j (j - 1)."""
+    i = np.arange(n + 1, dtype=np.float64)[:, None]
     j = n - i
-    factors = (i, j, i * (i - 1.0), 2.0 * i * j, j * (j - 1.0))
+    factors = (_binomial_row(n)[:, None], i, j, i * (i - 1.0), 2.0 * i * j, j * (j - 1.0))
     for f in factors:
         f.flags.writeable = False
     return factors
@@ -135,8 +136,7 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     p, q = _batch_power_tables(values, n, pad=2)
     pu, pum1, pum2 = p[2:], p[1:-1], p[:-2]
     qrev, qrevm1, qrevm2 = q[:-2], q[1:-1], q[2:]
-    i, j, cii, cij, cjj = (f[:, None] for f in _deriv_factors(n))
-    c = _binomial_row(n)[:, None]
+    c, i, j, cii, cij, cjj = _deriv_factors(n)
     b0 = c * pu * qrev
     b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
     b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
@@ -144,7 +144,7 @@ def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _surface_derivs(u, v, control):
-    """Batched s, s_u, s_v, s_uu, s_vv, s_uv, stacked in one (6, 3, len) array."""
+    """Batched s, s_u, s_v, s_uu, s_uv, s_vv, stacked in one (6, 3, len) array."""
     # Only against a C-ordered tensor does each lane's sum run left to right
     # at any lane count (see the module docstring).
     control = np.ascontiguousarray(control)
@@ -154,7 +154,7 @@ def _surface_derivs(u, v, control):
     t1 = np.einsum("im,ijk->jkm", bu1, control)
     t2 = np.einsum("im,ijk->jkm", bu2, control)
     derivs = np.empty((6, 3, len(u)))
-    for out, bv, t in zip(derivs, (bv0, bv0, bv1, bv0, bv2, bv1), (t0, t1, t0, t2, t0, t1)):
+    for out, bv, t in zip(derivs, (bv0, bv0, bv1, bv0, bv1, bv2), (t0, t1, t0, t2, t1, t0)):
         np.einsum("jm,jkm->km", bv, t, out=out)
     return derivs
 
@@ -173,15 +173,19 @@ def _dot3(x, y):
 
 def _values_grads_hessians(points, u, v, control):
     """Batched objective values with gradients and Hessian entries, for points
-    given as the (3, len) block of their coordinate rows."""
+    given as the (3, len) block of their coordinate rows: the rows value, g_u,
+    g_v, h11, h12 and h22 of one (6, len) array."""
     derivs = _surface_derivs(u, v, control)
     np.subtract(points, derivs[0], out=derivs[0])  # the residual r = x - s
     rows = derivs.swapaxes(1, 2)  # a (6, len, 3) view: each coordinate is a contiguous row
-    with_r = _dot3(rows, rows[0])  # r.r, s_u.r, s_v.r, s_uu.r, s_vv.r, s_uv.r
+    out = _dot3(rows, rows[0])  # r.r, s_u.r, s_v.r, s_uu.r, s_uv.r, s_vv.r
     jac = rows[1:3]
-    gram = _dot3(jac[:, None], jac)  # s_a.s_b for a, b in (u, v)
-    return (0.5 * with_r[0], -with_r[1], -with_r[2], gram[0, 0] - with_r[3],
-            gram[0, 1] - with_r[5], gram[1, 1] - with_r[4])
+    gram = _dot3(jac[:, None], jac).reshape(4, -1)  # s_u.s_u, s_u.s_v, s_v.s_u, s_v.s_v
+    out[0] *= 0.5
+    np.negative(out[1:3], out=out[1:3])
+    np.subtract(gram[:2], out[3:5], out=out[3:5])
+    np.subtract(gram[3], out[5], out=out[5])
+    return out
 
 
 @dataclass(frozen=True)

@@ -527,6 +527,33 @@ class TestProjectAll:
             with pytest.raises(ProjectionError):
                 project_point(points[failed_lane], surface, u[failed_lane], v[failed_lane])
 
+    @pytest.mark.parametrize("spread, definite", [(0.01, True), (1.0, False)])
+    def test_guarded_passes_match_per_point_bitwise(self, monkeypatch, spread, definite):
+        # Near starts, pass 0 has every lane active and positive definite, so it
+        # skips the shift, stop and gather blocks; far starts shift some lanes.
+        surface, points, u, v = rosenbrock_batch(21, n=80, spread=spread)
+        _, _, _, h11, h12, h22 = _values_grads_hessians(points.T, u, v, surface.control)
+        assert ((h11 * h22 - h12 * h12 > 0) & (h11 + h22 > 0)).all() == definite
+        log = []
+        monkeypatch.setattr(projection, "_values_grads_hessians",
+                            lambda *a: log.append(a[0].shape[1]) or _values_grads_hessians(*a))
+        batch = project_all(PointCloud(points, np.ones(80)), surface, u, v)
+        monkeypatch.undo()
+        if definite:
+            assert log[1] == 80
+        for i in range(80):
+            assert_lane_equal(batch, i, project_point(points[i], surface, u[i], v[i]))
+
+    def test_solver_counts_are_pinned(self):
+        # Counts of one seeded exact and one budgeted solve, as the solver
+        # without the per-pass guards made them.
+        surface, points, u, v = rosenbrock_batch(5, n=200, spread=1.0)
+        cloud = PointCloud(points, np.ones(200))
+        exact = project_all(cloud, surface, u, v)
+        budgeted = project_all(cloud, surface, u, v, budgeted=True)
+        assert (exact.kernel_calls, int(exact.iterations.sum())) == (35, 2004)
+        assert (budgeted.kernel_calls, int(budgeted.iterations.sum())) == (5, 400)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
         surface, cloud, u, v = self._instance(rng, n=23)
