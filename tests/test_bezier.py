@@ -21,11 +21,14 @@ from patchfit import (
     g_value,
     surface_eval,
 )
+from patchfit import bezier
 from patchfit.bezier import (
+    _STACKED_LANES,
     _basis_rows,
     _basis_rows_derivs,
     _binomial_row,
     _dot3,
+    _stacked_rows_derivs,
     _surface_derivs,
     _values_grads_hessians,
 )
@@ -498,7 +501,7 @@ def broadcast_sum_kernel(points, u, v, control):
 
 
 class TestPointsLastKernel:
-    @pytest.mark.parametrize("m", [1, 2, 7, 100, 5000])
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, _STACKED_LANES, _STACKED_LANES + 1, 5000])
     @pytest.mark.parametrize("orders", [(1, 1), (2, 3), (6, 6)])
     def test_equals_broadcast_sum_oracle_and_one_lane_calls_bytewise(self, m, orders):
         # The control tensor of a fit, as from_flat builds it from an F-ordered
@@ -519,3 +522,48 @@ class TestPointsLastKernel:
         for k in np.unique(rng.integers(0, m, 8)):
             lane = _values_grads_hessians(points[:, k:k + 1], u[k:k + 1], v[k:k + 1], control)
             assert np.stack(lane)[:, 0].tobytes() == np.stack(batch)[:, k].tobytes()
+
+
+# Lane counts on both sides of the switch between the stacked and the
+# per-axis basis build, and values whose powers overflow, vanish or are NaN.
+SWITCH_LANES = (0, 1, 2, _STACKED_LANES - 1, _STACKED_LANES, _STACKED_LANES + 1, 1025)
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e200, -1e200, math.inf, -math.inf, math.nan]),
+    st.floats(-2.0, 3.0))
+
+
+class TestStackedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(SWITCH_LANES), st.data())
+    def test_each_axis_equals_the_per_axis_rows_bytewise(self, n_u, n_v, m, data):
+        u = data.draw(arrays(np.float64, m, elements=EDGE_VALUES))
+        v = data.draw(arrays(np.float64, m, elements=EDGE_VALUES))
+        with np.errstate(all="ignore"):
+            rows = _stacked_rows_derivs(u, v, n_u, n_v)
+            for got, x, n in zip(rows, (u, v), (n_u, n_v), strict=True):
+                want = np.stack(_basis_rows_derivs(x, n))
+                assert got.shape == want.shape == (3, n + 1, m)
+                assert got.tobytes() == want.tobytes()
+                assert all(row.flags.c_contiguous for row in got)
+
+    @pytest.mark.parametrize("orders", [(1, 1), (2, 5)])
+    def test_no_lanes_give_empty_rows_and_an_empty_kernel(self, orders):
+        empty = np.empty(0)
+        rows_u, rows_v = _stacked_rows_derivs(empty, empty, *orders)
+        assert rows_u.shape == (3, orders[0] + 1, 0) and rows_v.shape == (3, orders[1] + 1, 0)
+        control = np.zeros((orders[0] + 1, orders[1] + 1, 3))
+        assert _values_grads_hessians(np.empty((3, 0)), empty, empty, control).shape == (6, 0)
+
+    @pytest.mark.parametrize("m, per_axis_calls", [
+        (1, 0), (_STACKED_LANES, 0), (_STACKED_LANES + 1, 2)])
+    def test_only_calls_above_the_switch_build_rows_per_axis(self, monkeypatch, m, per_axis_calls):
+        calls = []
+
+        def counted(values, n):
+            calls.append(n)
+            return _basis_rows_derivs(values, n)
+
+        monkeypatch.setattr(bezier, "_basis_rows_derivs", counted)
+        x = np.linspace(0.0, 1.0, m)
+        _surface_derivs(x, x, np.zeros((3, 4, 3)))
+        assert len(calls) == per_axis_calls

@@ -21,7 +21,10 @@ pair to pair. For each shape the script prints both sides' median, the
 median of the per-pair ratios (this tree / other tree) and the number of
 pairs this tree ran faster, and on a second line both sides' medians of the
 order-search and foot-point-projection seconds, summed over each fit's
-``FitIteration`` trace, so that a change shows which phase moved:
+``FitIteration`` trace, so that a change shows which phase moved, and of
+the minor page faults per fit (the ``ru_minflt`` delta of
+``resource.getrusage(RUSAGE_SELF)`` around the fit; this process only, both
+sides share its allocator):
 
     python3 tools/paired_timing.py --src ../before/src
     python3 tools/paired_timing.py --src ../before/src --pairs 200
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 from pathlib import Path
@@ -92,15 +96,18 @@ def workloads(patchfit) -> dict[str, tuple[list[np.ndarray], dict]]:
             "fixed33-100": (rosenbrock, {"fixed_orders": (3, 3)})}
 
 
-def fit_seconds(patchfit, points: np.ndarray, settings: dict) -> tuple[float, float, float]:
-    """Wall time of one fit, and the search and projection seconds its trace sums."""
+def fit_seconds(patchfit, points: np.ndarray, settings: dict) -> tuple[float, float, float, int]:
+    """Wall time of one fit, the search and projection seconds its trace sums,
+    and the minor page faults this process took during the fit."""
     cloud = patchfit.PointCloud(points, np.ones(points.shape[0]))
     settings = patchfit.FitSettings(**settings)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = perf_counter()
     _, trace = patchfit.fit_surface(cloud, settings)
     seconds = perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return (seconds, sum(row.search_seconds for row in trace),
-            sum(row.projection_seconds for row in trace))
+            sum(row.projection_seconds for row in trace), faults)
 
 
 def compare(this, other, sets: list[np.ndarray], settings: dict, pairs: int) -> str:
@@ -119,13 +126,17 @@ def compare(this, other, sets: list[np.ndarray], settings: dict, pairs: int) -> 
     ratio = statistics.median(m[0] / t[0] for m, t in zip(mine, theirs))
     wins = sum(m[0] < t[0] for m, t in zip(mine, theirs))
 
+    def median(side, field):
+        return statistics.median(times[field] for times in side)
+
     def ms(side, phase):
-        return 1e3 * statistics.median(times[phase] for times in side)
+        return 1e3 * median(side, phase)
 
     return (f"this {ms(mine, 0):8.3f} ms  other {ms(theirs, 0):8.3f} ms  "
             f"paired ratio {ratio:.3f}  this faster in {wins}/{pairs}\n"
             f"{'':15s}   search this {ms(mine, 1):7.3f} ms  other {ms(theirs, 1):7.3f} ms  "
-            f"projection this {ms(mine, 2):7.3f} ms  other {ms(theirs, 2):7.3f} ms")
+            f"projection this {ms(mine, 2):7.3f} ms  other {ms(theirs, 2):7.3f} ms  "
+            f"minor faults this {median(mine, 3):g}  other {median(theirs, 3):g}")
 
 
 def main(argv=None) -> int:
