@@ -42,19 +42,24 @@ points-first tables this layout made the kernel 1.4-2.2x faster at 200 to
 5 000 lanes (one CPU of a 2-core Xeon, NumPy 2.4.6). The order in which
 the Gram product sums the design matrix is set by ``control._gram``.
 
+Each basis and derivative row is built from six terms, stated once in
+``_TERMS`` and ``_term_coeffs``: term k of basis index i is a coefficient
+times a power of u times one of 1 - u, read by ``_term`` from one power
+table. ``_basis_rows`` is term 0; ``_basis_rows_derivs`` is term 0, then
+c (t1 - t3) and c (t2 - t4 + t5), each one expression so that a term is
+freed once used. On the 5 000-lane plane fit, holding all six terms (each a
+fresh mmap) was 1.05-1.09x slower, and building term 0 last took 1 113 minor
+page faults per fit against 1 078.
+
 A kernel call of at most ``_STACKED_LANES`` = 512 lanes builds both axes'
 rows in one pass, ``_stacked_rows_derivs``: one power table of u, v, 1 - u
-and 1 - v, one ``take`` of each term's p and q rows, from a plan cached per
-(n_u, n_v) with the terms' coefficients, and three in-place ops that
-combine the terms. Every entry is computed with the multiplications and
-sums of ``_basis_rows_derivs`` in the same order, so the rows, and the
-kernel, are the same bytes. A larger call builds each axis with ``_basis_rows_derivs``,
-whose rows cost no gathered copies. At orders (4, 4) the kernel took
-about 108 -> 80 us at 100 lanes (basis rows about 55 -> 24 us, einsums
-about 35 us, dot products and the rest about 20 us) and 320 -> 190 us at
-512, and stays per-axis at 1 000 (about 560 us) and 5 000 (about 2 300 us)
-lanes; built stacked, the 5 000-lane fit of a plane ran 1.2x slower (one
-CPU of a 2-core Xeon, NumPy 2.4.6).
+and 1 - v, one ``take`` of each term's rows by a plan cached per (n_u, n_v),
+and three in-place ops that combine them in the order of
+``_basis_rows_derivs``, so the rows are the same bytes. At orders (4, 4)
+the kernel took about 108 -> 80 us at 100 lanes and 320 -> 190 us at 512.
+Larger calls build each axis with ``_basis_rows_derivs``, which gathers no
+copies: each single path tried, blocked or not, made the 5 000-lane plane
+fit 1.02-1.2x slower (one CPU of a 2-core Xeon, NumPy 2.4.6).
 """
 
 from __future__ import annotations
@@ -80,17 +85,6 @@ def _binomial_row(n: int) -> np.ndarray:
         raise ValueError(f"order {n} has binomial coefficients beyond the float range") from None
     row.flags.writeable = False
     return row
-
-
-@lru_cache(maxsize=None)
-def _deriv_factors(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (n+1, 1) columns C(n, i), i, j = n - i, i (i - 1), 2 i j and j (j - 1)."""
-    i = np.arange(n + 1, dtype=np.float64)[:, None]
-    j = n - i
-    factors = (_binomial_row(n)[:, None], i, j, i * (i - 1.0), 2.0 * i * j, j * (j - 1.0))
-    for f in factors:
-        f.flags.writeable = False
-    return factors
 
 
 def bernstein(u: float, i: int, n: int) -> float:
@@ -120,76 +114,77 @@ def basis_vector(u: float, n: int, deriv: int = 0) -> np.ndarray:
     return _basis_rows_derivs(np.array([float(u)]), n)[deriv][:, 0]
 
 
-def _power_rows(params: tuple[np.ndarray, ...], n: int, pad: int) -> np.ndarray:
-    """Rows table[pad + k, s] = x_s**k, k = 0..n, over zero rows table[:pad], where
-    x_s runs over the parameter vectors and then one minus each; shape
-    (pad+n+1, 2 len(params), len). Each row is one multiply from the row before."""
+def _power_rows(params: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """Rows table[2 + k, s] = x_s**k, k = 0..n, over two zero rows, where x_s runs
+    over the parameter vectors and then one minus each; shape (n+3, 2 len(params),
+    len). Each row is one multiply from the row before."""
     base = np.empty((2 * len(params), len(params[0])))
     for s, x in enumerate(params):
         base[s] = x
     np.subtract(1.0, base[:len(params)], out=base[len(params):])
-    table = np.empty((pad + n + 1,) + base.shape)
-    table[:pad] = 0.0
-    table[pad] = 1.0
-    for k in range(pad + 1, pad + n + 1):
+    table = np.empty((n + 3,) + base.shape)
+    table[:2] = 0.0
+    table[2] = 1.0
+    for k in range(3, n + 3):
         np.multiply(table[k - 1], base, out=table[k])
     return table
 
 
-def _batch_power_tables(values: np.ndarray, n: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows pu[k] = values**(k - pad), k >= pad, and qrev[k] = (1 - values)**(n - k), k <= n,
-    of shape (pad+n+1, len), zero elsewhere; the points run along each contiguous row."""
-    table = _power_rows((values,), n, pad)
-    return table[:, 0], table[::-1, 1]
+# The six terms of the basis rows and their derivatives, as (p, q) shifts: term
+# k of basis index i is coefficient x u**(i - p) x (1 - u)**(n - i - q).
+_TERMS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
+
+
+@lru_cache(maxsize=None)
+def _term_coeffs(n: int) -> np.ndarray:
+    """Read-only (6, n+1, 1) coefficients of the ``_TERMS`` at order n: C(n, i), i,
+    i (i - 1), j, 2 i j and j (j - 1), with j = n - i."""
+    i = np.arange(n + 1, dtype=np.float64)[:, None]
+    j = n - i
+    coeffs = np.stack((_binomial_row(n)[:, None], i, i * (i - 1.0), j, 2.0 * i * j, j * (j - 1.0)))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _term(table: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Term k of ``_TERMS``, coefficient x p rows x q rows in that order, read from the
+    ``_power_rows`` table of one parameter vector: C-ordered rows of shape (n+1, len)."""
+    p, q = _TERMS[k]
+    return _term_coeffs(n)[k] * table[2 - p:n + 3 - p, 0] * table[::-1, 1][q:n + 1 + q]
 
 
 def _basis_rows(values: np.ndarray, n: int) -> np.ndarray:
     """Basis values for a batch of parameters: C-ordered rows of shape (n+1, len)."""
-    pu, qrev = _batch_power_tables(values, n)
-    return _binomial_row(n)[:, None] * pu * qrev
+    return _term(_power_rows((values,), n), n, 0)
 
 
 def _basis_rows_derivs(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched basis rows with first and second derivative rows, each of shape
-    (n+1, len) with the points along its C-ordered rows.
-
-    The value rows equal ``_basis_rows(values, n)`` bit for bit; all three
-    are taken from the power tables, padded and shifted.
-    """
-    p, q = _batch_power_tables(values, n, pad=2)
-    pu, pum1, pum2 = p[2:], p[1:-1], p[:-2]
-    qrev, qrevm1, qrevm2 = q[:-2], q[1:-1], q[2:]
-    c, i, j, cii, cij, cjj = _deriv_factors(n)
-    b0 = c * pu * qrev
-    b1 = c * (i * pum1 * qrev - j * pu * qrevm1)
-    b2 = c * (cii * pum2 * qrev - cij * pum1 * qrevm1 + cjj * pu * qrevm2)
+    """Batched basis rows with first and second derivative rows, each (n+1, len) with
+    the points along its C-ordered rows; the value rows are ``_basis_rows(values, n)``."""
+    table = _power_rows((values,), n)
+    c = _term_coeffs(n)[0]
+    b0 = _term(table, n, 0)
+    b1 = c * (_term(table, n, 1) - _term(table, n, 3))
+    b2 = c * (_term(table, n, 2) - _term(table, n, 4) + _term(table, n, 5))
     return b0, b1, b2
 
 
-# Above this many lanes the stacked build's gathered copies cost more than the
-# per-axis build's numpy calls (see the module docstring).
+# Above this many lanes the per-axis build is the faster (module docstring).
 _STACKED_LANES = 512
 
 
 @lru_cache(maxsize=None)
 def _stacked_plan(n_u: int, n_v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``take`` indices (2, 6, n_u+n_v+2) into the rows of the flattened
-    (max(n_u, n_v)+3, 4) power table of ``_stacked_rows_derivs``, for the p and
-    the q factor of each term, and the (6, n_u+n_v+2, 1) coefficients of the terms.
-
-    Term k of basis index i on an axis of order n is coefficient x p row x q row,
-    as ``_basis_rows_derivs`` multiplies it: c pu qrev, i pum1 qrev, cii pum2 qrev,
-    j pu qrevm1, cij pum1 qrevm1 and cjj pu qrevm2, the u axis's rows first."""
-    p_shift, q_shift = (0, 1, 2, 0, 1, 0), (0, 0, 0, 1, 1, 2)  # each term's m1, m2 suffixes
-    index, coeffs = [], []
+    """Read-only ``take`` indices (2, 6, n_u+n_v+2) of the p and q rows of the ``_TERMS``
+    in the flattened (max(n_u, n_v)+3, 4) power table of ``_stacked_rows_derivs``, and
+    the terms' (6, n_u+n_v+2, 1) coefficients, the u axis's rows first."""
+    index = []
     for axis, n in enumerate((n_u, n_v)):
         i = np.arange(n + 1)
-        p_rows = [4 * (i + 2 - s) + axis for s in p_shift]
-        q_rows = [4 * (n + 2 - i - s) + 2 + axis for s in q_shift]
-        index.append(np.array([p_rows, q_rows]))
-        c, ii, j, cii, cij, cjj = _deriv_factors(n)
-        coeffs.append(np.stack((c, ii, cii, j, cij, cjj)))
-    index, coeffs = np.concatenate(index, axis=2), np.concatenate(coeffs, axis=1)
+        index.append([[4 * (i + 2 - p) + axis for p, _ in _TERMS],
+                      [4 * (n + 2 - i - q) + 2 + axis for _, q in _TERMS]])
+    index = np.concatenate(index, axis=2)
+    coeffs = np.concatenate((_term_coeffs(n_u), _term_coeffs(n_v)), axis=1)
     index.flags.writeable = coeffs.flags.writeable = False
     return index, coeffs
 
@@ -198,20 +193,17 @@ def _stacked_rows_derivs(
     u: np.ndarray, v: np.ndarray, n_u: int, n_v: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``np.stack(_basis_rows_derivs(u, n_u))`` and the same for v, bit
-    for bit, as two (3, n+1, len) views, built in one pass of few numpy calls.
-
-    One table holds the powers of u, v, 1 - u and 1 - v; one ``take`` gathers
-    each term's p and q factor rows, and each entry is computed with the same
-    multiplications, subtractions and additions, in the same order, as in
-    ``_basis_rows_derivs``."""
+    for bit, as two (3, n+1, len) views: one ``take`` from one power table of u,
+    v, 1 - u and 1 - v gathers every term, and the terms combine in place with
+    the operations of ``_basis_rows_derivs``, in the same order."""
     index, coeffs = _stacked_plan(n_u, n_v)
-    table = _power_rows((u, v), max(n_u, n_v), 2)
+    table = _power_rows((u, v), max(n_u, n_v))
     p, q = table.reshape(table.shape[0] * 4, len(u)).take(index, axis=0)
     terms = np.multiply(coeffs, p, out=p)
     terms *= q
-    np.subtract(terms[1:3], terms[3:5], out=terms[1:3])  # i pum1 qrev - j pu qrevm1, ...
+    np.subtract(terms[1:3], terms[3:5], out=terms[1:3])  # t1 - t3, t2 - t4
     terms[2] += terms[5]
-    np.multiply(coeffs[0], terms[1:3], out=terms[1:3])  # c (...)
+    np.multiply(coeffs[0], terms[1:3], out=terms[1:3])  # c (t1 - t3), c (t2 - t4 + t5)
     return terms[:3, :n_u + 1], terms[:3, n_u + 1:]
 
 

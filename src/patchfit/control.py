@@ -81,7 +81,7 @@ def solve_control_points(
     _nonnegative_real("lam", lam)
     b = design_matrix(u, v, n_u, n_v)
     gram, rhs = _gram(points, weights, b)
-    flat, errors = _solve_gram(gram, rhs, lam, b.shape[1])
+    flat, errors = _solve_gram(gram, rhs, lam, b.shape[1], np.zeros(gram.shape))
     if errors[0] is not None:
         raise errors[0]
     # Fortran order keeps from_flat's reshape, and the surface's ``flat``, contiguous views.
@@ -111,14 +111,14 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
-def _solve_gram(gram, rhs, lam: float, n_x: int, pad=None) -> tuple[np.ndarray, list]:
+def _solve_gram(gram, rhs, lam: float, n_x: int, pad) -> tuple[np.ndarray, list]:
     """Solve (gram + pad + lam I) flat = rhs for every system of a stack.
 
     ``gram`` is a (..., m, m) stack of systems and ``rhs`` the (..., m, 3)
     stack of their right-hand sides, both left unchanged; a single (m, m)
-    system is a stack of one. ``pad``, if given, is 1 on each system's
-    diagonal past its own size and 0 elsewhere, and the pivot test skips
-    those entries. One Cholesky factorization and one pair of solves serve
+    system is a stack of one. ``pad``, of the shape of ``gram``, is 1 on each
+    system's diagonal past its own size and 0 elsewhere, and the pivot test
+    skips those entries. One Cholesky factorization and one pair of solves serve
     the whole stack; only when the stacked factorization fails are the
     systems factored one by one, to find the failing ones.
 
@@ -128,8 +128,7 @@ def _solve_gram(gram, rhs, lam: float, n_x: int, pad=None) -> tuple[np.ndarray, 
     system; ``lam`` comes checked from the public entry points.
     """
     m = gram.shape[-1]
-    shift = lam * _identity(m)
-    systems = gram + (shift if pad is None else pad + shift)
+    systems = gram + (pad + lam * _identity(m))
     if not (np.isfinite(systems).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     errors = [None] * (systems.size // (m * m))
@@ -150,7 +149,7 @@ def _solve_gram(gram, rhs, lam: float, n_x: int, pad=None) -> tuple[np.ndarray, 
         # rank deficiency can slip through the factorization as a tiny pivot; a
         # system larger than the n_x points summed into it has rank at most n_x
         pivots = np.abs(np.diagonal(factors, axis1=-2, axis2=-1))
-        own = np.full(m, True) if pad is None else np.diagonal(pad, axis1=-2, axis2=-1) == 0
+        own = np.diagonal(pad, axis1=-2, axis2=-1) == 0
         tiny = (np.where(own, pivots, np.inf).min(axis=-1)
                 <= 1e-7 * np.where(own, pivots, 0.0).max(axis=-1))
         for c in np.flatnonzero(tiny | (own.sum(axis=-1) > n_x)):

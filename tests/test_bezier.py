@@ -30,6 +30,7 @@ from patchfit.bezier import (
     _dot3,
     _stacked_rows_derivs,
     _surface_derivs,
+    _term_coeffs,
     _values_grads_hessians,
 )
 
@@ -532,10 +533,23 @@ EDGE_VALUES = st.one_of(
     st.floats(-2.0, 3.0))
 
 
+def term_coeffs_closed_form(n):
+    """C(n, i), i, i (i - 1), j, 2 i j and j (j - 1), j = n - i, one float at a time;
+    in float arithmetic i (i - 1) at i = 0 and j (j - 1) at j = 0 are -0.0, whose
+    sign reaches the bytes of some derivative rows."""
+    columns = []
+    for i in range(n + 1):
+        x, j = float(i), float(n - i)
+        columns.append((float(math.comb(n, i)), x, x * (x - 1.0), j, 2.0 * x * j, j * (j - 1.0)))
+    return np.array(columns).T[:, :, None]
+
+
 class TestStackedRows:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(SWITCH_LANES), st.data())
+    @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(SWITCH_LANES), st.data())
     def test_each_axis_equals_the_per_axis_rows_bytewise(self, n_u, n_v, m, data):
+        # The three readers of the term table agree byte for byte: the value
+        # rows, the per-axis rows and derivatives, and both axes' stacked rows.
         u = data.draw(arrays(np.float64, m, elements=EDGE_VALUES))
         v = data.draw(arrays(np.float64, m, elements=EDGE_VALUES))
         with np.errstate(all="ignore"):
@@ -545,6 +559,15 @@ class TestStackedRows:
                 assert got.shape == want.shape == (3, n + 1, m)
                 assert got.tobytes() == want.tobytes()
                 assert all(row.flags.c_contiguous for row in got)
+                values = _basis_rows(x, n)
+                assert values.flags.c_contiguous and values.tobytes() == want[0].tobytes()
+            # Order 0, which only bernstein reads: one basis value of 1 at every value.
+            assert _basis_rows(u, 0).tobytes() == np.ones((1, m)).tobytes()
+            assert all(bernstein(x, 0, 0) == 1.0 for x in u[:8])
+        for n in (0, n_u, n_v):
+            coeffs = _term_coeffs(n)
+            assert coeffs.tobytes() == term_coeffs_closed_form(n).tobytes()
+            assert coeffs.shape == (6, n + 1, 1) and not coeffs.flags.writeable
 
     @pytest.mark.parametrize("orders", [(1, 1), (2, 5)])
     def test_no_lanes_give_empty_rows_and_an_empty_kernel(self, orders):

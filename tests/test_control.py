@@ -143,6 +143,28 @@ class TestSolveControlPoints:
         with pytest.raises(ValueError, match="infs or NaNs"):
             solve_control_points(points, np.full(20, 1e200), u, v, 1, 1, lam=lam)
 
+    @pytest.mark.parametrize("lam, n_u, n_v, n, error", [
+        (1e-3, 2, 3, 80, None),
+        (0.0, 2, 3, 80, None),
+        (0.0, 2, 3, 11, "numerically singular at lam=0"),  # factors; only 12 > 11 points flags it
+    ])
+    def test_equals_the_unpadded_solve_bytewise(self, lam, n_u, n_v, n, error):
+        # solve_control_points passes a zero pad to the stacked solve: its flat is
+        # that of (G + lam I) factored and solved directly, and the lam = 0 checks
+        # still read every diagonal entry.
+        rng = np.random.default_rng(4)
+        points, weights = rng.normal(size=(n, 3)), rng.uniform(0.5, 2.0, n)
+        u, v = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        gram, rhs = _gram(points, weights, design_matrix(u, v, n_u, n_v))
+        factor = np.linalg.cholesky(gram + lam * np.eye(len(gram)))
+        if error:
+            with pytest.raises(RankDeficiencyError, match=error):
+                solve_control_points(points, weights, u, v, n_u, n_v, lam)
+        else:
+            want = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+            got = solve_control_points(points, weights, u, v, n_u, n_v, lam)
+            assert got.flat.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
     def test_negative_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):

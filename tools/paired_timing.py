@@ -23,11 +23,18 @@ pairs this tree ran faster, and on a second line both sides' medians of the
 order-search and foot-point-projection seconds, summed over each fit's
 ``FitIteration`` trace, so that a change shows which phase moved, and of
 the minor page faults per fit (the ``ru_minflt`` delta of
-``resource.getrusage(RUSAGE_SELF)`` around the fit; this process only, both
-sides share its allocator):
+``resource.getrusage(RUSAGE_SELF)`` around the fit; this process only):
 
     python3 tools/paired_timing.py --src ../before/src
     python3 tools/paired_timing.py --src ../before/src --pairs 200
+
+Both sides share one glibc heap, so one side's allocations move the other
+side's page faults and, at 5 000 lanes, its time: one commit's own
+``plane-5000`` fits read 656 to 1 167 faults per fit, depending on which
+code shared the process. A ``plane-5000`` ratio within about 5 % is a
+verdict only when both sides read similar fault counts; otherwise rerun it
+beside a run of this tree against itself (``--src src``), whose ratios give
+the spread.
 
 On a shared 2-core Xeon, ten separate 8-s benchmark runs of one commit read
 ``fit-plane-large`` ``fit_p50_s`` from 0.0229 to 0.0271 s, so separate runs
